@@ -45,6 +45,7 @@ let opcodes : (string * Instr.t) list =
     ("Sstore", Instr.Sstore (at 0 64, r 1));
     ("Vload", Instr.Vload (v 0, at 0 128));
     ("Vstore", Instr.Vstore (at 0 256, v 0));
+    ("Vmovi.pair", Instr.Vmovi (p 2, 0));
     ("Valu.add.b", Instr.Valu (Instr.Vadd, Instr.W8, v 1, v 0, v 1));
     ("Valu.max.h", Instr.Valu (Instr.Vmax, Instr.W16, v 1, v 0, v 1));
     ("Valu.add.w", Instr.Valu (Instr.Vadd, Instr.W32, v 1, v 0, v 1));
@@ -57,7 +58,9 @@ let opcodes : (string * Instr.t) list =
     ("Vscale", Instr.Vscale (v 1, v 0, 1 lsl 20, 21));
     ("Vscalev", Instr.Vscalev (v 1, v 0, v 8, 21));
     ("Vpack.w", Instr.Vpack (v 1, p 2, Instr.W32));
+    ("Vpack.h", Instr.Vpack (v 1, p 2, Instr.W16));
     ("Vshuff.h", Instr.Vshuff (p 2, p 3, Instr.W16));
+    ("Vshuff.w", Instr.Vshuff (p 2, p 3, Instr.W32));
     ("Vlut", Instr.Vlut (v 1, v 0, 1));
     ("Vdup", Instr.Vdup (v 1, r 2));
   ]

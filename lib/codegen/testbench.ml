@@ -1,6 +1,6 @@
 (** Convenience driver: stage a matmul's operands into a simulator, run the
     generated kernel, and return the logical row-major result.  Used by the
-    test suite, the examples and the benchmark harness. *)
+    runtime, the test suite, the examples and the benchmark harness. *)
 
 module Machine = Gcd2_vm.Machine
 
@@ -11,33 +11,55 @@ type result = {
   macs : int;
 }
 
-(** [run spec ~a ~w] — [a] row-major M x K, [w] row-major K x N.
-    [per_channel] stages prepacked multiplier vectors and generates the
-    per-channel-requantizing kernel. *)
-let run ?(tables = []) ?per_channel (spec : Matmul.spec) ~a ~w =
-  let packed_a = Weights.pack_activations spec.Matmul.simd ~m:spec.m ~k:spec.k a in
-  let packed_w = Weights.prepack spec.simd ~k:spec.k ~n:spec.n w in
-  let out_bytes = Weights.output_bytes spec.simd ~m:spec.m ~n:spec.n in
+(* One generated kernel and its memory map: every base depends only on
+   the spec, so one kernel serves any number of operand pairs. *)
+type kernel = {
+  spec : Matmul.spec;
+  prog : Gcd2_isa.Program.t;
+  packed_q : int array;
+  a_base : int;
+  w_base : int;
+  c_base : int;
+  q_base : int;
+  out_bytes : int;
+  mem_bytes : int;
+}
+
+let kernel ?(tables = []) ?per_channel (spec : Matmul.spec) =
+  let simd = spec.Matmul.simd in
+  let out_bytes = Weights.output_bytes simd ~m:spec.m ~n:spec.n in
   let align x = Gcd2_util.Stats.round_up x 128 in
   let a_base = 0 in
-  let w_base = align (a_base + Array.length packed_a) in
-  let c_base = align (w_base + Array.length packed_w) in
+  let w_base = align (a_base + Weights.activation_bytes simd ~m:spec.m ~k:spec.k) in
+  let c_base = align (w_base + Weights.prepacked_bytes simd ~k:spec.k ~n:spec.n) in
   let packed_q =
     match per_channel with
     | None -> [||]
-    | Some (mults, _) -> Weights.prepack_channel_mults spec.simd ~n:spec.n mults
+    | Some (mults, _) -> Weights.prepack_channel_mults simd ~n:spec.n mults
   in
   let q_base = align (c_base + out_bytes) in
-  let mem_bytes = align (q_base + Array.length packed_q) + 256 in
-  let m = Machine.scratch ~mem_bytes:(max mem_bytes 4096) () in
-  Machine.write_i8_array m ~addr:a_base packed_a;
-  Machine.write_i8_array m ~addr:w_base packed_w;
-  if Array.length packed_q > 0 then Machine.write_i8_array m ~addr:q_base packed_q;
+  let mem_bytes = max (align (q_base + Array.length packed_q) + 256) 4096 in
   let prog =
     Matmul.generate ~tables ?per_channel ~q_base spec { Matmul.a_base; w_base; c_base }
   in
-  Machine.run m prog;
-  let raw = Machine.read_i8_array m ~addr:c_base ~len:out_bytes in
-  let data = Weights.unpack_output spec.simd ~m:spec.m ~n:spec.n raw in
-  let c = Machine.counters m in
+  { spec; prog; packed_q; a_base; w_base; c_base; q_base; out_bytes; mem_bytes }
+
+let exec kn ~a ~w =
+  let { Matmul.simd; m; k; n; _ } = kn.spec in
+  let mach = Machine.scratch ~mem_bytes:kn.mem_bytes () in
+  (* operands are packed straight into simulator memory and the result
+     read straight out of it, with no intermediate arrays *)
+  let window addr len = Machine.window mach ~addr ~len in
+  Weights.store_activations simd ~m ~k a
+    (window kn.a_base (Weights.activation_bytes simd ~m ~k))
+    kn.a_base;
+  Weights.store_prepacked simd ~k ~n w
+    (window kn.w_base (Weights.prepacked_bytes simd ~k ~n))
+    kn.w_base;
+  if Array.length kn.packed_q > 0 then Machine.write_i8_array mach ~addr:kn.q_base kn.packed_q;
+  Machine.run mach kn.prog;
+  let data = Weights.load_output simd ~m ~n (window kn.c_base kn.out_bytes) kn.c_base in
+  let c = Machine.counters mach in
   { data; cycles = c.Machine.cycles; packets = c.Machine.packets; macs = c.Machine.macs }
+
+let run ?tables ?per_channel spec ~a ~w = exec (kernel ?tables ?per_channel spec) ~a ~w

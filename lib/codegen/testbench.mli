@@ -1,5 +1,6 @@
 (** Stage a matmul's operands into a simulator, run the generated kernel,
-    return the logical result — used by tests, examples and benches. *)
+    return the logical result — used by the runtime, tests, examples and
+    benches. *)
 
 type result = {
   data : int array;  (** logical row-major M x N int8 output *)
@@ -8,8 +9,20 @@ type result = {
   macs : int;
 }
 
-(** [run spec ~a ~w] — [a] row-major M x K, [w] row-major K x N;
+(** A generated kernel with its memory map. *)
+type kernel
+
+(** [kernel spec] generates (and packs) the kernel once;
     [per_channel] = [(mults, shift)] enables per-channel requantization. *)
+val kernel :
+  ?tables:(int * int array) list -> ?per_channel:int array * int -> Matmul.spec -> kernel
+
+(** [exec kn ~a ~w] — [a] row-major M x K, [w] row-major K x N: stage
+    them, run the kernel's one physical program (so repeated calls hit the
+    simulator's decode cache), and unstage the result. *)
+val exec : kernel -> a:int array -> w:int array -> result
+
+(** [run spec ~a ~w] = [exec (kernel spec) ~a ~w]. *)
 val run :
   ?tables:(int * int array) list ->
   ?per_channel:int array * int ->

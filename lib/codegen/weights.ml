@@ -24,48 +24,40 @@ let padded_kn simd ~k ~n =
   let np = Stats.round_up n (Layout.column_group (Simd.layout simd)) in
   (kp, np)
 
-let word b0 b1 b2 b3 =
-  (b0 land 0xff) lor ((b1 land 0xff) lsl 8) lor ((b2 land 0xff) lsl 16)
-  lor ((b3 land 0xff) lsl 24)
-
-(** [prepack simd ~k ~n w] — [w] is the logical row-major K x N weight
-    matrix; the result is a byte array of 4-byte words as described above
-    (indexable with {!word_offset}). *)
-let prepack simd ~k ~n w =
-  if Array.length w <> k * n then invalid_arg "Weights.prepack: size mismatch";
-  let kp, np = padded_kn simd ~k ~n in
-  let at kk nn = if kk < k && nn < n then w.((kk * n) + nn) else 0 in
-  let words =
-    match simd with
-    | Simd.I_vmpy | Simd.I_vrmpy ->
-      let groups = kp / 4 in
-      Array.init (np * groups) (fun i ->
-          let nn = i / groups and g = i mod groups in
-          word (at (4 * g) nn) (at ((4 * g) + 1) nn) (at ((4 * g) + 2) nn)
-            (at ((4 * g) + 3) nn))
-    | Simd.I_vmpa ->
-      let groups = kp / 4 in
-      Array.init (np * groups) (fun i ->
-          let nn = i / groups and g = i mod groups in
-          word (at (4 * g) nn) (at ((4 * g) + 2) nn) (at ((4 * g) + 1) nn)
-            (at ((4 * g) + 3) nn))
-  in
-  (* flatten to bytes *)
-  let bytes = Array.make (4 * Array.length words) 0 in
-  Array.iteri
-    (fun i wd ->
-      bytes.(4 * i) <- wd land 0xff;
-      bytes.((4 * i) + 1) <- (wd lsr 8) land 0xff;
-      bytes.((4 * i) + 2) <- (wd lsr 16) land 0xff;
-      bytes.((4 * i) + 3) <- (wd lsr 24) land 0xff)
-    words;
-  bytes
-
 (** Byte size of the prepacked weight buffer. *)
 let prepacked_bytes simd ~k ~n =
   let kp, np = padded_kn simd ~k ~n in
   ignore simd;
   4 * np * (kp / 4)
+
+(** [store_prepacked simd ~k ~n w dst off] — [w] is the logical row-major
+    K x N weight matrix; writes its 4-byte words as described above into
+    [dst] at [off], padding zeroed. *)
+let store_prepacked simd ~k ~n w dst off =
+  if Array.length w <> k * n then invalid_arg "Weights.prepack: size mismatch";
+  let kp, _ = padded_kn simd ~k ~n in
+  let groups = kp / 4 in
+  (* byte [j] of word (g, n) holds weight [4g + order.(j)] *)
+  let order = match simd with Simd.I_vmpa -> [| 0; 2; 1; 3 |] | _ -> [| 0; 1; 2; 3 |] in
+  Bytes.fill dst off (prepacked_bytes simd ~k ~n) '\000';
+  for nn = 0 to n - 1 do
+    for g = 0 to groups - 1 do
+      for j = 0 to 3 do
+        let kk = (4 * g) + order.(j) in
+        if kk < k then
+          Bytes.set_uint8 dst
+            (off + (4 * ((nn * groups) + g)) + j)
+            (w.((kk * n) + nn) land 0xff)
+      done
+    done
+  done
+
+(** [prepack simd ~k ~n w]: the bytes {!store_prepacked} writes, as an
+    array of unsigned byte values. *)
+let prepack simd ~k ~n w =
+  let b = Bytes.create (prepacked_bytes simd ~k ~n) in
+  store_prepacked simd ~k ~n w b 0;
+  Array.init (Bytes.length b) (Bytes.get_uint8 b)
 
 (** Byte stride between two consecutive output columns' weight streams. *)
 let column_stride simd ~k =
@@ -73,23 +65,31 @@ let column_stride simd ~k =
   ignore simd;
   4 * (kp / 4)
 
-(** Pack an M x K activation matrix for the kernel (layout of the SIMD
-    choice, K padded to the kernel granularity). *)
-let pack_activations simd ~m ~k a =
-  if Array.length a <> m * k then invalid_arg "Weights.pack_activations: size mismatch";
-  let kp, _ = padded_kn simd ~k ~n:1 in
-  let padded =
-    if kp = k then a
-    else
-      Array.init (m * kp) (fun i ->
-          let r = i / kp and c = i mod kp in
-          if c < k then a.((r * k) + c) else 0)
-  in
-  (Pack.pack (Simd.layout simd) ~rows:m ~cols:kp padded).Pack.bytes
-
 let activation_bytes ?desc simd ~m ~k =
   let kp, _ = padded_kn simd ~k ~n:1 in
   Layout.padded_bytes ?desc (Simd.layout simd) ~rows:m ~cols:kp
+
+(** Pack an M x K activation matrix for the kernel (layout of the SIMD
+    choice, K padded to the kernel granularity) into [dst] at [off],
+    padding zeroed. *)
+let store_activations simd ~m ~k a dst off =
+  if Array.length a <> m * k then invalid_arg "Weights.pack_activations: size mismatch";
+  let kp, _ = padded_kn simd ~k ~n:1 in
+  let layout = Simd.layout simd in
+  Bytes.fill dst off (activation_bytes simd ~m ~k) '\000';
+  for r = 0 to m - 1 do
+    for c = 0 to k - 1 do
+      Bytes.set_uint8 dst
+        (off + Layout.offset layout ~rows:m ~cols:kp ~r ~c)
+        (a.((r * k) + c) land 0xff)
+    done
+  done
+
+(** The bytes {!store_activations} writes, as signed int8 values. *)
+let pack_activations simd ~m ~k a =
+  let b = Bytes.create (activation_bytes simd ~m ~k) in
+  store_activations simd ~m ~k a b 0;
+  Array.init (Bytes.length b) (Bytes.get_int8 b)
 
 (** Output buffer size (int8, layout-padded M x N). *)
 let output_bytes ?desc simd ~m ~n =
@@ -99,6 +99,9 @@ let output_bytes ?desc simd ~m ~n =
     buffer. *)
 let unpack_output simd ~m ~n bytes =
   Pack.unpack { Pack.layout = Simd.layout simd; rows = m; cols = n; bytes }
+
+(** The same, read straight from [src] at [off]. *)
+let load_output simd ~m ~n src off = Pack.load (Simd.layout simd) ~rows:m ~cols:n src off
 
 (* little-endian W32 lanes into a byte array *)
 let blit_w32 bytes off v =

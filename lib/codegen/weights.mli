@@ -10,6 +10,10 @@ val padded_kn : Simd.t -> k:int -> n:int -> int * int
     buffer of packed weight words. *)
 val prepack : Simd.t -> k:int -> n:int -> int array -> int array
 
+(** [store_prepacked simd ~k ~n w dst off] writes {!prepack}'s bytes
+    straight into [dst] at [off]. *)
+val store_prepacked : Simd.t -> k:int -> n:int -> int array -> Bytes.t -> int -> unit
+
 val prepacked_bytes : Simd.t -> k:int -> n:int -> int
 
 (** Byte stride between consecutive output columns' weight streams. *)
@@ -18,6 +22,10 @@ val column_stride : Simd.t -> k:int -> int
 (** Pack an M x K activation matrix (kernel layout, K padded). *)
 val pack_activations : Simd.t -> m:int -> k:int -> int array -> int array
 
+(** [store_activations simd ~m ~k a dst off] writes {!pack_activations}'s
+    bytes straight into [dst] at [off]. *)
+val store_activations : Simd.t -> m:int -> k:int -> int array -> Bytes.t -> int -> unit
+
 val activation_bytes : ?desc:Gcd2_devices.Desc.t -> Simd.t -> m:int -> k:int -> int
 
 (** Output buffer size (int8, layout-padded M x N). *)
@@ -25,6 +33,9 @@ val output_bytes : ?desc:Gcd2_devices.Desc.t -> Simd.t -> m:int -> n:int -> int
 
 (** Recover the logical row-major M x N matrix from the output buffer. *)
 val unpack_output : Simd.t -> m:int -> n:int -> int array -> int array
+
+(** The same, read straight from the output buffer in [src] at [off]. *)
+val load_output : Simd.t -> m:int -> n:int -> Bytes.t -> int -> int array
 
 (** Prepack per-channel requantization multipliers as the vectors the
     kernels' [Vscalev] epilogues load (see {!Matmul.generate}). *)

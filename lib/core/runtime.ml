@@ -84,6 +84,29 @@ let is_identity_scale ~from ~into = from.Q.scale = into.Q.scale && from.Q.zero =
 
 (* ---------------- matmul-family on the VM ---------------- *)
 
+(* The kernel spec of a matmul-family node under its chosen plan.  The
+   simulated DSP executes the hexagon698 ISA (128-byte vectors) whatever
+   device the compile was costed for; wider targets are modeled
+   analytically, not run. *)
+let matmul_spec ~options ~plan ~m ~k ~n ~mult ~shift ~act_table =
+  let u = Option.get plan.Plan.unroll in
+  {
+    Matmul.device = Gcd2_devices.Desc.hexagon698;
+    simd = Option.get plan.Plan.simd;
+    m;
+    k;
+    n;
+    mult;
+    shift;
+    act_table;
+    strategy = options.Gcd2_cost.Opcost.strategy;
+    un = u.Gcd2_codegen.Unroll.un;
+    ug = u.Gcd2_codegen.Unroll.ug;
+    abuf = u.Gcd2_codegen.Unroll.abuf;
+    wbuf = u.Gcd2_codegen.Unroll.wbuf;
+    addressing = Matmul.Bump;
+  }
+
 let run_matmul ~stats ~options ~plan ~act (x : T.t) (w : T.t) ~m ~k ~n ~out_dims =
   let out_q = Q.default in
   let mult, shift = Q.requant_multiplier ~in_a:x.T.quant ~in_b:w.T.quant ~out:out_q in
@@ -92,39 +115,17 @@ let run_matmul ~stats ~options ~plan ~act (x : T.t) (w : T.t) ~m ~k ~n ~out_dims
     | Some a -> ([ (1, Lut.of_act ~in_q:out_q ~out_q a) ], Some 1)
     | None -> ([], None)
   in
-  let simd = Option.get plan.Plan.simd in
-  let u = Option.get plan.Plan.unroll in
-  (* the simulated DSP executes the hexagon698 ISA (128-byte vectors)
-     whatever device the compile was costed for; wider targets are
-     modeled analytically, not run *)
-  let spec =
-    {
-      Matmul.device = Gcd2_devices.Desc.hexagon698;
-      simd;
-      m;
-      k;
-      n;
-      mult;
-      shift;
-      act_table;
-      strategy = options.Gcd2_cost.Opcost.strategy;
-      un = u.Gcd2_codegen.Unroll.un;
-      ug = u.Gcd2_codegen.Unroll.ug;
-      abuf = u.Gcd2_codegen.Unroll.abuf;
-      wbuf = u.Gcd2_codegen.Unroll.wbuf;
-      addressing = Matmul.Bump;
-    }
-  in
+  let spec = matmul_spec ~options ~plan ~m ~k ~n ~mult ~shift ~act_table in
   let res = Testbench.run ~tables spec ~a:x.T.data ~w:w.T.data in
   stats.vm_nodes <- stats.vm_nodes + 1;
   stats.vm_cycles <- stats.vm_cycles + res.Testbench.cycles;
   T.of_array ~quant:out_q out_dims res.Testbench.data
 
 (* Batched matmul: the two operands are both dynamic (attention scores
-   and values), so each batch slice reuses the tiled matmul generator
-   with the slice's B staged as the weight matrix — host-transposed
-   first when the graph asks for B^T, exactly as the reference indexes
-   it. *)
+   and values), so every batch slice runs the one tiled matmul kernel
+   generated for the node, with the slice's B staged as the weight
+   matrix — host-transposed first when the graph asks for B^T, exactly as
+   the reference indexes it. *)
 let run_batch_matmul ~stats ~options ~plan ~transpose_b (a : T.t) (b : T.t) =
   let out_q = Q.default in
   let ra = Array.length a.T.dims in
@@ -132,43 +133,26 @@ let run_batch_matmul ~stats ~options ~plan ~transpose_b (a : T.t) (b : T.t) =
   let m = a.T.dims.(ra - 2) and k = a.T.dims.(ra - 1) in
   let n = if transpose_b then b.T.dims.(ra - 2) else b.T.dims.(ra - 1) in
   let mult, shift = Q.requant_multiplier ~in_a:a.T.quant ~in_b:b.T.quant ~out:out_q in
-  let simd = Option.get plan.Plan.simd in
-  let u = Option.get plan.Plan.unroll in
-  let spec =
-    {
-      Matmul.device = Gcd2_devices.Desc.hexagon698;
-      simd;
-      m;
-      k;
-      n;
-      mult;
-      shift;
-      act_table = None;
-      strategy = options.Gcd2_cost.Opcost.strategy;
-      un = u.Gcd2_codegen.Unroll.un;
-      ug = u.Gcd2_codegen.Unroll.ug;
-      abuf = u.Gcd2_codegen.Unroll.abuf;
-      wbuf = u.Gcd2_codegen.Unroll.wbuf;
-      addressing = Matmul.Bump;
-    }
+  let kernel =
+    Testbench.kernel (matmul_spec ~options ~plan ~m ~k ~n ~mult ~shift ~act_table:None)
   in
   let out = Array.make (batch * m * n) 0 in
-  let cycles = ref 0 in
+  let b_slice = Array.make (k * n) 0 in
   for bt = 0 to batch - 1 do
     let a_slice = Array.sub a.T.data (bt * m * k) (m * k) in
-    let b_slice =
-      if transpose_b then
-        Array.init (k * n) (fun i ->
-            let l = i / n and j = i mod n in
-            b.T.data.((bt * k * n) + (j * k) + l))
-      else Array.sub b.T.data (bt * k * n) (k * n)
-    in
-    let res = Testbench.run spec ~a:a_slice ~w:b_slice in
+    let base = bt * k * n in
+    if transpose_b then
+      for j = 0 to n - 1 do
+        for l = 0 to k - 1 do
+          b_slice.((l * n) + j) <- b.T.data.(base + (j * k) + l)
+        done
+      done
+    else Array.blit b.T.data base b_slice 0 (k * n);
+    let res = Testbench.exec kernel ~a:a_slice ~w:b_slice in
     Array.blit res.Testbench.data 0 out (bt * m * n) (m * n);
-    cycles := !cycles + res.Testbench.cycles
+    stats.vm_cycles <- stats.vm_cycles + res.Testbench.cycles
   done;
   stats.vm_nodes <- stats.vm_nodes + 1;
-  stats.vm_cycles <- stats.vm_cycles + !cycles;
   let dims = Array.copy a.T.dims in
   dims.(ra - 1) <- n;
   T.of_array ~quant:out_q dims out
@@ -202,27 +186,26 @@ let run_layer_norm ~stats ~options (x : T.t) =
 (* ---------------- elementwise on the VM ---------------- *)
 
 let stage_eltwise ~stats ~tables ~spec op layout ~rows ~cols a_data b_data =
-  let packed_a = (Pack.pack layout ~rows ~cols a_data).Pack.bytes in
-  let bytes = Array.length packed_a in
+  let bytes = Gcd2_tensor.Layout.padded_bytes layout ~rows ~cols in
   let align x = Gcd2_util.Stats.round_up x 128 in
   let a_base = 0 in
   let b_base = align bytes in
   let out_base = 2 * align bytes in
   let m = Machine.scratch ~mem_bytes:(max 4096 ((3 * align bytes) + 256)) () in
-  Machine.write_i8_array m ~addr:a_base packed_a;
-  (match b_data with
-  | Some b -> Machine.write_i8_array m ~addr:b_base (Pack.pack layout ~rows ~cols b).Pack.bytes
-  | None -> ());
+  let stage addr data =
+    Pack.store layout ~rows ~cols data (Machine.window m ~addr ~len:bytes) addr
+  in
+  stage a_base a_data;
+  Option.iter (stage b_base) b_data;
   let prog =
     match op with
     | `Binary bop -> Eltwise.binary ~tables bop spec { Eltwise.a_base; b_base; out_base }
     | `Unary table -> Eltwise.unary ~tables ~table spec ~in_base:a_base ~out_base
   in
   Machine.run m prog;
-  let out_bytes = Machine.read_i8_array m ~addr:out_base ~len:bytes in
   stats.vm_nodes <- stats.vm_nodes + 1;
   stats.vm_cycles <- stats.vm_cycles + (Machine.counters m).Machine.cycles;
-  Pack.unpack { Pack.layout; rows; cols; bytes = out_bytes }
+  Pack.load layout ~rows ~cols (Machine.window m ~addr:out_base ~len:bytes) out_base
 
 let run_binary ~stats ~options ~plan op (a : T.t) (b : T.t) =
   let out_q = Q.default in

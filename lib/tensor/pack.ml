@@ -9,17 +9,36 @@ type buffer = {
   bytes : int array;  (** int8 values, length {!Layout.padded_bytes} *)
 }
 
-(** [pack layout ~rows ~cols data] lays out a logical row-major [rows] x
-    [cols] int8 matrix. *)
-let pack layout ~rows ~cols data =
-  if Array.length data <> rows * cols then invalid_arg "Pack.pack: size mismatch";
-  let bytes = Array.make (Layout.padded_bytes layout ~rows ~cols) 0 in
+(** [store layout ~rows ~cols data dst off] writes the layout's padded
+    bytes of a logical row-major [rows] x [cols] int8 matrix into [dst] at
+    [off], padding zeroed. *)
+let store layout ~rows ~cols data dst off =
+  if Array.length data <> rows * cols then invalid_arg "Pack.store: size mismatch";
+  Bytes.fill dst off (Layout.padded_bytes layout ~rows ~cols) '\000';
   for r = 0 to rows - 1 do
     for c = 0 to cols - 1 do
-      bytes.(Layout.offset layout ~rows ~cols ~r ~c) <- data.((r * cols) + c)
+      Bytes.set_uint8 dst
+        (off + Layout.offset layout ~rows ~cols ~r ~c)
+        (data.((r * cols) + c) land 0xff)
+    done
+  done
+
+(** Inverse of {!store}: the logical matrix packed in [src] at [off]. *)
+let load layout ~rows ~cols src off =
+  let out = Array.make (rows * cols) 0 in
+  for r = 0 to rows - 1 do
+    for c = 0 to cols - 1 do
+      out.((r * cols) + c) <- Bytes.get_int8 src (off + Layout.offset layout ~rows ~cols ~r ~c)
     done
   done;
-  { layout; rows; cols; bytes }
+  out
+
+(** [pack layout ~rows ~cols data] lays out a logical row-major [rows] x
+    [cols] int8 matrix: {!store}'s bytes as signed values. *)
+let pack layout ~rows ~cols data =
+  let b = Bytes.create (Layout.padded_bytes layout ~rows ~cols) in
+  store layout ~rows ~cols data b 0;
+  { layout; rows; cols; bytes = Array.init (Bytes.length b) (Bytes.get_int8 b) }
 
 (** Inverse of {!pack} (drops padding). *)
 let unpack buf =

@@ -15,6 +15,15 @@ val pack : Layout.t -> rows:int -> cols:int -> int array -> buffer
 (** Inverse of {!pack} (drops padding). *)
 val unpack : buffer -> int array
 
+(** [store layout ~rows ~cols data dst off] writes the bytes {!pack}
+    would build straight into [dst] at [off] (padding zeroed), with no
+    intermediate buffer. *)
+val store : Layout.t -> rows:int -> cols:int -> int array -> Bytes.t -> int -> unit
+
+(** Inverse of {!store}: the logical row-major matrix packed in [src] at
+    [off], as signed int8 values. *)
+val load : Layout.t -> rows:int -> cols:int -> Bytes.t -> int -> int array
+
 (** Pack a tensor through its matrix view. *)
 val pack_tensor : Layout.t -> Tensor.t -> buffer
 

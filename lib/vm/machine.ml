@@ -152,6 +152,43 @@ let set_lane t r ~width l v =
 let lane_count r width = operand_bytes r / lane_bytes width
 
 (* ------------------------------------------------------------------ *)
+(* Unchecked word access                                               *)
+
+(* The compiler's unchecked, native-endian [Bytes] primitives: no bounds
+   check, no byte swap, and the [int32] forms never box when converted
+   to or from [int] on the spot.  Every use is in bounds by construction:
+   the translated closures apply them to whole 128-byte register windows
+   at lane offsets below 128, and memory accesses only after one bounds
+   check of the whole transfer.  Native order is the simulated DSP's
+   little-endian order only on a little-endian host, which module
+   initialization checks once. *)
+external get16u : Bytes.t -> int -> int = "%caml_bytes_get16u"
+external set16u : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+let () =
+  if Sys.big_endian then
+    failwith "Gcd2_vm.Machine: the simulator's word access needs a little-endian host"
+
+(* Reads sign-extend like [get_lane]; writes store the low 8/16/32 bits
+   like [set_lane], so a [p32] of an unwrapped sum is exactly
+   [Sat.wrap32]. *)
+let[@inline] sx8 v = (v lxor 0x80) - 0x80
+let[@inline] g8 b i = Char.code (Bytes.unsafe_get b i)
+let[@inline] s8 b i = sx8 (Char.code (Bytes.unsafe_get b i))
+let[@inline] p8 b i v = Bytes.unsafe_set b i (Char.unsafe_chr (v land 0xff))
+let[@inline] g16 b o = (get16u b o lxor 0x8000) - 0x8000
+let[@inline] p16 b o v = set16u b o v
+let[@inline] g32 b o = Int32.to_int (get32u b o)
+let[@inline] p32 b o v = set32u b o (Int32.of_int v)
+let[@inline] clamp8 v = if v < -128 then -128 else if v > 127 then 127 else v
+let[@inline] clamp16 v = if v < -32768 then -32768 else if v > 32767 then 32767 else v
+
+let[@inline] clamp32 v =
+  if v < -0x8000_0000 then -0x8000_0000 else if v > 0x7fff_ffff then 0x7fff_ffff else v
+
+(* ------------------------------------------------------------------ *)
 (* Memory access                                                       *)
 
 let effective_address t (a : Instr.addr) = get_sreg t a.base + a.offset
@@ -171,31 +208,44 @@ let mem_write32 t addr v =
     Bytes.set t.mem (addr + i) (Char.chr ((v asr (8 * i)) land 0xff))
   done
 
+(* The staging helpers check the whole transfer once, then copy with
+   unchecked accesses. *)
+
 (** Stage an int8 array into memory at [addr] (one byte per element). *)
 let write_i8_array t ~addr data =
-  check_bounds t addr (Array.length data);
-  Array.iteri (fun i v -> Bytes.set t.mem (addr + i) (Char.chr (v land 0xff))) data
+  let n = Array.length data and mem = t.mem in
+  check_bounds t addr n;
+  for i = 0 to n - 1 do
+    p8 mem (addr + i) (Array.unsafe_get data i)
+  done
 
 (** Read [len] int8 values from memory at [addr]. *)
 let read_i8_array t ~addr ~len =
   check_bounds t addr len;
-  Array.init len (fun i -> Sat.sign_extend ~bits:8 (Char.code (Bytes.get t.mem (addr + i))))
+  let out = Array.make len 0 and mem = t.mem in
+  for i = 0 to len - 1 do
+    Array.unsafe_set out i (s8 mem (addr + i))
+  done;
+  out
 
 (** Stage an int16 array into memory at [addr] (2 bytes per element,
     little endian) — 16-bit lane staging for the row-operator kernels. *)
 let write_i16_array t ~addr data =
-  check_bounds t addr (2 * Array.length data);
-  Array.iteri
-    (fun i v ->
-      Bytes.set t.mem (addr + (2 * i)) (Char.chr (v land 0xff));
-      Bytes.set t.mem (addr + (2 * i) + 1) (Char.chr ((v asr 8) land 0xff)))
-    data
+  let n = Array.length data and mem = t.mem in
+  check_bounds t addr (2 * n);
+  for i = 0 to n - 1 do
+    p16 mem (addr + (2 * i)) (Array.unsafe_get data i)
+  done
 
 (** Stage an int32 array into memory at [addr] (4 bytes per element). *)
 let write_i32_array t ~addr data =
   Array.iteri (fun i v -> mem_write32 t (addr + (4 * i)) v) data
 
 let read_i32_array t ~addr ~len = Array.init len (fun i -> mem_read32 t (addr + (4 * i)))
+
+let window t ~addr ~len =
+  check_bounds t addr len;
+  t.mem
 
 (* ------------------------------------------------------------------ *)
 (* Instruction semantics (reference interpreter)                       *)
@@ -422,61 +472,26 @@ let run_reference t (prog : Program.t) =
 (* ------------------------------------------------------------------ *)
 (* Translated execution engine                                         *)
 
-(* Word-wide little-endian lane primitives over a concrete 128-byte
-   register window.  Reads are sign-extended exactly like [get_lane];
-   writes truncate exactly like [set_lane].  The 32-bit forms compose two
-   16-bit accesses because the [Bytes] 32-bit primitives traffic in boxed
-   [int32]s, which would allocate on every lane. *)
-let sx8 v = (v lxor 0x80) - 0x80
-let clamp8 v = if v < -128 then -128 else if v > 127 then 127 else v
-let clamp16 v = if v < -32768 then -32768 else if v > 32767 then 32767 else v
-let g8 b i = Char.code (Bytes.unsafe_get b i)
-let s8 b i = sx8 (Char.code (Bytes.unsafe_get b i))
-let put8 b i v = Bytes.unsafe_set b i (Char.unsafe_chr (v land 0xff))
-let g16 = Bytes.get_int16_le
-let p16 = Bytes.set_int16_le
-let g32 b o = Bytes.get_uint16_le b o lor (Bytes.get_int16_le b (o + 2) lsl 16)
-
-let p32 b o v =
-  Bytes.set_int16_le b o v;
-  Bytes.set_int16_le b (o + 2) (v asr 16)
-
-(* Unchecked 32-bit lane access for the hottest inner loops: closures
-   only use these on whole-register windows (exactly [vb] bytes), where
-   every lane offset is in bounds by construction.  Composing bytes
-   keeps the value an immediate [int] (the [Bytes] 32-bit primitives
-   box an [int32]). *)
-let ug32 b o =
-  g8 b o lor (g8 b (o + 1) lsl 8) lor (g8 b (o + 2) lsl 16) lor (s8 b (o + 3) lsl 24)
-
-let up32 b o v =
-  put8 b o v;
-  put8 b (o + 1) (v asr 8);
-  put8 b (o + 2) (v asr 16);
-  put8 b (o + 3) (v asr 24)
-
 (* Decode-time specialization of the ALU lane function: the reference's
    [exec_valu] matches on op and width (and builds the saturator) on
    every lane; here the closure is built once per decoded instruction. *)
 let valu_fn op width : int -> int -> int =
-  let sat =
-    match width with
-    | Instr.W8 -> clamp8
-    | Instr.W16 -> clamp16
-    | Instr.W32 -> Sat.sat32
-  in
-  match op with
-  | Instr.Vadd -> fun a b -> sat (a + b)
-  | Instr.Vsub -> fun a b -> sat (a - b)
-  | Instr.Vmax -> fun a b -> if a > b then a else b
-  | Instr.Vmin -> fun a b -> if a < b then a else b
-  | Instr.Vavg -> fun a b -> (a + b + 1) asr 1
-  | Instr.Vand -> ( land )
-  | Instr.Vor -> ( lor )
-  | Instr.Vxor -> ( lxor )
+  match (op, width) with
+  | Instr.Vadd, Instr.W8 -> fun a b -> clamp8 (a + b)
+  | Instr.Vadd, Instr.W16 -> fun a b -> clamp16 (a + b)
+  | Instr.Vadd, Instr.W32 -> fun a b -> clamp32 (a + b)
+  | Instr.Vsub, Instr.W8 -> fun a b -> clamp8 (a - b)
+  | Instr.Vsub, Instr.W16 -> fun a b -> clamp16 (a - b)
+  | Instr.Vsub, Instr.W32 -> fun a b -> clamp32 (a - b)
+  | Instr.Vmax, _ -> fun a b -> if a > b then a else b
+  | Instr.Vmin, _ -> fun a b -> if a < b then a else b
+  | Instr.Vavg, _ -> fun a b -> (a + b + 1) asr 1
+  | Instr.Vand, _ -> ( land )
+  | Instr.Vor, _ -> ( lor )
+  | Instr.Vxor, _ -> ( lxor )
 
 (* Same move for the scalar ALU: the binary function is resolved once at
-   decode; [Sat.wrap32] stays at the write like [set_sreg] does. *)
+   decode; the 32-bit wrap stays at the write like [set_sreg] does. *)
 let salu_fn op : int -> int -> int =
   match op with
   | Instr.Add -> ( + )
@@ -488,6 +503,9 @@ let salu_fn op : int -> int -> int =
   | Instr.Shr -> fun a b -> a asr (b land 31)
   | Instr.Min -> fun a b -> if a < b then a else b
   | Instr.Max -> fun a b -> if a > b then a else b
+
+(* [Sat.wrap32] as one sign extension of the low 32 bits. *)
+let[@inline] wrap32 v = Int32.to_int (Int32.of_int v)
 
 (* Decode-time operand resolution.  [None] means the operand does not
    have the shape the specialized closure expects (wrong register kind or
@@ -517,6 +535,41 @@ let all_segments t = function
     Some [| t.vregs.(2 * k); t.vregs.((2 * k) + 1) |]
   | _ -> None
 
+(* The four sign-extended bytes of a scalar operand. *)
+let[@inline] sbyte rv m = sx8 ((rv asr (8 * m)) land 0xff)
+
+(* Round-to-nearest (ties away from zero) right shift, branch-free:
+   [sgn] is 0 or -1 (bit 62 is an OCaml int's sign bit), and
+   [(x lxor sgn) - sgn] is [|x|] with the same wraparound as the
+   reference's [-x], so this equals [Sat.rounding_shift_right x shift]
+   for every [x] when [half] is its rounding constant. *)
+let[@inline] round_shift x ~half ~shift =
+  let sgn = x asr 62 in
+  ((((x lxor sgn) - sgn + half) asr shift) lxor sgn) - sgn
+
+(* [Vshuff] into one destination register: lane 2i of the result is lane
+   i of the source pair's low half, lane 2i+1 lane i of its high half;
+   source lanes [i0, i0 + lanes/2) land in [dst]. *)
+let interleave width slo shi dst i0 =
+  match width with
+  | Instr.W8 ->
+    for i = 0 to 63 do
+      p8 dst (2 * i) (g8 slo (i0 + i));
+      p8 dst ((2 * i) + 1) (g8 shi (i0 + i))
+    done
+  | Instr.W16 ->
+    for i = 0 to 31 do
+      let si = 2 * (i0 + i) in
+      p16 dst (4 * i) (g16 slo si);
+      p16 dst ((4 * i) + 2) (g16 shi si)
+    done
+  | Instr.W32 ->
+    for i = 0 to 15 do
+      let si = 4 * (i0 + i) in
+      p32 dst (8 * i) (g32 slo si);
+      p32 dst ((8 * i) + 4) (g32 shi si)
+    done
+
 (* Translate one instruction into a specialized closure.  Counter updates
    are baked in per instruction (not per packet) so that even a program
    aborted mid-packet by a bounds fault leaves counters bit-identical to
@@ -532,7 +585,7 @@ let translate_instr t ~tables (instr : Instr.t) : exec_fn =
   | Instr.Smovi (rd, imm) -> (
     match sreg_index rd with
     | Some d ->
-      let v = Sat.wrap32 imm in
+      let v = wrap32 imm in
       fun () ->
         c.instrs <- c.instrs + 1;
         Array.unsafe_set s d v
@@ -543,14 +596,14 @@ let translate_instr t ~tables (instr : Instr.t) : exec_fn =
       let f = salu_fn op in
       fun () ->
         c.instrs <- c.instrs + 1;
-        Array.unsafe_set s d (Sat.wrap32 (f (Array.unsafe_get s r) i))
+        Array.unsafe_set s d (wrap32 (f (Array.unsafe_get s r) i))
     | Some d, Some r, Instr.Reg ro -> (
       match sreg_index ro with
       | Some oi ->
         let f = salu_fn op in
         fun () ->
           c.instrs <- c.instrs + 1;
-          Array.unsafe_set s d (Sat.wrap32 (f (Array.unsafe_get s r) (Array.unsafe_get s oi)))
+          Array.unsafe_set s d (wrap32 (f (Array.unsafe_get s r) (Array.unsafe_get s oi)))
       | None -> fallback)
     | _ -> fallback)
   | Instr.Smul (rd, rs, o) -> (
@@ -558,13 +611,13 @@ let translate_instr t ~tables (instr : Instr.t) : exec_fn =
     | Some d, Some r, Instr.Imm i ->
       fun () ->
         c.instrs <- c.instrs + 1;
-        Array.unsafe_set s d (Sat.wrap32 (Array.unsafe_get s r * i))
+        Array.unsafe_set s d (wrap32 (Array.unsafe_get s r * i))
     | Some d, Some r, Instr.Reg ro -> (
       match sreg_index ro with
       | Some oi ->
         fun () ->
           c.instrs <- c.instrs + 1;
-          Array.unsafe_set s d (Sat.wrap32 (Array.unsafe_get s r * Array.unsafe_get s oi))
+          Array.unsafe_set s d (wrap32 (Array.unsafe_get s r * Array.unsafe_get s oi))
       | None -> fallback)
     | _ -> fallback)
   | Instr.Sload (rd, a) -> (
@@ -614,10 +667,12 @@ let translate_instr t ~tables (instr : Instr.t) : exec_fn =
   | Instr.Vmovi (vd, v) -> (
     match all_segments t vd with
     | Some segs ->
-      let ch = Char.chr (v land 0xff) in
+      let ch = Char.chr (v land 0xff) and nseg = Array.length segs in
       fun () ->
         c.instrs <- c.instrs + 1;
-        Array.iter (fun b -> Bytes.fill b 0 vb ch) segs
+        for sg = 0 to nseg - 1 do
+          Bytes.unsafe_fill (Array.unsafe_get segs sg) 0 vb ch
+        done
     | None -> fallback)
   | Instr.Valu (op, width, vd, va, vb') -> (
     match (all_segments t vd, all_segments t va, all_segments t vb') with
@@ -634,7 +689,7 @@ let translate_instr t ~tables (instr : Instr.t) : exec_fn =
             and ab = Array.unsafe_get a sg
             and bb = Array.unsafe_get b sg in
             for i = 0 to vb - 1 do
-              put8 db i (f (s8 ab i) (s8 bb i))
+              p8 db i (f (s8 ab i) (s8 bb i))
             done
           done
       | Instr.W16 ->
@@ -666,10 +721,10 @@ let translate_instr t ~tables (instr : Instr.t) : exec_fn =
       fun () ->
         c.instrs <- c.instrs + 1;
         for l = 0 to 31 do
-          p32 lo (4 * l) (Sat.wrap32 (g32 lo (4 * l) + g16 src (2 * l)))
+          p32 lo (4 * l) (g32 lo (4 * l) + g16 src (2 * l))
         done;
-        for l = 32 to 63 do
-          p32 hi ((4 * l) - vb) (Sat.wrap32 (g32 hi ((4 * l) - vb) + g16 src (2 * l)))
+        for l = 0 to 31 do
+          p32 hi (4 * l) (g32 hi (4 * l) + g16 src (64 + (2 * l)))
         done
     | _ -> fallback)
   | Instr.Vmpy (pd, vs, rt) -> (
@@ -679,16 +734,15 @@ let translate_instr t ~tables (instr : Instr.t) : exec_fn =
         c.instrs <- c.instrs + 1;
         c.macs <- c.macs + 128;
         let rv = Array.unsafe_get s rti in
-        let b0 = sx8 (rv land 0xff)
-        and b1 = sx8 ((rv asr 8) land 0xff)
-        and b2 = sx8 ((rv asr 16) land 0xff)
-        and b3 = sx8 ((rv asr 24) land 0xff) in
-        for j = 0 to 63 do
-          let i = 2 * j in
-          let o = 2 * j in
-          let we, wo = if i land 3 = 0 then (b0, b1) else (b2, b3) in
-          p16 lo o (clamp16 (g16 lo o + (s8 src i * we)));
-          p16 hi o (clamp16 (g16 hi o + (s8 src (i + 1) * wo)))
+        let b0 = sbyte rv 0 and b1 = sbyte rv 1 and b2 = sbyte rv 2 and b3 = sbyte rv 3 in
+        (* source byte i meets weight byte [i mod 4]: even lanes j take
+           (b0, b1), odd lanes (b2, b3) *)
+        for jj = 0 to 31 do
+          let o = 4 * jj in
+          p16 lo o (clamp16 (g16 lo o + (s8 src o * b0)));
+          p16 hi o (clamp16 (g16 hi o + (s8 src (o + 1) * b1)));
+          p16 lo (o + 2) (clamp16 (g16 lo (o + 2) + (s8 src (o + 2) * b2)));
+          p16 hi (o + 2) (clamp16 (g16 hi (o + 2) + (s8 src (o + 3) * b3)))
         done
     | _ -> fallback)
   | Instr.Vmpyb (pd, vs, rt, sel) -> (
@@ -697,12 +751,11 @@ let translate_instr t ~tables (instr : Instr.t) : exec_fn =
       fun () ->
         c.instrs <- c.instrs + 1;
         c.macs <- c.macs + 128;
-        let w = sx8 ((Array.unsafe_get s rti asr (8 * sel)) land 0xff) in
+        let w = sbyte (Array.unsafe_get s rti) sel in
         for j = 0 to 63 do
-          let i = 2 * j in
           let o = 2 * j in
-          p16 lo o (clamp16 (g16 lo o + (s8 src i * w)));
-          p16 hi o (clamp16 (g16 hi o + (s8 src (i + 1) * w)))
+          p16 lo o (clamp16 (g16 lo o + (s8 src o * w)));
+          p16 hi o (clamp16 (g16 hi o + (s8 src (o + 1) * w)))
         done
     | _ -> fallback)
   | Instr.Vmul (pd, va, vbr) -> (
@@ -712,10 +765,9 @@ let translate_instr t ~tables (instr : Instr.t) : exec_fn =
         c.instrs <- c.instrs + 1;
         c.macs <- c.macs + 128;
         for j = 0 to 63 do
-          let i = 2 * j in
           let o = 2 * j in
-          p16 lo o (clamp16 (g16 lo o + (s8 ab i * s8 bb i)));
-          p16 hi o (clamp16 (g16 hi o + (s8 ab (i + 1) * s8 bb (i + 1))))
+          p16 lo o (clamp16 (g16 lo o + (s8 ab o * s8 bb o)));
+          p16 hi o (clamp16 (g16 hi o + (s8 ab (o + 1) * s8 bb (o + 1))))
         done
     | _ -> fallback)
   | Instr.Vmpa (pd, ps, rt) -> (
@@ -725,15 +777,11 @@ let translate_instr t ~tables (instr : Instr.t) : exec_fn =
         c.instrs <- c.instrs + 1;
         c.macs <- c.macs + 256;
         let rv = Array.unsafe_get s rti in
-        let b0 = sx8 (rv land 0xff)
-        and b1 = sx8 ((rv asr 8) land 0xff)
-        and b2 = sx8 ((rv asr 16) land 0xff)
-        and b3 = sx8 ((rv asr 24) land 0xff) in
+        let b0 = sbyte rv 0 and b1 = sbyte rv 1 and b2 = sbyte rv 2 and b3 = sbyte rv 3 in
         for j = 0 to 63 do
           let o = 2 * j in
-          p16 lo o (clamp16 (g16 lo o + (s8 q0 (2 * j) * b0) + (s8 q1 (2 * j) * b1)));
-          p16 hi o
-            (clamp16 (g16 hi o + (s8 q0 ((2 * j) + 1) * b2) + (s8 q1 ((2 * j) + 1) * b3)))
+          p16 lo o (clamp16 (g16 lo o + (s8 q0 o * b0) + (s8 q1 o * b1)));
+          p16 hi o (clamp16 (g16 hi o + (s8 q0 (o + 1) * b2) + (s8 q1 (o + 1) * b3)))
         done
     | _ -> fallback)
   | Instr.Vrmpy (vd, vs, rt) -> (
@@ -743,19 +791,14 @@ let translate_instr t ~tables (instr : Instr.t) : exec_fn =
         c.instrs <- c.instrs + 1;
         c.macs <- c.macs + 128;
         let rv = Array.unsafe_get s rti in
-        let b0 = sx8 (rv land 0xff)
-        and b1 = sx8 ((rv asr 8) land 0xff)
-        and b2 = sx8 ((rv asr 16) land 0xff)
-        and b3 = sx8 ((rv asr 24) land 0xff) in
+        let b0 = sbyte rv 0 and b1 = sbyte rv 1 and b2 = sbyte rv 2 and b3 = sbyte rv 3 in
         for l = 0 to 31 do
           let i = 4 * l in
-          let acc =
-            g32 dst i + (s8 src i * b0)
+          p32 dst i
+            (g32 dst i + (s8 src i * b0)
             + (s8 src (i + 1) * b1)
             + (s8 src (i + 2) * b2)
-            + (s8 src (i + 3) * b3)
-          in
-          p32 dst i (Sat.wrap32 acc)
+            + (s8 src (i + 3) * b3))
         done
     | _ -> fallback)
   | Instr.Vscale (vd, vs, mult, shift) -> (
@@ -768,37 +811,19 @@ let translate_instr t ~tables (instr : Instr.t) : exec_fn =
       fun () ->
         c.instrs <- c.instrs + 1;
         for l = 0 to 31 do
-          let x = g32 src (4 * l) * mult in
-          let y = if x >= 0 then (x + half) asr shift else -((-x + half) asr shift) in
-          p32 dst (4 * l) (Sat.sat32 y)
+          let o = 4 * l in
+          p32 dst o (clamp32 (round_shift (g32 src o * mult) ~half ~shift))
         done
     | _ -> fallback)
   | Instr.Vscalev (vd, vs, vm, shift) -> (
     match (low_window t vd, low_window t vs, low_window t vm) with
     | Some dst, Some src, Some mb when shift >= 0 ->
       let half = if shift = 0 then 0 else 1 lsl (shift - 1) in
-      (* The per-lane multiplier made this the worst translated-engine
-         speedup of any opcode: three checked 16-bit reads plus two
-         checked writes per lane, and a data-dependent rounding branch.
-         Unchecked composed accesses ([ug32]/[up32] — whole-register
-         windows, offsets in bounds by construction), branchless
-         round-away-from-zero (products of two 32-bit lanes fit in 62
-         bits, so [asr 62] is the sign mask) and an inlined 32-bit clamp
-         keep the loop free of bounds checks, branches and calls. *)
       fun () ->
         c.instrs <- c.instrs + 1;
         for l = 0 to 31 do
           let o = 4 * l in
-          let x = ug32 src o * ug32 mb o in
-          let sgn = x asr 62 in
-          let y0 = (((x lxor sgn) - sgn + half) asr shift) lxor sgn in
-          let y = y0 - sgn in
-          let y =
-            if y < -0x80000000 then -0x80000000
-            else if y > 0x7fffffff then 0x7fffffff
-            else y
-          in
-          up32 dst o y
+          p32 dst o (clamp32 (round_shift (g32 src o * g32 mb o) ~half ~shift))
         done
     | _ -> fallback)
   | Instr.Vpack (vd, ps, w) -> (
@@ -809,46 +834,36 @@ let translate_instr t ~tables (instr : Instr.t) : exec_fn =
         for l = 0 to 31 do
           p16 dst (2 * l) (clamp16 (g32 plo (4 * l)))
         done;
-        for l = 32 to 63 do
-          p16 dst (2 * l) (clamp16 (g32 phi ((4 * l) - vb)))
+        for l = 0 to 31 do
+          p16 dst (64 + (2 * l)) (clamp16 (g32 phi (4 * l)))
         done
     | Some dst, Some (plo, phi), Instr.W16 ->
       fun () ->
         c.instrs <- c.instrs + 1;
         for l = 0 to 63 do
-          put8 dst l (clamp8 (g16 plo (2 * l)))
+          p8 dst l (clamp8 (g16 plo (2 * l)))
         done;
-        for l = 64 to 127 do
-          put8 dst l (clamp8 (g16 phi ((2 * l) - vb)))
+        for l = 0 to 63 do
+          p8 dst (64 + l) (clamp8 (g16 phi (2 * l)))
         done
     | _, _, _ -> fallback)
   | Instr.Vshuff (pd, ps, width) -> (
     match (pair_windows t pd, pair_windows t ps) with
     | Some (dlo, dhi), Some (slo, shi) ->
-      let bl = lane_bytes width in
-      let half = vb / bl in
-      let get, put =
-        match width with
-        | Instr.W8 -> ((g8 : Bytes.t -> int -> int), put8)
-        | Instr.W16 -> (Bytes.get_uint16_le, (p16 : Bytes.t -> int -> int -> unit))
-        | Instr.W32 -> (g32, p32)
-      in
-      let tmp = Array.make (2 * half) 0 in
+      (* Pairs are aligned, so they alias only when [pd = ps]; then the
+         source is snapshot first, exactly where the reference does. *)
+      let copy = dlo == slo in
+      let rlo = if copy then Bytes.create vb else slo in
+      let rhi = if copy then Bytes.create vb else shi in
+      let half = (vb / lane_bytes width) / 2 in
       fun () ->
         c.instrs <- c.instrs + 1;
-        (* snapshot first so pd = ps is well-defined, like the reference *)
-        for l = 0 to half - 1 do
-          tmp.(l) <- get slo (l * bl);
-          tmp.(half + l) <- get shi (l * bl)
-        done;
-        let wr j v =
-          let base = j * bl in
-          if base < vb then put dlo base v else put dhi (base - vb) v
-        in
-        for i = 0 to half - 1 do
-          wr (2 * i) tmp.(i);
-          wr ((2 * i) + 1) tmp.(half + i)
-        done
+        if copy then begin
+          Bytes.blit slo 0 rlo 0 vb;
+          Bytes.blit shi 0 rhi 0 vb
+        end;
+        interleave width rlo rhi dlo 0;
+        interleave width rlo rhi dhi half
     | _ -> fallback)
   | Instr.Vlut (vd, vs, id) -> (
     match (low_window t vd, low_window t vs, List.assoc_opt id tables) with
@@ -856,27 +871,25 @@ let translate_instr t ~tables (instr : Instr.t) : exec_fn =
       (* The reference snapshots all 128 source bytes before writing; only
          an aliased destination can observe the difference, so the copy is
          paid only in that case. *)
-      let tmp = if dst == src then Some (Bytes.create vb) else None in
+      let copy = dst == src in
+      let sb = if copy then Bytes.create vb else src in
       fun () ->
         c.instrs <- c.instrs + 1;
-        let sb =
-          match tmp with
-          | Some b ->
-            Bytes.blit src 0 b 0 vb;
-            b
-          | None -> src
-        in
+        if copy then Bytes.blit src 0 sb 0 vb;
         for i = 0 to vb - 1 do
-          put8 dst i (Array.unsafe_get table (g8 sb i))
+          p8 dst i (Array.unsafe_get table (g8 sb i))
         done
     | _ -> fallback)
   | Instr.Vdup (vd, rs) -> (
     match (all_segments t vd, sreg_index rs) with
     | Some segs, Some ri ->
+      let nseg = Array.length segs in
       fun () ->
         c.instrs <- c.instrs + 1;
         let ch = Char.unsafe_chr (Array.unsafe_get s ri land 0xff) in
-        Array.iter (fun b -> Bytes.fill b 0 vb ch) segs
+        for sg = 0 to nseg - 1 do
+          Bytes.unsafe_fill (Array.unsafe_get segs sg) 0 vb ch
+        done
     | _ -> fallback)
 
 (* Packet/node translation: packet-level counters (packets, cycles) are

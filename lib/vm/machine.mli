@@ -58,6 +58,12 @@ val write_i16_array : t -> addr:int -> int array -> unit
 val write_i32_array : t -> addr:int -> int array -> unit
 val read_i32_array : t -> addr:int -> len:int -> int array
 
+(** [window t ~addr ~len] checks that [\[addr, addr + len)] lies in
+    memory and returns the backing store, for host-side staging that
+    touches only that range, at absolute addresses, without an
+    intermediate array. *)
+val window : t -> addr:int -> len:int -> Bytes.t
+
 (** Execute one instruction (updates counters).  Single-instruction
     stepping always uses the reference interpreter. *)
 val exec : t -> Instr.t -> unit

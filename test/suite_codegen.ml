@@ -158,9 +158,30 @@ let qcheck_matmul_exact =
       let got = Testbench.run s ~a ~w in
       got.Testbench.data = reference ~m ~k ~n a w)
 
+(* Word (g, n) sits at [n * (Kp/4) + g]; its bytes hold weights
+   k = 4g .. 4g+3 in natural order, except (k0, k2, k1, k3) for vmpa, and
+   padding reads as zero. *)
+let test_prepack_layout () =
+  let k = 6 and n = 3 in
+  let _, w = random_inputs 17 ~m:1 ~k ~n in
+  List.iter
+    (fun simd ->
+      let kp, np = Weights.padded_kn simd ~k ~n in
+      let groups = kp / 4 in
+      let order = if simd = Simd.I_vmpa then [| 0; 2; 1; 3 |] else [| 0; 1; 2; 3 |] in
+      let want =
+        Array.init (4 * np * groups) (fun i ->
+            let word = i / 4 and j = i mod 4 in
+            let nn = word / groups and kk = (4 * (word mod groups)) + order.(j) in
+            if kk < k && nn < n then w.((kk * n) + nn) land 0xff else 0)
+      in
+      Alcotest.(check (array int)) (Simd.name simd) want (Weights.prepack simd ~k ~n w))
+    Simd.all
+
 let tests =
   [
     Alcotest.test_case "vmpy kernel bit-exact" `Quick (test_exact Simd.I_vmpy);
+    Alcotest.test_case "prepacked weight byte order" `Quick test_prepack_layout;
     Alcotest.test_case "vmpa kernel bit-exact" `Quick (test_exact Simd.I_vmpa);
     Alcotest.test_case "vrmpy kernel bit-exact" `Quick (test_exact Simd.I_vrmpy);
     Alcotest.test_case "vmpy unroll settings" `Quick (test_unroll_settings Simd.I_vmpy);

@@ -139,6 +139,52 @@ let test_attention_runtime_matches_reference () =
       Alcotest.(check bool) "broadcast adds on the vm" true (vm_of "add" >= 2))
     [ 1; 2 ]
 
+(* A batched matmul generates one kernel per node and runs every slice on
+   it: under a trace, the packer sees one kernel's packets, not [batch]
+   kernels' worth, while the output still equals the reference and the
+   cycles still add up over the slices. *)
+let test_bmm_one_kernel_per_node () =
+  let module Trace = Gcd2_util.Trace in
+  let module Testbench = Gcd2_codegen.Testbench in
+  let batch = 4 and m = 16 and k = 32 and n = 16 in
+  let b = B.create () in
+  let x = B.input b [| batch; m; k |] in
+  let y = B.input b [| batch; k; n |] in
+  let _ = B.add b (Op.Batch_matmul { transpose_b = false }) [ x; y ] in
+  let c = Compiler.compile (B.finish b) in
+  let rng = Rng.create 9 in
+  let xs = T.random rng [| batch; m; k |] and ys = T.random rng [| batch; k; n |] in
+  let inputs = [ (x, xs); (y, ys) ] in
+  let trace = Trace.create "bmm" in
+  let vm, stats = Trace.with_ambient trace (fun () -> Runtime.run_with_stats c ~inputs) in
+  check_equal "bmm" vm (Interp.run c.Compiler.graph ~inputs);
+  Alcotest.(check int) "the bmm node ran on the vm" 1 stats.Runtime.vm_nodes;
+  (* the runtime's kernel, generated once more under its own trace *)
+  let g = c.Compiler.graph in
+  let id = Graph.size g - 1 in
+  let plan = c.Compiler.cost.Gcd2_cost.Graphcost.plans.(id).(c.Compiler.assignment.(id)) in
+  let mult, shift = Q.requant_multiplier ~in_a:xs.T.quant ~in_b:ys.T.quant ~out:Q.default in
+  let opcost = c.Compiler.config.Compiler.opcost in
+  let spec =
+    { (Option.get (Gcd2_cost.Opcost.plan_spec opcost g (Graph.node g id) plan)) with
+      Gcd2_codegen.Matmul.device = Gcd2_devices.Desc.hexagon698;
+      mult;
+      shift;
+    }
+  in
+  let one = Trace.create "one kernel" in
+  Trace.with_ambient one (fun () -> ignore (Testbench.kernel spec));
+  Alcotest.(check bool) "a kernel packs some packets" true (Trace.counter one "packets" > 0);
+  Alcotest.(check int) "one kernel's packets" (Trace.counter one "packets")
+    (Trace.counter trace "packets");
+  let slice (t : T.t) rows cols bt = Array.sub t.T.data (bt * rows * cols) (rows * cols) in
+  let slices =
+    List.init batch (fun bt -> Testbench.run spec ~a:(slice xs m k bt) ~w:(slice ys k n bt))
+  in
+  Alcotest.(check int) "vm cycles = sum over slices"
+    (List.fold_left (fun acc r -> acc + r.Testbench.cycles) 0 slices)
+    stats.Runtime.vm_cycles
+
 let test_all_selections_agree_functionally () =
   let configs =
     [
@@ -238,6 +284,8 @@ let tests =
     Alcotest.test_case "mlp: vm = reference" `Quick test_mlp_runtime_matches_reference;
     Alcotest.test_case "attention: vm = reference" `Quick
       test_attention_runtime_matches_reference;
+    Alcotest.test_case "batched matmul: one kernel per node" `Quick
+      test_bmm_one_kernel_per_node;
     Alcotest.test_case "all selections agree functionally" `Quick
       test_all_selections_agree_functionally;
     Alcotest.test_case "fusion reduces node count" `Quick test_fusion_reduces_nodes;

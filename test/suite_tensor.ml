@@ -53,10 +53,19 @@ let test_pack_roundtrip () =
       List.iter
         (fun (rows, cols) ->
           let data = Array.init (rows * cols) (fun _ -> Rng.int8 rng) in
+          let name = Fmt.str "%s %dx%d" (Layout.name layout) rows cols in
           let buf = Pack.pack layout ~rows ~cols data in
+          Alcotest.(check (array int)) name data (Pack.unpack buf);
+          (* [store] into a dirty buffer at an offset writes exactly
+             [pack]'s bytes, padding included, and [load] inverts it *)
+          let off = 3 and len = Array.length buf.Pack.bytes in
+          let dst = Bytes.make (len + 8) '\x55' in
+          Pack.store layout ~rows ~cols data dst off;
+          Alcotest.(check (array int)) (name ^ " store = pack") buf.Pack.bytes
+            (Array.init len (fun i -> Bytes.get_int8 dst (off + i)));
           Alcotest.(check (array int))
-            (Fmt.str "%s %dx%d" (Layout.name layout) rows cols)
-            data (Pack.unpack buf))
+            (name ^ " load") data
+            (Pack.load layout ~rows ~cols dst off))
         [ (1, 1); (7, 3); (64, 2); (129, 5); (200, 17) ])
     Layout.all
 
