@@ -66,7 +66,7 @@ vm-smoke: build
 	./_build/default/bench/main.exe vm-smoke
 
 # Autotuner smoke: a tiny costing budget on two models walks the full
-# tune path (enumerate, prune, cost, rank) and fails if the tuned
+# tune path (enumerate, cost, rank) and fails if the tuned
 # schedule is ever worse than the adaptive heuristic.  The full-zoo
 # run (`bench/main.exe tune`) writes BENCH_codegen.json.
 tune-smoke: build

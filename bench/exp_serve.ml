@@ -25,6 +25,7 @@ module Client = Gcd2_daemon.Client
 module Protocol = Gcd2_daemon.Protocol
 module Serve = Gcd2_serve.Serve
 module Hist = Gcd2_util.Stats.Hist
+module Counters = Gcd2_util.Stats.Counters
 module Rng = Gcd2_util.Rng
 module Trace = Gcd2_util.Trace
 
@@ -237,6 +238,7 @@ let json_of rows =
   let base = (List.hd rows).rps in
   List.iteri
     (fun i r ->
+      let count = Counters.get r.st.Daemon.counts in
       Buffer.add_string b
         (Printf.sprintf
            "    {\"workers\": %d, \"rps\": %.1f, \"scaling\": %.2f, \"ok\": %d, \
@@ -246,8 +248,8 @@ let json_of rows =
             %.1f, \"cold_p99_ms\": %.1f}%s\n"
            r.workers r.rps
            (if base > 0. then r.rps /. base else 0.)
-           r.ok r.failed r.st.Daemon.rejected r.st.Daemon.coalesced
-           r.st.Daemon.compiles r.st.Daemon.hits r.warm_p50 r.warm_p95
+           r.ok r.failed (count "rejected") (count "coalesced")
+           (count "compiles") (count "hits") r.warm_p50 r.warm_p95
            r.warm_p99 r.cold_p50 r.cold_p95 r.cold_p99
            (if i = List.length rows - 1 then "" else ",")))
     rows;
@@ -285,7 +287,9 @@ let run_on ~workers_list ~duration_ms =
       Printf.printf "   %-8d %9.1f %7.2fx %6d %6d %6d %7.2fms %7.2fms %7.2fms\n"
         r.workers r.rps
         (if base > 0. then r.rps /. base else 0.)
-        r.ok r.failed r.st.Daemon.rejected r.warm_p50 r.warm_p95 r.warm_p99)
+        r.ok r.failed
+        (Counters.get r.st.Daemon.counts "rejected")
+        r.warm_p50 r.warm_p95 r.warm_p99)
     rows;
   (match (rows, List.rev rows) with
   | one :: _, top :: _ when top.workers > one.workers ->

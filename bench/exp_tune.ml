@@ -23,7 +23,6 @@ type row = {
   heuristic_cycles : float;
   tuned_cycles : float;
   candidates : int;
-  pruned : int;
   costed : int;
   verified : int;
 }
@@ -48,7 +47,6 @@ let measure ~budget (e : Zoo.entry) =
     heuristic_cycles = heuristic.Compiler.report.Graphcost.cycles;
     tuned_cycles = tuned.Compiler.report.Graphcost.cycles;
     candidates = counter "tune-candidates";
-    pruned = counter "tune-pruned";
     costed = counter "tune-costed";
     verified = counter "tune-vm-verified";
   }
@@ -68,10 +66,9 @@ let json_of ~budget rows =
         (Printf.sprintf
            "    {\"name\": %S, \"heuristic_ms\": %.6f, \"tuned_ms\": %.6f, \
             \"heuristic_cycles\": %.0f, \"tuned_cycles\": %.0f, \
-            \"improvement_pct\": %.4f, \"candidates\": %d, \"pruned\": %d, \
-            \"costed\": %d}%s\n"
+            \"improvement_pct\": %.4f, \"candidates\": %d, \"costed\": %d}%s\n"
            r.name r.heuristic_ms r.tuned_ms r.heuristic_cycles r.tuned_cycles
-           (improvement_pct r) r.candidates r.pruned r.costed
+           (improvement_pct r) r.candidates r.costed
            (if i = List.length rows - 1 then "" else ",")))
     rows;
   Buffer.add_string b "  ]\n}\n";
@@ -81,8 +78,8 @@ let run_on ?(write_json = true) ~budget entries =
   Report.header
     (Printf.sprintf "tune: budgeted kernel-shape autotuning vs adaptive heuristic \
                      (budget %d)" budget);
-  Printf.printf "   %-18s %12s %12s %8s %10s %8s %8s\n" "model" "heuristic" "tuned"
-    "delta" "candidates" "pruned" "costed";
+  Printf.printf "   %-18s %12s %12s %8s %10s %8s\n" "model" "heuristic" "tuned"
+    "delta" "candidates" "costed";
   let rows = List.map (measure ~budget) entries in
   let improved = ref 0 and regressed = ref 0 in
   List.iter
@@ -90,8 +87,8 @@ let run_on ?(write_json = true) ~budget entries =
       let pct = improvement_pct r in
       if pct > 1.0 then incr improved;
       if r.tuned_cycles > r.heuristic_cycles then incr regressed;
-      Printf.printf "   %-18s %9.2f ms %9.2f ms %+7.2f%% %10d %8d %8d\n" r.name
-        r.heuristic_ms r.tuned_ms (-.pct) r.candidates r.pruned r.costed)
+      Printf.printf "   %-18s %9.2f ms %9.2f ms %+7.2f%% %10d %8d\n" r.name
+        r.heuristic_ms r.tuned_ms (-.pct) r.candidates r.costed)
     rows;
   Printf.printf "\n   >1%% modeled-cycle improvement on %d/%d models\n" !improved
     (List.length rows);
@@ -115,7 +112,7 @@ let run () = run_on ~budget:Autotune.default_budget Zoo.all
 
 (* CI variant: a tiny budget on the two cheapest-to-compile models keeps
    the smoke in seconds while still walking the full tune path
-   (enumerate, prune, cost, rank) and checking tuned <= heuristic. *)
+   (enumerate, cost, rank) and checking tuned <= heuristic. *)
 let smoke () =
   run_on ~write_json:false ~budget:8
     (List.filter

@@ -3,14 +3,10 @@
     The shape-adaptive heuristic ({!Unroll.adaptive}) picks one loop
     nest per SIMD choice; the tuner instead searches {!Tile.space} — the
     validated (un, ug, abuf, wbuf) candidates — under a budget of full
-    kernel costings.  Per candidate, in promising-first order:
-
-    - {!Tile.lower_bound} is compared against the incumbent's cycles; a
-      candidate that cannot win is discarded for free (it consumes no
-      budget),
-    - otherwise the candidate is generated + packed ({!Matmul.cycles},
-      memoized process-wide) and replaces the incumbent when strictly
-      cheaper.
+    kernel costings.  In promising-first order, each candidate is
+    generated + packed ({!Matmul.cycles}, memoized process-wide) until
+    the budget is spent, and replaces the incumbent when strictly
+    cheaper.
 
     The heuristic's setting is always costed first, so the tuned result
     is never worse than the heuristic ("tuned <= adaptive" holds by
@@ -21,9 +17,8 @@
     qcheck suite keeps this path cold).
 
     Ambient trace counters: [tune-candidates] (feasible candidates
-    considered), [tune-costed] (budget actually spent), [tune-pruned]
-    (discarded by the lower bound), [tune-vm-verified] (VM verification
-    runs). *)
+    considered), [tune-costed] (budget actually spent),
+    [tune-vm-verified] (VM verification runs). *)
 
 module Trace = Gcd2_util.Trace
 
@@ -97,12 +92,10 @@ let tune config (base : Matmul.spec) =
   let consider u =
     if u <> baseline then begin
       Trace.count "tune-candidates" 1;
-      let s = spec_with base u in
-      if Tile.lower_bound s >= !best_cycles then Trace.count "tune-pruned" 1
-      else if !costed < config.budget then begin
+      if !costed < config.budget then begin
         incr costed;
         Trace.count "tune-costed" 1;
-        let c = Matmul.cycles s in
+        let c = Matmul.cycles (spec_with base u) in
         if c < !best_cycles then begin
           best := u;
           best_cycles := c

@@ -1,8 +1,8 @@
 (** Budgeted kernel-shape autotuning over {!Tile.space}: heuristic
-    baseline always costed first (tuned is never worse), lower-bound
-    pruning before full costings, optional VM verification of the
-    winner.  See the implementation's module documentation for the trace
-    counters. *)
+    baseline always costed first (tuned is never worse), then
+    promising-first full costings up to the budget, optional VM
+    verification of the winner.  See the implementation's module
+    documentation for the trace counters. *)
 
 type config = {
   budget : int;  (** max full kernel costings per (problem, SIMD choice) *)

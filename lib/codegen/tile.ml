@@ -9,11 +9,7 @@
     - satisfy the generator's spec invariants ({!Matmul.validate_spec}),
     - fit the device's register files ({!Matmul.fits_registers}), and
     - keep the tile's working set within VTCM
-      ({!Gcd2_devices.Desc.t.vtcm_bytes});
-
-    and each one carries a cheap packing lower bound so the tuner can
-    discard candidates that cannot beat its incumbent without paying for
-    kernel generation. *)
+      ({!Gcd2_devices.Desc.t.vtcm_bytes}). *)
 
 module Desc = Gcd2_devices.Desc
 module Stats = Gcd2_util.Stats
@@ -57,9 +53,9 @@ let feasible ?per_channel (s : Matmul.spec) =
 (* ------------------------------------------------------------------ *)
 (* Candidate space                                                     *)
 
-(* Rotation-depth pairs, nearest the historical (2,2) first: the
-   incumbent-relative pruning works best when early candidates are
-   likely winners. *)
+(* Rotation-depth pairs, nearest the historical (2,2) first: under a
+   costing budget, the candidates costed first should be the likely
+   winners. *)
 let rotations =
   let all =
     List.concat_map
@@ -88,104 +84,3 @@ let space (base : Matmul.spec) =
           if feasible { base with Matmul.un; ug; abuf; wbuf } then Some setting else None)
         rotations)
     grid
-
-(* ------------------------------------------------------------------ *)
-(* Packing lower bound                                                 *)
-
-(* Trip-weighted instruction counts per class for the generators' loop
-   structure (mirrors Matmul's emit_* shapes).  Counting is deliberately
-   partial — init blocks, pointer bumps and per-channel extras are
-   omitted — so dividing by slot capacity stays a true lower bound. *)
-let class_counts (s : Matmul.spec) =
-  let kp, np = Weights.padded_kn s.simd ~k:s.k ~n:s.n in
-  let panel = Simd.panel_rows ~desc:s.device s.simd in
-  let panels = Stats.round_up s.m panel / panel in
-  let groups = kp / 4 in
-  let act = match s.act_table with Some _ -> 1 | None -> 0 in
-  (* one panel pass of a tile of [width] output columns; the k loop
-     always computes [s.un] columns (remainder tiles only narrow the
-     zero/epilogue blocks, mirroring the generators) *)
-  let per_panel width =
-    let counts = Array.make Desc.iclass_count 0 in
-    let add c n = counts.(Gcd2_isa.Iclass.index c) <- counts.(Gcd2_isa.Iclass.index c) + n in
-    (match s.simd with
-    | Simd.I_vmpy ->
-      add Gcd2_isa.Iclass.Ld (groups * (s.un + 4));
-      add Gcd2_isa.Iclass.Vmpy ((groups * 4 * s.un) + (4 * width));
-      add Gcd2_isa.Iclass.Valu ((groups * 6 * s.un) + (3 * width));
-      add Gcd2_isa.Iclass.Vshift (3 * width);
-      add Gcd2_isa.Iclass.Vperm ((1 + act) * width);
-      add Gcd2_isa.Iclass.St width
-    | Simd.I_vmpa ->
-      let pairs = width / 2 in
-      add Gcd2_isa.Iclass.Ld (groups * (s.un + 2));
-      add Gcd2_isa.Iclass.Vmpy_deep (groups * s.un);
-      add Gcd2_isa.Iclass.Vmpy (4 * pairs);
-      add Gcd2_isa.Iclass.Valu ((groups * 3 * s.un) + (2 * pairs) + (3 * width));
-      add Gcd2_isa.Iclass.Vshift (3 * pairs);
-      add Gcd2_isa.Iclass.Vperm ((1 + act) * pairs);
-      add Gcd2_isa.Iclass.St pairs
-    | Simd.I_vrmpy ->
-      let quads = width / 4 in
-      add Gcd2_isa.Iclass.Ld (groups * (s.un + 1));
-      add Gcd2_isa.Iclass.Vmpy_deep (groups * s.un);
-      add Gcd2_isa.Iclass.Vmpy (4 * quads);
-      add Gcd2_isa.Iclass.Valu width;
-      add Gcd2_isa.Iclass.Vshift (3 * quads);
-      add Gcd2_isa.Iclass.Vperm ((3 + act) * quads);
-      add Gcd2_isa.Iclass.St quads);
-    counts
-  in
-  let totals = Array.make Desc.iclass_count 0 in
-  let accumulate trips arr = Array.iteri (fun i n -> totals.(i) <- totals.(i) + (trips * n)) arr in
-  let full_tiles = np / s.un and rem = np mod s.un in
-  if full_tiles > 0 then accumulate (full_tiles * panels) (per_panel s.un);
-  if rem > 0 then accumulate panels (per_panel rem);
-  totals
-
-let popcount m =
-  let rec go acc m = if m = 0 then acc else go (acc + (m land 1)) (m lsr 1) in
-  go 0 m
-
-(** A cheap lower bound on the kernel's packed cycles.  A packet costs
-    its maximum member latency plus intra-packet stalls
-    ({!Gcd2_isa.Packet.cycles}), so two ratios are unbeatable by any
-    schedule:
-
-    - per class, at least [ceil (count / issue-slots)] distinct packets
-      carry the class, and each of those costs at least the class's
-      latency;
-    - per slot subset [S], the classes whose masks lie inside [S] share
-      its [|S|] issue slots, so at least [ceil (sum / |S|)] packets
-      carry one of them, each costing at least the cheapest latency
-      among those classes ([S] = all slots is the packet-width bound).
-
-    All terms undercount (init blocks, pointer bumps, per-channel extras
-    and every stall are omitted), so the maximum stays a true lower
-    bound — strictly [<= Matmul.cycles s] (the qcheck suite enforces
-    it).  The tuner prunes candidates whose bound already exceeds the
-    incumbent. *)
-let lower_bound (s : Matmul.spec) =
-  let counts = class_counts s in
-  let d = s.device in
-  let best = ref 0 in
-  Array.iteri
-    (fun i n ->
-      if n > 0 then begin
-        let slots = max 1 (popcount d.Desc.slot_masks.(i)) in
-        let lat = max 1 d.Desc.latencies.(i) in
-        best := max !best (Stats.ceil_div n slots * lat)
-      end)
-    counts;
-  for sset = 1 to (1 lsl d.Desc.slot_count) - 1 do
-    let sum = ref 0 and min_lat = ref max_int in
-    Array.iteri
-      (fun i n ->
-        if n > 0 && d.Desc.slot_masks.(i) land lnot sset = 0 then begin
-          sum := !sum + n;
-          min_lat := min !min_lat (max 1 d.Desc.latencies.(i))
-        end)
-      counts;
-    if !sum > 0 then best := max !best (Stats.ceil_div !sum (popcount sset) * !min_lat)
-  done;
-  !best

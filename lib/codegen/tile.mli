@@ -1,6 +1,5 @@
 (** The searchable codegen-shape space behind the autotuner: validated
-    candidates (spec invariants, register files, VTCM working set) and a
-    cheap packing lower bound for incumbent-relative pruning. *)
+    candidates (spec invariants, register files, VTCM working set). *)
 
 (** VTCM working set of one output tile streaming through a panel
     (activation strip, prepacked weight streams, output vectors,
@@ -14,13 +13,3 @@ val feasible : ?per_channel:bool -> Matmul.spec -> bool
     promising first (deep/wide unrolls lead; rotations fan out from the
     historical (2,2)).  Deterministic; built on {!Unroll.grid}. *)
 val space : Matmul.spec -> Unroll.setting list
-
-(** Trip-weighted instruction counts per class
-    ({!Gcd2_devices.Desc.iclass_count} entries, {!Gcd2_isa.Iclass.index}
-    order); deliberately partial so the bound below stays sound. *)
-val class_counts : Matmul.spec -> int array
-
-(** Lower bound on the kernel's packed cycles — always
-    [<= Matmul.cycles s].  Per-class counts over slot capacity, and the
-    total over the packet width. *)
-val lower_bound : Matmul.spec -> int

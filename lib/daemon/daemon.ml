@@ -4,6 +4,7 @@ module Serve = Gcd2_serve.Serve
 module Compiler = Gcd2.Compiler
 module Diag = Gcd2.Diag
 module Hist = Gcd2_util.Stats.Hist
+module Counters = Gcd2_util.Stats.Counters
 module Logsink = Gcd2_util.Logsink
 module Fault = Gcd2_util.Fault
 module Janitor = Gcd2_store.Janitor
@@ -50,55 +51,16 @@ let default_config address =
     lease_ttl_s = Lease.default_ttl_s;
   }
 
-type stats = {
-  accepted : int;
-  rejected : int;
-  served : int;
-  failed : int;
-  hits : int;
-  compiles : int;
-  coalesced : int;
-  adopted : int;
-  retried : int;
-  degraded : int;
-  cache_misses : int;
-  cache_bytes : int;
-  respawns : int;
-  sweeps : int;
-  cold : Hist.t;
-  warm : Hist.t;
-}
+type stats = { counts : Counters.t; cold : Hist.t; warm : Hist.t }
 
-(* per-worker accumulators: touched only under [stats_mu], so a reader
-   merging them never sees a half-recorded request *)
-type wstats = {
-  mutable w_served : int;
-  mutable w_failed : int;
-  mutable w_hits : int;
-  mutable w_coalesced : int;
-  mutable w_adopted : int;
-  mutable w_retried : int;
-  mutable w_degraded : int;
-  mutable w_cache_misses : int;
-  mutable w_cache_bytes : int;
-  w_cold : Hist.t;
-  w_warm : Hist.t;
-}
+(* The stats line's counters, in its order; each renders even at 0.  A
+   new counter is its name here plus the line that bumps it. *)
+let stats_keys =
+  [ "served"; "failed"; "hits"; "compiles"; "coalesced"; "adopted"; "accepted"; "rejected";
+    "retried"; "degraded"; "cache_misses"; "cache_bytes"; "respawns"; "sweeps" ]
 
-let wstats_create () =
-  {
-    w_served = 0;
-    w_failed = 0;
-    w_hits = 0;
-    w_coalesced = 0;
-    w_adopted = 0;
-    w_retried = 0;
-    w_degraded = 0;
-    w_cache_misses = 0;
-    w_cache_bytes = 0;
-    w_cold = Hist.create ();
-    w_warm = Hist.create ();
-  }
+let empty () =
+  { counts = Counters.create stats_keys; cold = Hist.create (); warm = Hist.create () }
 
 type t = {
   cfg : config;
@@ -109,12 +71,7 @@ type t = {
      so followers report [wait] while their leader reports what the
      disk tier actually did (led / adopted / local) *)
   flight : ((Compiler.compiled, Diag.t) result * Flight.Disk.role) Flight.t;
-  accepted : int Atomic.t;
-  rejected : int Atomic.t;
-  compiles : int Atomic.t;
-  responses : int Atomic.t;
-  respawns : int Atomic.t;
-  sweeps : int Atomic.t;
+  responses : int Atomic.t;  (* the [stats_every] clock, not a reported stat *)
   started : float;
   stopping : bool Atomic.t;
   seen_mu : Mutex.t;
@@ -124,8 +81,12 @@ type t = {
      mapping is deterministic — computing it once per distinct request
      keeps the warm path cheap under load *)
   digests : (string, string option) Hashtbl.t;
+  (* daemon-wide counters (accept loop, compiles, watchdog, janitor) and
+     one tally per worker, touched only under [stats_mu] so a reader
+     merging them never sees a half-recorded request *)
   stats_mu : Mutex.t;
-  wstats : wstats array;
+  totals : Counters.t;
+  tallies : stats array;
   mutable accept_d : unit Domain.t option;
   mutable worker_ds : unit Domain.t list;
   mutable janitor_d : unit Domain.t option;
@@ -136,63 +97,28 @@ let address t = t.resolved
 
 (* ---------- stats ---------- *)
 
+let bump t key = Mutex.protect t.stats_mu (fun () -> Counters.add t.totals key 1)
+
 let snapshot t =
   Mutex.protect t.stats_mu (fun () ->
-      let cold = Hist.create () and warm = Hist.create () in
-      let served = ref 0
-      and failed = ref 0
-      and hits = ref 0
-      and coalesced = ref 0
-      and adopted = ref 0
-      and retried = ref 0
-      and degraded = ref 0
-      and cache_misses = ref 0
-      and cache_bytes = ref 0 in
+      let s = empty () in
+      Counters.merge_into ~into:s.counts t.totals;
       Array.iter
         (fun w ->
-          served := !served + w.w_served;
-          failed := !failed + w.w_failed;
-          hits := !hits + w.w_hits;
-          coalesced := !coalesced + w.w_coalesced;
-          adopted := !adopted + w.w_adopted;
-          retried := !retried + w.w_retried;
-          degraded := !degraded + w.w_degraded;
-          cache_misses := !cache_misses + w.w_cache_misses;
-          cache_bytes := !cache_bytes + w.w_cache_bytes;
-          Hist.merge_into ~into:cold w.w_cold;
-          Hist.merge_into ~into:warm w.w_warm)
-        t.wstats;
-      {
-        accepted = Atomic.get t.accepted;
-        rejected = Atomic.get t.rejected;
-        compiles = Atomic.get t.compiles;
-        served = !served;
-        failed = !failed;
-        hits = !hits;
-        coalesced = !coalesced;
-        adopted = !adopted;
-        retried = !retried;
-        degraded = !degraded;
-        cache_misses = !cache_misses;
-        cache_bytes = !cache_bytes;
-        respawns = Atomic.get t.respawns;
-        sweeps = Atomic.get t.sweeps;
-        cold;
-        warm;
-      })
+          Counters.merge_into ~into:s.counts w.counts;
+          Hist.merge_into ~into:s.cold w.cold;
+          Hist.merge_into ~into:s.warm w.warm)
+        t.tallies;
+      s)
 
 let stats = snapshot
 
 let stats_line t (s : stats) =
   Printf.sprintf
-    "daemon: workers=%d queue=%d served=%d failed=%d hits=%d compiles=%d \
-     coalesced=%d adopted=%d rejected=%d retried=%d degraded=%d cache_misses=%d \
-     cache_bytes=%d respawns=%d sweeps=%d warm_p50=%.2fms warm_p95=%.2fms \
-     warm_p99=%.2fms cold_p50=%.1fms cold_p95=%.1fms"
-    t.cfg.workers (Bqueue.length t.queue) s.served s.failed s.hits s.compiles
-    s.coalesced s.adopted s.rejected s.retried s.degraded s.cache_misses
-    s.cache_bytes s.respawns s.sweeps (Hist.p50 s.warm) (Hist.p95 s.warm)
-    (Hist.p99 s.warm) (Hist.p50 s.cold) (Hist.p95 s.cold)
+    "daemon: workers=%d queue=%d %s warm_p50=%.2fms warm_p95=%.2fms warm_p99=%.2fms \
+     cold_p50=%.1fms cold_p95=%.1fms"
+    t.cfg.workers (Bqueue.length t.queue) (Counters.render s.counts) (Hist.p50 s.warm)
+    (Hist.p95 s.warm) (Hist.p99 s.warm) (Hist.p50 s.cold) (Hist.p95 s.cold)
 
 let emit_stats t = Logsink.emit_err (stats_line t (snapshot t))
 
@@ -200,12 +126,12 @@ let emit_stats t = Logsink.emit_err (stats_line t (snapshot t))
    error pressure.  [draining] flips during graceful stop so a balancer
    can pull the backend before the listener goes away. *)
 let health_payload t =
-  let s = snapshot t in
+  let count = Counters.get (snapshot t).counts in
   Printf.sprintf
     "%s pid=%d workers=%d queue=%d/%d served=%d failed=%d respawns=%d uptime_s=%.1f"
     (if Atomic.get t.stopping then "draining" else "ok")
     (Unix.getpid ()) t.cfg.workers (Bqueue.length t.queue) t.cfg.queue_depth
-    s.served s.failed s.respawns
+    (count "served") (count "failed") (count "respawns")
     (Gcd2_util.Trace.now () -. t.started)
 
 (* ---------- request path ---------- *)
@@ -282,7 +208,7 @@ let compile_sf t ~digest role ~config ~cache_dir ~jobs ~deadline_ms graph =
   | None ->
     (* the uncached-fallback attempt: its result never reaches the
        cache, so there is nothing to coalesce on *)
-    Atomic.incr t.compiles;
+    bump t "compiles";
     Serve.default_compile ~config ~cache_dir ~jobs ~deadline_ms graph
   | Some dir ->
     let digest =
@@ -305,7 +231,7 @@ let compile_sf t ~digest role ~config ~cache_dir ~jobs ~deadline_ms graph =
               ~has_artifact (fun drole ->
                 (match drole with
                 | Flight.Disk.Adopted -> ()
-                | Flight.Disk.Led | Flight.Disk.Local -> Atomic.incr t.compiles);
+                | Flight.Disk.Led | Flight.Disk.Local -> bump t "compiles");
                 Serve.default_compile ~config ~cache_dir ~jobs ~deadline_ms graph))
       in
       (match who with
@@ -319,30 +245,30 @@ let compile_sf t ~digest role ~config ~cache_dir ~jobs ~deadline_ms graph =
 
 let record t widx (s : Serve.served) (role : Protocol.flight) =
   Mutex.protect t.stats_mu (fun () ->
-      let w = t.wstats.(widx) in
+      let w = t.tallies.(widx) in
+      let add = Counters.add w.counts in
       (match s.outcome with
       | Serve.Ok_ | Serve.Retried | Serve.Degraded ->
-        w.w_served <- w.w_served + 1;
-        if s.hit then w.w_hits <- w.w_hits + 1;
+        add "served" 1;
+        if s.hit then add "hits" 1;
         (match s.outcome with
-        | Serve.Retried -> w.w_retried <- w.w_retried + 1
-        | Serve.Degraded -> w.w_degraded <- w.w_degraded + 1
+        | Serve.Retried -> add "retried" 1
+        | Serve.Degraded -> add "degraded" 1
         | _ -> ());
-        Hist.add (if s.cold then w.w_cold else w.w_warm) s.ms
-      | Serve.Timed_out | Serve.Failed -> w.w_failed <- w.w_failed + 1);
+        Hist.add (if s.cold then w.cold else w.warm) s.ms
+      | Serve.Timed_out | Serve.Failed -> add "failed" 1);
       (match role with
-      | Protocol.Wait -> w.w_coalesced <- w.w_coalesced + 1
-      | Protocol.Adopt -> w.w_adopted <- w.w_adopted + 1
+      | Protocol.Wait -> add "coalesced" 1
+      | Protocol.Adopt -> add "adopted" 1
       | _ -> ());
       (* fold this compile's trace counters into the worker's tally —
          followers share the leader's compile, so only the leader's copy
          counts, or one coalesced compile would be tallied K times *)
       match (s.compiled, role) with
       | Some c, (Protocol.Lead | Protocol.Adopt | Protocol.No_flight) ->
-        w.w_cache_misses <-
-          w.w_cache_misses + Gcd2_util.Trace.counter c.Compiler.trace "cache-misses";
-        w.w_cache_bytes <-
-          w.w_cache_bytes + Gcd2_util.Trace.counter c.Compiler.trace "cache-bytes"
+        let traced = Gcd2_util.Trace.counter c.Compiler.trace in
+        add "cache_misses" (traced "cache-misses");
+        add "cache_bytes" (traced "cache-bytes")
       | _ -> ())
 
 let respond oc resp =
@@ -464,7 +390,7 @@ let worker t widx () =
     match loop () with
     | () -> ()
     | exception exn ->
-      Atomic.incr t.respawns;
+      bump t "respawns";
       Logsink.emit_err
         (Printf.sprintf "daemon: worker %d crashed (%s); respawning" widx
            (Printexc.to_string exn));
@@ -484,11 +410,11 @@ let janitor_config t =
 let sweep_once t dir =
   match Janitor.sweep ~dir (janitor_config t) with
   | r ->
-    Atomic.incr t.sweeps;
+    bump t "sweeps";
     if
-      r.Janitor.tmp_removed + r.Janitor.bad_removed + r.Janitor.leases_broken
-      + r.Janitor.evicted + r.Janitor.errors
-      > 0
+      List.exists
+        (fun k -> Counters.get r k > 0)
+        [ "tmp_removed"; "bad_removed"; "leases_broken"; "evicted"; "errors" ]
     then Logsink.emit_err ("daemon: " ^ Janitor.report_line r)
   | exception _ -> ()
 
@@ -509,7 +435,7 @@ let janitor_loop t dir () =
   loop ()
 
 let reject_conn t conn =
-  Atomic.incr t.rejected;
+  bump t "rejected";
   (try
      let oc = Unix.out_channel_of_descr conn in
      output_string oc (Protocol.render (Protocol.reject ~model:"-" ~device:"-"));
@@ -526,8 +452,15 @@ let accept_loop t () =
       if Atomic.get t.stopping then (
         try Unix.close conn with Unix.Unix_error _ -> ())
       else begin
-        if Bqueue.try_push t.queue conn then Atomic.incr t.accepted
-        else reject_conn t conn;
+        (* admit and count under [stats_mu], so the [stats] answer a
+           worker gives on this connection already counts it *)
+        let admitted =
+          Mutex.protect t.stats_mu (fun () ->
+              let ok = Bqueue.try_push t.queue conn in
+              if ok then Counters.add t.totals "accepted" 1;
+              ok)
+        in
+        if not admitted then reject_conn t conn;
         loop ()
       end
   in
@@ -587,19 +520,15 @@ let start cfg =
       resolved;
       queue = Bqueue.create ~capacity:cfg.queue_depth;
       flight = Flight.create ();
-      accepted = Atomic.make 0;
-      rejected = Atomic.make 0;
-      compiles = Atomic.make 0;
       responses = Atomic.make 0;
-      respawns = Atomic.make 0;
-      sweeps = Atomic.make 0;
       started = Gcd2_util.Trace.now ();
       stopping = Atomic.make false;
       seen_mu = Mutex.create ();
       seen = Hashtbl.create 64;
       digests = Hashtbl.create 64;
       stats_mu = Mutex.create ();
-      wstats = Array.init cfg.workers (fun _ -> wstats_create ());
+      totals = Counters.create [];
+      tallies = Array.init cfg.workers (fun _ -> empty ());
       accept_d = None;
       worker_ds = [];
       janitor_d = None;

@@ -33,13 +33,15 @@
     sharing one store compile each digest once.  Bare [health] and
     [stats] request lines are answered in-frame for load balancers.
 
-    Stats are accumulated per worker (counts plus mergeable
-    {!Gcd2_util.Stats.Hist} latency histograms, split cold/warm) and
-    merged on demand; with [stats_every > 0] a merged [daemon: ...]
-    line is emitted through {!Gcd2_util.Logsink} every that many
-    responses.  {!stop} is graceful: the accept loop is retired first,
-    then the queue is closed and drained — every admitted connection is
-    served to EOF — before the workers are joined. *)
+    Stats are accumulated per worker (a {!Gcd2_util.Stats.Counters}
+    registry plus mergeable {!Gcd2_util.Stats.Hist} latency histograms,
+    split cold/warm) and daemon-wide (a registry for the accept loop,
+    compiles, the watchdog and the janitor), and merged on demand; with
+    [stats_every > 0] a merged [daemon: ...] line is emitted through
+    {!Gcd2_util.Logsink} every that many responses.  {!stop} is
+    graceful: the accept loop is retired first, then the queue is
+    closed and drained — every admitted connection is served to EOF —
+    before the workers are joined. *)
 
 type address =
   | Unix_sock of string  (** filesystem path *)
@@ -78,22 +80,18 @@ type config = {
 val default_config : address -> config
 
 type stats = {
-  accepted : int;  (** connections admitted to the queue *)
-  rejected : int;  (** connections shed by backpressure *)
-  served : int;  (** requests answered successfully (incl. retried/degraded) *)
-  failed : int;  (** requests answered with a failure outcome *)
-  hits : int;  (** served from the artifact cache *)
-  compiles : int;  (** compile-fn invocations after single-flight coalescing *)
-  coalesced : int;  (** requests that waited on another request's compile *)
-  adopted : int;
-      (** requests answered by adopting an artifact another process's
-          lease-holding leader published (cross-process flight tier) *)
-  retried : int;
-  degraded : int;
-  cache_misses : int;  (** [cache-misses] trace counter over non-coalesced compiles *)
-  cache_bytes : int;
-  respawns : int;  (** worker crashes caught and respawned by the watchdog *)
-  sweeps : int;  (** janitor sweeps completed (startup + periodic) *)
+  counts : Gcd2_util.Stats.Counters.t;
+      (** every counter of the stats line, in its order, zeros included:
+          [served] (answered successfully, incl. retried/degraded),
+          [failed], [hits] (served from the artifact cache), [compiles]
+          (after single-flight coalescing), [coalesced] (waited on
+          another request's compile), [adopted] (took the artifact a
+          lease-holding leader of another process published),
+          [accepted] / [rejected] (connections admitted to / shed by
+          the queue), [retried], [degraded], [cache_misses] /
+          [cache_bytes] (trace counters of non-coalesced compiles),
+          [respawns] (worker crashes caught by the watchdog), [sweeps]
+          (janitor sweeps, startup + periodic) *)
   cold : Gcd2_util.Stats.Hist.t;  (** latency of served cold requests *)
   warm : Gcd2_util.Stats.Hist.t;
 }

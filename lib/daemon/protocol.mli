@@ -15,10 +15,9 @@ gcd2r1 outcome=error hit=0 cold=1 ms=12.004 lat=- sf=lead attempts=3 model=x dev
     model latency estimate in ms, [-] when the request failed.  [sf]
     records how the compile was obtained: [lead] (this request ran the
     compile), [wait] (coalesced onto an identical in-flight compile),
-    [wait] (coalesced onto an identical in-flight compile), [adopt]
-    (another {e process} held the digest's lease and this daemon
-    adopted the artifact it published — the cross-process flight tier),
-    [none] (warm cache hit or no single-flight involvement).  Blank
+    [adopt] (another {e process} held the digest's lease and this
+    daemon adopted the artifact it published — the cross-process flight
+    tier), [none] (warm cache hit or no single-flight involvement).  Blank
     request lines and [#] comments produce no response; a malformed
     request line produces an [outcome=invalid] response, and a request
     shed by the admission queue an [outcome=rejected] one with

@@ -21,14 +21,13 @@
       leader mid-publish (or a follower mid-adopt) must not have the
       artifact swept out from under it.
 
-    Every action is a structured counter in the returned {!report} and
-    a {!Gcd2_util.Trace} counter ([janitor-*]).  A sweep never raises:
-    each unlink consults fault point [janitor-unlink] and any failure
-    (injected or real, e.g. a concurrent sweep won the race) is counted
-    in [errors] and skipped. *)
+    Every action is a counter of the registry a sweep returns.  A sweep
+    never raises: each unlink consults fault point [janitor-unlink] and
+    any failure (injected or real, e.g. a concurrent sweep won the race)
+    is counted in [errors] and skipped. *)
 
 module Fault = Gcd2_util.Fault
-module Trace = Gcd2_util.Trace
+module Counters = Gcd2_util.Stats.Counters
 
 type config = {
   max_bytes : int option;  (** entry-bytes budget; [None] = unbounded *)
@@ -45,24 +44,14 @@ let default =
     lease_ttl_s = Lease.default_ttl_s;
   }
 
-type report = {
-  entries : int;  (** surviving entries *)
-  bytes : int;  (** their total size *)
-  tmp_removed : int;
-  bad_removed : int;
-  leases_broken : int;
-  evicted : int;
-  evicted_bytes : int;
-  skipped_leased : int;  (** eviction candidates protected by a live lease *)
-  errors : int;
-}
+(* A sweep's counters, in report order.  [entries]/[bytes] are the
+   surviving entries and their total size; [skipped_leased] counts
+   eviction candidates protected by a live lease. *)
+let report_keys =
+  [ "entries"; "bytes"; "tmp_removed"; "bad_removed"; "leases_broken"; "evicted";
+    "evicted_bytes"; "skipped_leased"; "errors" ]
 
-let report_line r =
-  Printf.sprintf
-    "janitor: entries=%d bytes=%d tmp_removed=%d bad_removed=%d leases_broken=%d evicted=%d \
-     evicted_bytes=%d skipped_leased=%d errors=%d"
-    r.entries r.bytes r.tmp_removed r.bad_removed r.leases_broken r.evicted r.evicted_bytes
-    r.skipped_leased r.errors
+let report_line r = "janitor: " ^ Counters.render r
 
 (* ------------------------------------------------------------------ *)
 
@@ -95,19 +84,12 @@ let unlink path =
 
 let sweep ~dir config =
   let now = Unix.gettimeofday () in
-  let tmp_removed = ref 0
-  and bad_removed = ref 0
-  and leases_broken = ref 0
-  and evicted = ref 0
-  and evicted_bytes = ref 0
-  and skipped_leased = ref 0
-  and errors = ref 0 in
+  let r = Counters.create report_keys in
+  let bump key = Counters.add r key 1 in
   let names = match Sys.readdir dir with x -> x | exception Sys_error _ -> [||] in
   let age st = now -. st.Unix.st_mtime in
   let stat path = match Unix.stat path with st -> Some st | exception Unix.Unix_error _ -> None in
-  let remove counter path =
-    if unlink path then incr counter else incr errors
-  in
+  let remove key path = bump (if unlink path then key else "errors") in
   (* Pass 1: debris, quarantine age-out, stale-lease breaking; collect
      surviving entries and live-leased digests along the way. *)
   let entries = ref [] in
@@ -119,20 +101,20 @@ let sweep ~dir config =
       | Other -> ()
       | Tmp -> (
         match stat path with
-        | Some st when age st > config.tmp_max_age_s -> remove tmp_removed path
+        | Some st when age st > config.tmp_max_age_s -> remove "tmp_removed" path
         | _ -> ())
       | Bad -> (
         match stat path with
-        | Some st when age st > config.bad_max_age_s -> remove bad_removed path
+        | Some st when age st > config.bad_max_age_s -> remove "bad_removed" path
         | _ -> ())
       | Lease_file -> (
         let digest = digest_of_lease name in
         match Lease.state ~ttl_s:config.lease_ttl_s ~dir digest with
         | Lease.Stale _ -> (
           match Lease.break ~dir digest with
-          | true -> incr leases_broken
+          | true -> bump "leases_broken"
           | false -> ()
-          | exception _ -> incr errors)
+          | exception _ -> bump "errors")
         | Lease.Held _ -> Hashtbl.replace leased digest ()
         | Lease.Free -> ())
       | Entry -> (
@@ -155,34 +137,21 @@ let sweep ~dir config =
       (fun ((path, digest, st) as e) ->
         if !bytes > budget then
           if Hashtbl.mem leased digest then begin
-            incr skipped_leased;
+            bump "skipped_leased";
             keep := e :: !keep
           end
           else if unlink path then begin
-            incr evicted;
-            evicted_bytes := !evicted_bytes + st.Unix.st_size;
+            bump "evicted";
+            Counters.add r "evicted_bytes" st.Unix.st_size;
             bytes := !bytes - st.Unix.st_size
           end
           else begin
-            incr errors;
+            bump "errors";
             keep := e :: !keep
           end
         else keep := e :: !keep)
       by_age;
     entries := !keep);
-  Trace.count "janitor-tmp-removed" !tmp_removed;
-  Trace.count "janitor-bad-removed" !bad_removed;
-  Trace.count "janitor-leases-broken" !leases_broken;
-  Trace.count "janitor-evicted" !evicted;
-  Trace.count "janitor-errors" !errors;
-  {
-    entries = List.length !entries;
-    bytes = !bytes;
-    tmp_removed = !tmp_removed;
-    bad_removed = !bad_removed;
-    leases_broken = !leases_broken;
-    evicted = !evicted;
-    evicted_bytes = !evicted_bytes;
-    skipped_leased = !skipped_leased;
-    errors = !errors;
-  }
+  Counters.add r "entries" (List.length !entries);
+  Counters.add r "bytes" !bytes;
+  r

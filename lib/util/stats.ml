@@ -120,3 +120,45 @@ module Hist = struct
   let p95 t = percentile 95.0 t
   let p99 t = percentile 99.0 t
 end
+
+(* ------------------------------------------------------------------ *)
+(* Mergeable named counters                                            *)
+
+module Counters = struct
+  (* Entries in first-use order: a bump finds its key in a short list and
+     updates it in place; only a new key rebuilds the list. *)
+  type entry = { key : string; mutable v : int }
+  type t = { mutable entries : entry list }
+
+  let rec find key = function
+    | [] -> None
+    | e :: rest -> if String.equal e.key key then Some e else find key rest
+
+  let add t key n =
+    match find key t.entries with
+    | Some e -> e.v <- e.v + n
+    | None -> t.entries <- t.entries @ [ { key; v = n } ]
+
+  let create keys =
+    let t = { entries = [] } in
+    List.iter (fun k -> add t k 0) keys;
+    t
+
+  let get t key = match find key t.entries with Some e -> e.v | None -> 0
+
+  let to_list t = List.map (fun e -> (e.key, e.v)) t.entries
+
+  let merge_into ~into src = List.iter (fun e -> add into e.key e.v) src.entries
+
+  (* Pure merge: [a]'s keys in their order, then [b]'s new ones in
+     theirs.  Values are sums, so merging is associative, and commutative
+     up to that order. *)
+  let merge a b =
+    let t = create [] in
+    merge_into ~into:t a;
+    merge_into ~into:t b;
+    t
+
+  let render t =
+    String.concat " " (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) (to_list t))
+end

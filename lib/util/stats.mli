@@ -85,3 +85,39 @@ module Hist : sig
   val p95 : t -> float
   val p99 : t -> float
 end
+
+(** Mergeable named integer counters — the one registry behind trace
+    span counters, the daemon's stats line and the janitor's report.
+
+    A key exists from its first use ([add], including [add t k 0], or
+    its declaration in {!Counters.create}) and keeps that place in the
+    order {!Counters.to_list} and {!Counters.render} list keys in.
+    Not synchronized: a registry belongs to one domain, or is guarded by
+    its owner's lock. *)
+module Counters : sig
+  type t
+
+  (** A registry holding each of [keys] at 0, in that order, so they
+      render even when never bumped. *)
+  val create : string list -> t
+
+  (** [add t key n] adds [n] to [key]. *)
+  val add : t -> string -> int -> unit
+
+  (** The value of [key]; 0 for a key never used. *)
+  val get : t -> string -> int
+
+  (** Pure merge: the keys of [a] in their order, then the keys only [b]
+      has, in [b]'s order; values summed.  Associative; commutative up
+      to key order. *)
+  val merge : t -> t -> t
+
+  (** In-place merge of [src] into [into], same order rule. *)
+  val merge_into : into:t -> t -> unit
+
+  (** [(key, value)] pairs in first-use order. *)
+  val to_list : t -> (string * int) list
+
+  (** [k=v] tokens in first-use order, separated by single spaces. *)
+  val render : t -> string
+end

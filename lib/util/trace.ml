@@ -1,5 +1,7 @@
 (** Wall-clock span tracing (see the interface for the model). *)
 
+module Counters = Stats.Counters
+
 let now () = Unix.gettimeofday ()
 
 type sink =
@@ -11,7 +13,7 @@ type span = {
   span_name : string;
   mutable seconds : float;
   mutable calls : int;
-  mutable counters : (string * int) list;
+  counters : Counters.t;
   mutable children : span list;
 }
 
@@ -22,7 +24,7 @@ type t = {
 }
 
 let make_span name =
-  { span_name = name; seconds = 0.0; calls = 0; counters = []; children = [] }
+  { span_name = name; seconds = 0.0; calls = 0; counters = Counters.create []; children = [] }
 
 let create ?(sink = Silent) name =
   let root_span = make_span name in
@@ -49,16 +51,17 @@ let emit t span dt =
   | Silent -> ()
   | Text ppf ->
     Format.fprintf ppf "[trace] %s %.6fs" (path t) dt;
-    List.iter (fun (k, v) -> Format.fprintf ppf " %s=%d" k v) span.counters;
+    List.iter (fun (k, v) -> Format.fprintf ppf " %s=%d" k v) (Counters.to_list span.counters);
     Format.fprintf ppf "@."
   | Jsonl ppf ->
     Format.fprintf ppf {|{"span":"%s","path":"%s","seconds":%.6f,"calls":%d|}
       span.span_name (path t) dt span.calls;
-    if span.counters <> [] then begin
+    let counters = Counters.to_list span.counters in
+    if counters <> [] then begin
       Format.fprintf ppf {|,"counters":{|};
       List.iteri
         (fun i (k, v) -> Format.fprintf ppf {|%s"%s":%d|} (if i > 0 then "," else "") k v)
-        span.counters;
+        counters;
       Format.fprintf ppf "}"
     end;
     Format.fprintf ppf "}@."
@@ -86,12 +89,7 @@ let run_root t f =
 
 let add t key n =
   let span = match t.stack with s :: _ -> s | [] -> t.root_span in
-  let rec bump = function
-    | [] -> [ (key, n) ]
-    | (k, v) :: rest when k = key -> (k, v + n) :: rest
-    | kv :: rest -> kv :: bump rest
-  in
-  span.counters <- bump span.counters
+  Counters.add span.counters key n
 
 (* ------------------------------------------------------------------ *)
 (* Ambient instrumentation                                             *)
@@ -120,18 +118,10 @@ let in_span name f =
 (* ------------------------------------------------------------------ *)
 (* Merging (parallel phases)                                           *)
 
-let add_to_span span key n =
-  let rec bump = function
-    | [] -> [ (key, n) ]
-    | (k, v) :: rest when k = key -> (k, v + n) :: rest
-    | kv :: rest -> kv :: bump rest
-  in
-  span.counters <- bump span.counters
-
 let rec merge_span dst src =
   dst.seconds <- dst.seconds +. src.seconds;
   dst.calls <- dst.calls + src.calls;
-  List.iter (fun (k, v) -> add_to_span dst k v) src.counters;
+  Counters.merge_into ~into:dst.counters src.counters;
   List.iter (fun c -> merge_span (child_span dst c.span_name) c) src.children
 
 (** Merge the counters and children of [src] (a worker trace's root
@@ -141,7 +131,7 @@ let absorb src =
   | None -> ()
   | Some t ->
     let dst = match t.stack with s :: _ -> s | [] -> t.root_span in
-    List.iter (fun (k, v) -> add_to_span dst k v) src.counters;
+    Counters.merge_into ~into:dst.counters src.counters;
     List.iter (fun c -> merge_span (child_span dst c.span_name) c) src.children
 
 (* ------------------------------------------------------------------ *)
@@ -164,16 +154,12 @@ let fold t ~init ~f =
   let rec go acc s = List.fold_left go (f acc s) s.children in
   go init t.root_span
 
-let counter t key =
-  fold t ~init:0 ~f:(fun acc s ->
-      match List.assoc_opt key s.counters with Some v -> acc + v | None -> acc)
+let counter t key = fold t ~init:0 ~f:(fun acc s -> acc + Counters.get s.counters key)
 
 let counter_names t =
-  List.rev
-    (fold t ~init:[] ~f:(fun acc s ->
-         List.fold_left
-           (fun acc (k, _) -> if List.mem k acc then acc else k :: acc)
-           acc s.counters))
+  let all = Counters.create [] in
+  fold t ~init:() ~f:(fun () s -> Counters.merge_into ~into:all s.counters);
+  List.map fst (Counters.to_list all)
 
 let top_spans t = List.map (fun s -> (s.span_name, s.seconds)) t.root_span.children
 
@@ -185,7 +171,7 @@ let pp ppf t =
       (max 1 (34 - String.length indent))
       s.span_name s.seconds;
     if s.calls > 1 then Format.fprintf ppf "  (%d calls)" s.calls;
-    List.iter (fun (k, v) -> Format.fprintf ppf "  %s=%d" k v) s.counters;
+    List.iter (fun (k, v) -> Format.fprintf ppf "  %s=%d" k v) (Counters.to_list s.counters);
     Format.fprintf ppf "@\n";
     List.iter (go (indent ^ "  ")) s.children
   in

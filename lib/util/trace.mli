@@ -30,7 +30,7 @@ type span = {
   span_name : string;
   mutable seconds : float;  (** total wall time over all invocations *)
   mutable calls : int;
-  mutable counters : (string * int) list;  (** insertion order *)
+  counters : Stats.Counters.t;  (** first-use order *)
   mutable children : span list;  (** first-opened order *)
 }
 

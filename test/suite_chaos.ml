@@ -451,6 +451,7 @@ let test_spec_parsing () =
 (* PR 10: the lease tier and the janitor under faults *)
 
 module Janitor = Gcd2_store.Janitor
+module Counters = Gcd2_util.Stats.Counters
 
 (* With every lease operation faulting, the cross-process flight tier
    must degrade to plain local compiles: every request still serves the
@@ -505,15 +506,15 @@ let test_janitor_unlink_fault_tolerated () =
   Fault.with_spec (spec "seed=22,janitor-unlink=1") (fun () ->
       let r = Janitor.sweep ~dir cfg in
       check_int "faulted sweep removed nothing" 0
-        (r.Janitor.tmp_removed + r.Janitor.bad_removed);
-      check_int "every failed unlink counted" 2 r.Janitor.errors);
+        (Counters.get r "tmp_removed" + Counters.get r "bad_removed");
+      check_int "every failed unlink counted" 2 (Counters.get r "errors"));
   check_int "debris survives the faulted sweep" 2 (Array.length (Sys.readdir dir));
   (* with_disabled, not "no spec": under `make chaos` the ambient env
      spec would otherwise keep faulting this sweep's unlinks *)
   let r = Fault.with_disabled (fun () -> Janitor.sweep ~dir cfg) in
-  check_int "fault-free sweep converges: tmp" 1 r.Janitor.tmp_removed;
-  check_int "fault-free sweep converges: bad" 1 r.Janitor.bad_removed;
-  check_int "no errors without faults" 0 r.Janitor.errors;
+  check_int "fault-free sweep converges: tmp" 1 (Counters.get r "tmp_removed");
+  check_int "fault-free sweep converges: bad" 1 (Counters.get r "bad_removed");
+  check_int "no errors without faults" 0 (Counters.get r "errors");
   check_int "directory clean" 0 (Array.length (Sys.readdir dir))
 
 let tests =

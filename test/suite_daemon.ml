@@ -12,6 +12,7 @@ module T = Gcd2_tensor.Tensor
 module Q = Gcd2_tensor.Quant
 module Rng = Gcd2_util.Rng
 module Logsink = Gcd2_util.Logsink
+module Counters = Gcd2_util.Stats.Counters
 module Serve = Gcd2_serve.Serve
 module Daemon = Gcd2_daemon.Daemon
 module Client = Gcd2_daemon.Client
@@ -242,10 +243,10 @@ let test_daemon_serves () =
     check_bool "has code" true (r.Protocol.code <> None)
   | _ -> Alcotest.fail "unknown model: expected one error response");
   let s = Daemon.stats d in
-  check_int "served" 2 s.Daemon.served;
-  check_int "failed" 1 s.Daemon.failed;
-  check_int "hits" 1 s.Daemon.hits;
-  check_int "one compile" 1 s.Daemon.compiles
+  check_int "served" 2 (Counters.get s.Daemon.counts "served");
+  check_int "failed" 1 (Counters.get s.Daemon.counts "failed");
+  check_int "hits" 1 (Counters.get s.Daemon.counts "hits");
+  check_int "one compile" 1 (Counters.get s.Daemon.counts "compiles")
 
 (* The acceptance test of the PR: K identical cold requests arriving
    concurrently perform exactly one compile.  The compile is a real zoo
@@ -280,10 +281,10 @@ let test_single_flight_coalesces_requests () =
   check_int "exactly one leader" 1 leads;
   check_int "everyone else coalesced" (k - 1) waits;
   let s = Daemon.stats d in
-  check_int "exactly one compile" 1 s.Daemon.compiles;
-  check_int "exactly one cache miss" 1 s.Daemon.cache_misses;
-  check_int "coalesced" (k - 1) s.Daemon.coalesced;
-  check_int "all served" k s.Daemon.served;
+  check_int "exactly one compile" 1 (Counters.get s.Daemon.counts "compiles");
+  check_int "exactly one cache miss" 1 (Counters.get s.Daemon.counts "cache_misses");
+  check_int "coalesced" (k - 1) (Counters.get s.Daemon.counts "coalesced");
+  check_int "all served" k (Counters.get s.Daemon.counts "served");
   (* and exactly one artifact was stored *)
   let entries =
     Sys.readdir (Filename.concat dir "cache")
@@ -324,8 +325,8 @@ let test_backpressure_rejects_retryable () =
         (ok_response r).Protocol.outcome)
     (Domain.join a @ Domain.join b);
   let s = Daemon.stats d in
-  check_int "one rejection" 1 s.Daemon.rejected;
-  check_int "two served" 2 s.Daemon.served
+  check_int "one rejection" 1 (Counters.get s.Daemon.counts "rejected");
+  check_int "two served" 2 (Counters.get s.Daemon.counts "served")
 
 (* Graceful shutdown: stop while one request is mid-compile and another
    connection is still queued; both must be served to EOF. *)
@@ -344,8 +345,8 @@ let test_graceful_shutdown_drains () =
       Alcotest.(check string) "request served through shutdown" "ok"
         (ok_response r).Protocol.outcome)
     (Domain.join a @ Domain.join b);
-  check_int "both served" 2 s.Daemon.served;
-  check_int "stop is idempotent" 2 (Daemon.stop d).Daemon.served;
+  check_int "both served" 2 (Counters.get s.Daemon.counts "served");
+  check_int "stop is idempotent" 2 (Counters.get (Daemon.stop d).Daemon.counts "served");
   check_bool "socket removed" true
     (not (Sys.file_exists (Filename.concat dir "d.sock")))
 
@@ -442,6 +443,72 @@ let test_health_and_stats_commands () =
       r.Protocol.outcome
   | rs -> Alcotest.failf "expected 3 responses, got %d" (List.length rs))
 
+(* Wire format of the [stats], [health] and [janitor:] lines, which
+   operators and the benchmark parse by key. *)
+
+module Janitor = Gcd2_store.Janitor
+
+let fields line =
+  List.filter_map
+    (fun tok ->
+      match String.index_opt tok '=' with
+      | Some i -> Some (String.sub tok 0 i, String.sub tok (i + 1) (String.length tok - i - 1))
+      | None -> None)
+    (String.split_on_char ' ' line)
+
+let stats_counters =
+  [ "served"; "failed"; "hits"; "compiles"; "coalesced"; "adopted"; "accepted"; "rejected";
+    "retried"; "degraded"; "cache_misses"; "cache_bytes"; "respawns"; "sweeps" ]
+
+let check_stats_wire d =
+  let stats, health =
+    match Client.batch (Daemon.address d) [ "stats"; "health" ] with
+    | [ Ok { Protocol.msg = Some s; _ }; Ok { Protocol.msg = Some h; _ } ] -> (s, h)
+    | _ -> Alcotest.fail "no stats/health answers"
+  in
+  let s = Daemon.stats d in
+  let count k = string_of_int (Counters.get s.Daemon.counts k) in
+  Alcotest.(check (list string)) "the registry declares every counter" stats_counters
+    (List.map fst (Counters.to_list s.Daemon.counts));
+  check_bool "stats line prefix" true (String.starts_with ~prefix:"daemon: " stats);
+  let line = fields stats in
+  Alcotest.(check (list string)) "stats keys, zeros included"
+    ([ "workers"; "queue" ] @ stats_counters
+    @ [ "warm_p50"; "warm_p95"; "warm_p99"; "cold_p50"; "cold_p95" ])
+    (List.map fst line);
+  List.iter
+    (fun k -> Alcotest.(check string) ("stats " ^ k) (count k) (List.assoc k line))
+    stats_counters;
+  (* the keys benchmark/w_serve.ml reads *)
+  List.iter
+    (fun k -> check_bool ("benchmark key " ^ k) true (List.mem_assoc k line))
+    [ "served"; "hits"; "compiles"; "rejected"; "respawns" ];
+  check_bool "health status" true (String.starts_with ~prefix:"ok " health);
+  let h = fields health in
+  Alcotest.(check (list string)) "health keys"
+    [ "pid"; "workers"; "queue"; "served"; "failed"; "respawns"; "uptime_s" ]
+    (List.map fst h);
+  List.iter
+    (fun k -> Alcotest.(check string) ("health " ^ k) (count k) (List.assoc k h))
+    [ "served"; "failed"; "respawns" ]
+
+let test_stats_wire_format () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  with_daemon (config ~resolve:resolve_tiny dir) (fun d ->
+      check_stats_wire d;
+      ignore (Client.batch (Daemon.address d) [ "tinyA"; "tinyA"; "nosuchmodel" ]);
+      check_stats_wire d;
+      check_int "traffic counted" 2 (Counters.get (Daemon.stats d).Daemon.counts "served"));
+  let janitor =
+    Janitor.report_line (Janitor.sweep ~dir:(Filename.concat dir "cache") Janitor.default)
+  in
+  check_bool "janitor line prefix" true (String.starts_with ~prefix:"janitor: " janitor);
+  Alcotest.(check (list string)) "janitor keys"
+    [ "entries"; "bytes"; "tmp_removed"; "bad_removed"; "leases_broken"; "evicted";
+      "evicted_bytes"; "skipped_leased"; "errors" ]
+    (List.map fst (fields janitor))
+
 let test_worker_crash_respawns () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
@@ -466,7 +533,7 @@ let test_worker_crash_respawns () =
   | [ Ok r ] -> Alcotest.(check string) "respawned worker serves" "ok" r.Protocol.outcome
   | _ -> Alcotest.fail "respawned worker did not answer");
   let s = Daemon.stats d in
-  check_bool "respawn counted" true (s.Daemon.respawns >= 1)
+  check_bool "respawn counted" true (Counters.get s.Daemon.counts "respawns" >= 1)
 
 (* Disk flight tier, in one process: a slow leader holds the digest's
    lease while a late follower polls; once the leader publishes the
@@ -552,6 +619,8 @@ let tests =
     Alcotest.test_case "log lines never tear" `Quick test_log_lines_never_tear;
     Alcotest.test_case "health and stats answered in-frame" `Quick
       test_health_and_stats_commands;
+    Alcotest.test_case "stats, health and janitor wire format" `Quick
+      test_stats_wire_format;
     Alcotest.test_case "worker crash answered and respawned" `Quick
       test_worker_crash_respawns;
     Alcotest.test_case "disk flight: follower adopts the leader's artifact" `Quick

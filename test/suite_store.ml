@@ -439,6 +439,7 @@ let test_bucketed_entries_shared () =
 (* Janitor: debris sweep, quarantine age-out, LRU budget, lease immunity *)
 
 module Janitor = Gcd2_store.Janitor
+module Counters = Gcd2_util.Stats.Counters
 module Lease = Gcd2_store.Lease
 
 let rm_rf dir =
@@ -489,10 +490,10 @@ let test_janitor_sweeps_debris () =
   write_file (Filename.concat dir "deadkey.lease") "pid=999999999 stamp=0.0\n";
   let cfg = { Janitor.default with Janitor.tmp_max_age_s = 60.0; bad_max_age_s = 60.0 } in
   let r = Janitor.sweep ~dir cfg in
-  check_int "one tmp removed" 1 r.Janitor.tmp_removed;
-  check_int "one bad removed" 1 r.Janitor.bad_removed;
-  check_int "dead-pid lease broken" 1 r.Janitor.leases_broken;
-  check_int "no errors" 0 r.Janitor.errors;
+  check_int "one tmp removed" 1 (Counters.get r "tmp_removed");
+  check_int "one bad removed" 1 (Counters.get r "bad_removed");
+  check_int "dead-pid lease broken" 1 (Counters.get r "leases_broken");
+  check_int "no errors" 0 (Counters.get r "errors");
   let left = Sys.readdir dir |> Array.to_list |> List.sort compare in
   Alcotest.(check (list string))
     "young debris and fresh quarantine survive"
@@ -501,7 +502,8 @@ let test_janitor_sweeps_debris () =
   (* a second sweep over the clean directory is a no-op *)
   let r2 = Janitor.sweep ~dir cfg in
   check_int "idempotent: nothing more to remove" 0
-    (r2.Janitor.tmp_removed + r2.Janitor.bad_removed + r2.Janitor.leases_broken)
+    (Counters.get r2 "tmp_removed" + Counters.get r2 "bad_removed"
+    + Counters.get r2 "leases_broken")
 
 let test_janitor_lru_eviction () =
   with_dir @@ fun dir ->
@@ -512,9 +514,9 @@ let test_janitor_lru_eviction () =
     (* budget fits exactly the two newest entries *)
     let cfg = { Janitor.default with Janitor.max_bytes = Some (size middle + size newest) } in
     let r = Janitor.sweep ~dir cfg in
-    check_int "oldest entry evicted first" 1 r.Janitor.evicted;
-    check_int "evicted bytes accounted" oldest_bytes r.Janitor.evicted_bytes;
-    check_int "surviving entries" 2 r.Janitor.entries;
+    check_int "oldest entry evicted first" 1 (Counters.get r "evicted");
+    check_int "evicted bytes accounted" oldest_bytes (Counters.get r "evicted_bytes");
+    check_int "surviving entries" 2 (Counters.get r "entries");
     Alcotest.(check (list string))
       "LRU order: oldest gone, newer two intact"
       (List.sort compare [ middle ^ ".gcd2art"; newest ^ ".gcd2art" ])
@@ -536,13 +538,13 @@ let test_janitor_never_evicts_leased () =
     let size d = (Unix.stat (Filename.concat dir (d ^ ".gcd2art"))).Unix.st_size in
     let cfg = { Janitor.default with Janitor.max_bytes = Some (size oldest) } in
     let r = Janitor.sweep ~dir cfg in
-    check_int "leased victim skipped" 1 r.Janitor.skipped_leased;
-    check_int "younger entry evicted instead" 1 r.Janitor.evicted;
+    check_int "leased victim skipped" 1 (Counters.get r "skipped_leased");
+    check_int "younger entry evicted instead" 1 (Counters.get r "evicted");
     Alcotest.(check (list string))
       "leased entry survives eviction" [ oldest ^ ".gcd2art" ] (entry_names dir);
     check_bool "lease file intact" true
       (Sys.file_exists (Lease.path ~dir oldest));
-    check_int "newest gone" (size oldest) r.Janitor.bytes;
+    check_int "newest gone" (size oldest) (Counters.get r "bytes");
     ignore newest
   | ds -> Alcotest.failf "expected 2 primed entries, got %d" (List.length ds)
 

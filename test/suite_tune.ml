@@ -1,9 +1,9 @@
 (* Tests for the tiled-kernel autotuner: the candidate space only
    contains specs the generators accept (and they really generate,
-   bit-exactly), the packing lower bound never exceeds generated
-   cycles, tuning never loses to the adaptive heuristic, and a tuned
-   compile changes only the schedule — VM outputs stay bit-identical
-   while the request fingerprint (and hence the cache entry) moves. *)
+   bit-exactly), tuning never loses to the adaptive heuristic, and a
+   tuned compile changes only the schedule — VM outputs stay
+   bit-identical while the request fingerprint (and hence the cache
+   entry) moves. *)
 
 module Simd = Gcd2_codegen.Simd
 module Matmul = Gcd2_codegen.Matmul
@@ -29,10 +29,10 @@ module B = Graph.Builder
 
 let mult, shift = Sat.quantize_multiplier 0.05
 
-let base_spec ?(device = Desc.hexagon698) simd ~m ~k ~n =
+let base_spec simd ~m ~k ~n =
   let un = max 2 (Gcd2_tensor.Layout.column_group (Simd.layout simd)) in
   {
-    Matmul.device;
+    Matmul.device = Desc.hexagon698;
     simd;
     m;
     k;
@@ -89,25 +89,6 @@ let qcheck_space_generates =
         (fun u ->
           let got = Testbench.run (with_setting base u) ~a ~w in
           got.Testbench.data = want)
-        sample)
-
-(* ------------------------------------------------------------------ *)
-(* The packing lower bound *)
-
-let qcheck_lower_bound_sound =
-  QCheck.Test.make ~name:"lower bound never exceeds generated cycles" ~count:40
-    QCheck.(quad (int_range 1 150) (int_range 1 64) (int_range 1 24) (int_range 0 5))
-    (fun (m, k, n, i) ->
-      let device = if i >= 3 then Desc.hexagon_g2 else Desc.hexagon698 in
-      let base = base_spec ~device (simd_of_int i) ~m ~k ~n in
-      let space = Tile.space base in
-      let sample =
-        List.filteri (fun j _ -> j mod max 1 (List.length space / 4) = 0) space
-      in
-      List.for_all
-        (fun u ->
-          let s = with_setting base u in
-          Tile.lower_bound s <= Matmul.cycles s)
         sample)
 
 (* ------------------------------------------------------------------ *)
@@ -221,13 +202,13 @@ let test_tuned_compile_outputs_identical () =
       if not (T.equal_data t o_tuned.(i)) then
         Alcotest.failf "node %d: tuned compile's output differs" i)
     o_plain;
-  (* counters: every tuned compile enumerates and costs; prune + cost
-     never exceeds the enumeration *)
+  (* counters: every tuned compile enumerates and costs; costings never
+     exceed the enumeration *)
   let counter n = Trace.counter tuned.Compiler.trace n in
   Alcotest.(check bool) "candidates counted" true (counter "tune-candidates" > 0);
   Alcotest.(check bool) "costings counted" true (counter "tune-costed" > 0);
-  Alcotest.(check bool) "pruned+costed <= candidates" true
-    (counter "tune-pruned" + counter "tune-costed" <= counter "tune-candidates")
+  Alcotest.(check bool) "costed <= candidates" true
+    (counter "tune-costed" <= counter "tune-candidates")
 
 let test_tuned_fingerprint_distinct () =
   let g = weighted_cnn 5 in
@@ -310,7 +291,6 @@ let tests =
   [
     QCheck_alcotest.to_alcotest qcheck_space_feasible;
     QCheck_alcotest.to_alcotest qcheck_space_generates;
-    QCheck_alcotest.to_alcotest qcheck_lower_bound_sound;
     QCheck_alcotest.to_alcotest qcheck_tuned_never_worse;
     Alcotest.test_case "verify path never loses to heuristic" `Quick
       test_tune_verified_winner;

@@ -209,6 +209,112 @@ let test_pool_merges_worker_traces () =
   Alcotest.(check bool) "worker span tree merged" true
     (Trace.find tr "work" <> None)
 
+(* ---------------- trace output, byte for byte ---------------- *)
+
+(* The sinks print each closed span's wall-clock seconds as [%.6f];
+   replace each such figure with [S] so the rest of a line compares
+   exactly. *)
+let mask_seconds s =
+  let n = String.length s in
+  let digit i = i < n && s.[i] >= '0' && s.[i] <= '9' in
+  let b = Buffer.create n in
+  let rec go i =
+    if i < n then
+      if digit i then begin
+        let j = ref i in
+        while digit !j do incr j done;
+        let frac = !j + 1 in
+        if frac + 6 <= n && s.[!j] = '.' && List.for_all digit (List.init 6 (( + ) frac))
+        then begin
+          Buffer.add_char b 'S';
+          go (frac + 6)
+        end
+        else begin
+          Buffer.add_string b (String.sub s i (!j - i));
+          go !j
+        end
+      end
+      else begin
+        Buffer.add_char b s.[i];
+        go (i + 1)
+      end
+  in
+  go 0;
+  Buffer.contents b
+
+(* A fixed nested trace: root and child counters, a zero-valued counter,
+   a span entered twice, and one absorbed worker trace whose spans merge
+   with the parent's same-named ones. *)
+let pinned_trace sink =
+  let w = Trace.create "worker" in
+  Trace.run_root w (fun () ->
+      Trace.add w "tasks" 1;
+      Trace.with_span w "pack" (fun () ->
+          Trace.add w "packets" 3;
+          Trace.add w "stalls" 1);
+      Trace.with_span w "emit" (fun () -> Trace.add w "kernels" 2));
+  let t = Trace.create ~sink "compile" in
+  Trace.with_ambient t (fun () ->
+      Trace.run_root t (fun () ->
+          Trace.count "nodes" 7;
+          Trace.with_span t "build-costs" (fun () ->
+              Trace.count "plans" 4;
+              Trace.in_span "pack" (fun () ->
+                  Trace.count "packets" 5;
+                  Trace.count "stalls" 0);
+              Trace.absorb (Trace.root w);
+              Trace.count "plans" 1);
+          Trace.with_span t "select" (fun () -> Trace.count "partitions" 2);
+          Trace.with_span t "select" (fun () -> ())));
+  t
+
+let test_trace_output_pinned () =
+  let sink_output make =
+    let buf = Buffer.create 256 in
+    let ppf = Format.formatter_of_buffer buf in
+    ignore (pinned_trace (make ppf));
+    Format.pp_print_flush ppf ();
+    mask_seconds (Buffer.contents buf)
+  in
+  Alcotest.(check string) "text sink"
+    "[trace] compile/build-costs/pack Ss packets=5 stalls=0\n\
+     [trace] compile/build-costs Ss plans=5 tasks=1\n\
+     [trace] compile/select Ss partitions=2\n\
+     [trace] compile/select Ss partitions=2\n\
+     [trace] compile Ss nodes=7\n"
+    (sink_output (fun ppf -> Trace.Text ppf));
+  Alcotest.(check string) "jsonl sink"
+    {|{"span":"pack","path":"compile/build-costs/pack","seconds":S,"calls":1,"counters":{"packets":5,"stalls":0}}
+{"span":"build-costs","path":"compile/build-costs","seconds":S,"calls":1,"counters":{"plans":5,"tasks":1}}
+{"span":"select","path":"compile/select","seconds":S,"calls":1,"counters":{"partitions":2}}
+{"span":"select","path":"compile/select","seconds":S,"calls":2,"counters":{"partitions":2}}
+{"span":"compile","path":"compile","seconds":S,"calls":1,"counters":{"nodes":7}}
+|}
+    (sink_output (fun ppf -> Trace.Jsonl ppf));
+  let t = pinned_trace Trace.Silent in
+  (* fixed seconds, so [pp] compares exactly too *)
+  let i = ref 0 in
+  let rec fix (s : Trace.span) =
+    incr i;
+    s.Trace.seconds <- 0.0625 *. float_of_int !i;
+    List.iter fix s.Trace.children
+  in
+  fix (Trace.root t);
+  Alcotest.(check string) "pp"
+    {|compile                                0.0625 s  nodes=7
+  build-costs                          0.1250 s  plans=5  tasks=1
+    pack                               0.1875 s  (2 calls)  packets=8  stalls=1
+    emit                               0.2500 s  kernels=2
+  select                               0.3125 s  (2 calls)  partitions=2
+|}
+    (Format.asprintf "%a" Trace.pp t);
+  check_int "counter sums over spans" 8 (Trace.counter t "packets");
+  (* benchmark/w_compile.ml still reads the deleted [tune-pruned] *)
+  check_int "never-bumped counter reads 0" 0 (Trace.counter t "tune-pruned");
+  Alcotest.(check (list string)) "counter names, first-seen depth-first"
+    [ "nodes"; "plans"; "tasks"; "packets"; "stalls"; "kernels"; "partitions" ]
+    (Trace.counter_names t)
+
 (* ---------------- latency histograms (Stats.Hist) ---------------- *)
 
 let test_hist_buckets () =
@@ -306,6 +412,64 @@ let qcheck_hist_merge_count =
       Stats.Hist.count (Stats.Hist.merge a b)
       = List.length xs + List.length ys)
 
+(* ---------------- named counters (Stats.Counters) ---------------- *)
+
+let counters_of bumps =
+  let c = Stats.Counters.create [] in
+  List.iter (fun (k, n) -> Stats.Counters.add c k n) bumps;
+  c
+
+let keys c = List.map fst (Stats.Counters.to_list c)
+
+let test_counters () =
+  let c = Stats.Counters.create [ "served"; "failed"; "hits" ] in
+  Alcotest.(check string) "declared keys render at zero" "served=0 failed=0 hits=0"
+    (Stats.Counters.render c);
+  Stats.Counters.add c "hits" 2;
+  Stats.Counters.add c "sweeps" 1;
+  Stats.Counters.add c "served" 3;
+  Alcotest.(check string) "values, first-use order" "served=3 failed=0 hits=2 sweeps=1"
+    (Stats.Counters.render c);
+  check_int "a never-bumped key reads 0" 0 (Stats.Counters.get c "respawns");
+  Alcotest.(check string) "empty registry renders nothing" ""
+    (Stats.Counters.render (Stats.Counters.create []));
+  let d = counters_of [ ("adopted", 4); ("hits", 1) ] in
+  let m = Stats.Counters.merge c d in
+  Alcotest.(check string) "merge keeps the left order, appends new keys"
+    "served=3 failed=0 hits=3 sweeps=1 adopted=4" (Stats.Counters.render m);
+  Alcotest.(check string) "merge is pure" "served=3 failed=0 hits=2 sweeps=1"
+    (Stats.Counters.render c);
+  Stats.Counters.merge_into ~into:c d;
+  Alcotest.(check string) "merge_into = merge" (Stats.Counters.render m)
+    (Stats.Counters.render c)
+
+let bumps =
+  QCheck.(
+    list_of_size Gen.(0 -- 20) (pair (oneofl [ "a"; "b"; "c"; "d"; "e" ]) (int_range 0 100)))
+
+let qcheck_counters_merge_associative =
+  QCheck.Test.make ~name:"counters merge is associative" ~count:200
+    QCheck.(triple bumps bumps bumps)
+    (fun (xs, ys, zs) ->
+      let a = counters_of xs and b = counters_of ys and c = counters_of zs in
+      Stats.Counters.(to_list (merge (merge a b) c) = to_list (merge a (merge b c))))
+
+let qcheck_counters_merge_commutative =
+  QCheck.Test.make ~name:"counters merge is commutative up to key order" ~count:200
+    QCheck.(pair bumps bumps)
+    (fun (xs, ys) ->
+      let a = counters_of xs and b = counters_of ys in
+      let sorted c = List.sort compare (Stats.Counters.to_list c) in
+      sorted (Stats.Counters.merge a b) = sorted (Stats.Counters.merge b a))
+
+let qcheck_counters_merge_order =
+  QCheck.Test.make ~name:"counters merge keeps first-use order" ~count:200
+    QCheck.(pair bumps bumps)
+    (fun (xs, ys) ->
+      let a = counters_of xs and b = counters_of ys in
+      keys (Stats.Counters.merge a b)
+      = keys a @ List.filter (fun k -> not (List.mem k (keys a))) (keys b))
+
 (* ---------------- deadlines are domain-local ---------------- *)
 
 (* Regression for the serve daemon: two worker domains with staggered
@@ -389,4 +553,10 @@ let tests =
     QCheck_alcotest.to_alcotest qcheck_hist_merge_commutative;
     QCheck_alcotest.to_alcotest qcheck_hist_merge_associative;
     QCheck_alcotest.to_alcotest qcheck_hist_merge_count;
+    Alcotest.test_case "trace text, jsonl and pp output pinned" `Quick
+      test_trace_output_pinned;
+    Alcotest.test_case "counters: order, zeros, render, merge" `Quick test_counters;
+    QCheck_alcotest.to_alcotest qcheck_counters_merge_associative;
+    QCheck_alcotest.to_alcotest qcheck_counters_merge_commutative;
+    QCheck_alcotest.to_alcotest qcheck_counters_merge_order;
   ]
