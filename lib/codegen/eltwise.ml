@@ -83,8 +83,8 @@ let binary_body op s ~ra ~rb ~ro ~regs count =
   Emit.bump e ro (count * vbytes);
   Emit.block ~desc:s.device ~strategy:s.strategy e
 
-(** Generate a binary elementwise kernel. *)
-let binary ?(tables = []) op s (b : buffers) =
+(* Uncached emission, the body of both [binary] and [binary_cycles]. *)
+let emit_binary ~tables op s (b : buffers) =
   Gcd2_util.Trace.in_span "eltwise-emit" @@ fun () ->
   validate s;
   let pool = Regs.create ~desc:s.device () in
@@ -114,9 +114,7 @@ let binary ?(tables = []) op s (b : buffers) =
   in
   Program.make ~tables name nodes
 
-(** Generate a unary lookup kernel ([table] maps input bytes to output
-    bytes): activations, [Pow], reciprocal, requantize. *)
-let unary ?(tables = []) ~table s ~in_base ~out_base =
+let emit_unary ~tables ~table s ~in_base ~out_base =
   Gcd2_util.Trace.in_span "eltwise-emit" @@ fun () ->
   validate s;
   let vbytes = s.device.Desc.vector_bytes in
@@ -147,6 +145,38 @@ let unary ?(tables = []) ~table s ~in_base ~out_base =
     @ if rest > 0 then [ body rest ] else []
   in
   Program.make ~tables "eltwise_unary" nodes
+
+(* Materialized kernels, keyed by every argument that reaches the
+   emitter (see {!Matmul.generate}): each inference's elementwise nodes
+   run the programs the previous one translated. *)
+let binary_memo :
+    (binary * spec * (int * int array) list * buffers, Program.t) Gcd2_util.Memo.t =
+  Gcd2_util.Memo.create "eltwise-binary"
+
+let unary_memo :
+    (spec * (int * int array) list * int * int * int, Program.t) Gcd2_util.Memo.t =
+  Gcd2_util.Memo.create "eltwise-unary"
+
+(** Generate a binary elementwise kernel (memoized). *)
+let binary ?(tables = []) op s b =
+  Gcd2_util.Memo.find_or_add binary_memo (op, s, tables, b) (fun () ->
+      emit_binary ~tables op s b)
+
+(** Generate a unary lookup kernel ([table] maps input bytes to output
+    bytes): activations, [Pow], reciprocal, requantize (memoized). *)
+let unary ?(tables = []) ~table s ~in_base ~out_base =
+  Gcd2_util.Memo.find_or_add unary_memo (s, tables, table, in_base, out_base) (fun () ->
+      emit_unary ~tables ~table s ~in_base ~out_base)
+
+(* Costing reads a count from an uncached emission: the candidates it
+   visits never become programs anything retains. *)
+let binary_cycles op s =
+  Program.static_cycles ~desc:s.device
+    (emit_binary ~tables:[] op s { a_base = 0; b_base = 4096; out_base = 8192 })
+
+let unary_cycles s =
+  Program.static_cycles ~desc:s.device
+    (emit_unary ~tables:[] ~table:0 s ~in_base:0 ~out_base:0)
 
 let default_spec ?(strategy = Packer.sda) ?(device = Desc.hexagon698) ~vectors () =
   {

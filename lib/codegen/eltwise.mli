@@ -24,11 +24,20 @@ type spec = {
 
 type buffers = { a_base : int; b_base : int; out_base : int }
 
+(** The binary kernel program, memoized on all of its arguments (see
+    {!Matmul.generate}). *)
 val binary : ?tables:(int * int array) list -> binary -> spec -> buffers -> Program.t
 
+(** The unary lookup kernel program, memoized likewise. *)
 val unary :
   ?tables:(int * int array) list -> table:int -> spec -> in_base:int -> out_base:int ->
   Program.t
+
+(** Static cycles of the binary / unary kernel, from an uncached
+    emission (costing keeps counts, never programs). *)
+val binary_cycles : binary -> spec -> int
+
+val unary_cycles : spec -> int
 
 val default_spec :
   ?strategy:Packer.strategy -> ?device:Gcd2_devices.Desc.t -> vectors:int -> unit -> spec

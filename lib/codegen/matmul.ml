@@ -30,10 +30,11 @@ type addressing =
           unit — the generic loop-nest lowering of compilers that do not
           specialize addressing to the layout *)
 
-(* [spec] is the memo key of [cycles] (Gcd2_util.Memo): it must stay pure
-   data and keep determining the emitted loop nest completely — a new
-   field that changes generation enters the key automatically *because*
-   the whole record is the key; never memoize on a projection of it. *)
+(* [spec] is the memo key of [cycles] and leads that of [generate]
+   (Gcd2_util.Memo): it must stay pure data and keep determining the
+   emitted loop nest completely — a new field that changes generation
+   enters the keys automatically *because* the whole record is in them;
+   never memoize on a projection of it. *)
 type spec = {
   device : Desc.t;  (** target device (vector width, slots, latencies) *)
   simd : Simd.t;
@@ -603,27 +604,47 @@ let generate_vrmpy ?per_channel ?q_base ctx (b : buffers) =
 
 (* ------------------------------------------------------------------ *)
 
-(** Generate the kernel program.  [tables] should already contain the
-    fused-activation table if [act_table] is set.  [per_channel] enables
-    per-output-channel requantization: [(mults, shift)] as produced by
-    {!Gcd2_tensor.Quant.per_channel_requant}, with the multiplier vectors
-    prepacked at [q_base] ({!Weights.prepack_channel_mults}). *)
-let generate ?(tables = []) ?per_channel ?q_base spec buffers =
+(* Emit (and SDA-pack) the kernel, uncached: the body of both
+   [generate] and [cycles]. *)
+let emit ~tables ?per_channel ~q_base spec buffers =
   Gcd2_util.Trace.in_span "matmul-emit" @@ fun () ->
   let ctx = make_ctx spec in
   let nodes, _pool =
     match spec.simd with
-    | Simd.I_vmpy -> generate_vmpy ?per_channel ?q_base ctx buffers
-    | Simd.I_vmpa -> generate_vmpa ?per_channel ?q_base ctx buffers
-    | Simd.I_vrmpy -> generate_vrmpy ?per_channel ?q_base ctx buffers
+    | Simd.I_vmpy -> generate_vmpy ?per_channel ~q_base ctx buffers
+    | Simd.I_vmpa -> generate_vmpa ?per_channel ~q_base ctx buffers
+    | Simd.I_vrmpy -> generate_vrmpy ?per_channel ~q_base ctx buffers
   in
   Program.make ~tables (Fmt.str "matmul_%s_%dx%dx%d" (Simd.name spec.simd) spec.m spec.k spec.n)
     nodes
 
+(* Materialized kernels, keyed by every argument that reaches the
+   emitter.  Calls with equal arguments (nodes of one artifact with
+   equal specs, a node's execution in every inference) share one
+   physical program, so the VM's decode cache translates it once per
+   process. *)
+let program_memo :
+    ( spec * (int * int array) list * (int array * int) option * int * buffers,
+      Program.t )
+    Gcd2_util.Memo.t =
+  Gcd2_util.Memo.create "matmul-program"
+
+(** Generate the kernel program.  [tables] should already contain the
+    fused-activation table if [act_table] is set.  [per_channel] enables
+    per-output-channel requantization: [(mults, shift)] as produced by
+    {!Gcd2_tensor.Quant.per_channel_requant}, with the multiplier vectors
+    prepacked at [q_base] ({!Weights.prepack_channel_mults}).  Memoized
+    on all of its arguments. *)
+let generate ?(tables = []) ?per_channel ?(q_base = 0) spec buffers =
+  Gcd2_util.Memo.find_or_add program_memo (spec, tables, per_channel, q_base, buffers)
+    (fun () -> emit ~tables ?per_channel ~q_base spec buffers)
+
 (* Generating and SDA-packing a kernel is ~99% of a cold compile, and the
    spec determines the program exactly, so each unique spec is costed
    once per process.  Plan enumeration repeats specs heavily (every conv
-   of a given shape, every unroll candidate revisited per node). *)
+   of a given shape, every unroll candidate revisited per node).  Only
+   the count is kept: the thousands of candidates costing visits never
+   become programs anything retains. *)
 let cycles_memo : (spec, int) Gcd2_util.Memo.t = Gcd2_util.Memo.create "matmul-cycles"
 
 (** Static cycle count of the kernel (buffer addresses do not affect it).
@@ -632,4 +653,4 @@ let cycles_memo : (spec, int) Gcd2_util.Memo.t = Gcd2_util.Memo.create "matmul-c
 let cycles spec =
   Gcd2_util.Memo.find_or_add cycles_memo spec (fun () ->
       Program.static_cycles ~desc:spec.device
-        (generate spec { a_base = 0; w_base = 0; c_base = 0 }))
+        (emit ~tables:[] ~q_base:0 spec { a_base = 0; w_base = 0; c_base = 0 }))

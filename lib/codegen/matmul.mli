@@ -62,7 +62,9 @@ val fits_registers : ?per_channel:bool -> spec -> bool
     {!Gcd2_tensor.Quant.per_channel_requant}, with the multiplier vectors
     prepacked at [q_base] ({!Weights.prepack_channel_mults}); the uniform
     [mult]/[shift] of the spec are then ignored.  Raises on invalid unroll
-    settings. *)
+    settings.  Memoized on all of its arguments: calls with equal
+    arguments share one physical program, so the simulator's decode
+    cache translates it once. *)
 val generate :
   ?tables:(int * int array) list ->
   ?per_channel:int array * int ->
@@ -71,5 +73,6 @@ val generate :
   buffers ->
   Program.t
 
-(** Static cycles of the kernel (buffer addresses do not affect it). *)
+(** Static cycles of the kernel (buffer addresses do not affect it).
+    Memoizes the count only, never the program. *)
 val cycles : spec -> int

@@ -44,6 +44,8 @@ let kernel ?(tables = []) ?per_channel (spec : Matmul.spec) =
   in
   { spec; prog; packed_q; a_base; w_base; c_base; q_base; out_bytes; mem_bytes }
 
+let program kn = kn.prog
+
 let exec kn ~a ~w =
   let { Matmul.simd; m; k; n; _ } = kn.spec in
   let mach = Machine.scratch ~mem_bytes:kn.mem_bytes () in

@@ -12,10 +12,15 @@ type result = {
 (** A generated kernel with its memory map. *)
 type kernel
 
-(** [kernel spec] generates (and packs) the kernel once;
-    [per_channel] = [(mults, shift)] enables per-channel requantization. *)
+(** [kernel spec] lays out the kernel's memory and takes its program
+    from {!Matmul.generate}, so equal specs share one physical program
+    across calls; [per_channel] = [(mults, shift)] enables per-channel
+    requantization. *)
 val kernel :
   ?tables:(int * int array) list -> ?per_channel:int array * int -> Matmul.spec -> kernel
+
+(** The program {!exec} runs. *)
+val program : kernel -> Gcd2_isa.Program.t
 
 (** [exec kn ~a ~w] — [a] row-major M x K, [w] row-major K x N: stage
     them, run the kernel's one physical program (so repeated calls hit the

@@ -326,8 +326,17 @@ let run_with_stats (c : Compiler.compiled) ~inputs =
             ~out_dims:(Array.copy node.Graph.out_shape)
         | Op.Conv2d { kh; kw; stride; pad; cout; act } when plan.Plan.simd <> None ->
           let x = value (List.hd node.Graph.inputs) in
-          let patches, rows, cols, _, _ = Interp.im2col x ~kh ~kw ~stride ~pad in
-          let staged = T.of_array ~quant:x.T.quant [| rows; cols |] patches in
+          let staged =
+            if kh = 1 && kw = 1 && stride = 1 then
+              (* the patch matrix of a 1x1 stride-1 convolution is its
+                 input (im2col ignores the padding of a 1-wide window) *)
+              let rows, cols = T.matrix_dims x in
+              T.reshape x [| rows; cols |]
+            else
+              let patches, rows, cols, _, _ = Interp.im2col x ~kh ~kw ~stride ~pad in
+              T.of_array ~quant:x.T.quant [| rows; cols |] patches
+          in
+          let rows, cols = T.matrix_dims staged in
           let w = weight_of node in
           let w2 = T.reshape w [| cols; cout |] in
           run_matmul ~stats ~options ~plan ~act staged w2 ~m:rows ~k:cols ~n:cout

@@ -46,16 +46,12 @@ let pool_memo : (Desc.t * Packer.strategy * int * int, float) Gcd2_util.Memo.t =
 let unary_cycles_at ~device ~strategy ~vectors uv =
   Gcd2_util.Memo.find_or_add unary_memo (device, strategy, uv, vectors) (fun () ->
       let s = { (Eltwise.default_spec ~strategy ~device ~vectors ()) with Eltwise.uv = uv } in
-      let prog = Eltwise.unary ~table:0 s ~in_base:0 ~out_base:0 in
-      float_of_int (Program.static_cycles ~desc:device prog))
+      float_of_int (Eltwise.unary_cycles s))
 
 let binary_cycles_at ~device ~strategy ~op ~vectors uv =
   Gcd2_util.Memo.find_or_add binary_memo (device, strategy, op, uv, vectors) (fun () ->
       let s = { (Eltwise.default_spec ~strategy ~device ~vectors ()) with Eltwise.uv = uv } in
-      let prog =
-        Eltwise.binary op s { Eltwise.a_base = 0; b_base = 4096; out_base = 8192 }
-      in
-      float_of_int (Program.static_cycles ~desc:device prog))
+      float_of_int (Eltwise.binary_cycles op s))
 
 (* Deterministic argmin over the candidate unrolls: strict improvement
    only, so ties resolve to the smallest uv. *)

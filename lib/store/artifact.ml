@@ -3,7 +3,8 @@
     An artifact is everything the compiler produces for one request: the
     optimized graph, the enumerated plan tables, the globally selected
     assignment with its objective value, the latency report, and the
-    packed VLIW program of every node the plan runs on the SIMD unit.
+    packed VLIW program of every node the plan runs on the SIMD unit
+    (each distinct kernel stored once).
     Loading an artifact and handing it back to {!Gcd2.Compiler} must be
     indistinguishable from recompiling — the cost tables are rebuilt from
     the stored plans, so no closure ever crosses the serialization
@@ -74,16 +75,24 @@ let version_word =
 let digest_hex_len = 32
 let header_len = 8 + 4 + digest_hex_len + 16 + 8
 
-(** Packed programs of the chosen assignment: one generated kernel per
-    node whose selected plan runs on the SIMD unit. *)
+(** Packed programs of the chosen assignment: the generated kernel of
+    each node whose selected plan runs on the SIMD unit.  Nodes with
+    equal specs share one physical program, which [Marshal] (it keeps
+    sharing) stores once.  The table is the artifact's own, not just
+    {!Matmul.generate}'s memo, so the sharing and hence the encoded bytes
+    never depend on the memo's state. *)
 let programs_of ~options (g : Graph.t) plans assignment =
+  let kernels = Hashtbl.create 16 in
   Array.init (Graph.size g) (fun v ->
       let node = Graph.node g v in
-      let plan = plans.(v).(assignment.(v)) in
-      match Opcost.plan_spec options g node plan with
-      | Some spec ->
-        Some (Matmul.generate spec { Matmul.a_base = 0; w_base = 0; c_base = 0 })
-      | None -> None)
+      Opcost.plan_spec options g node plans.(v).(assignment.(v))
+      |> Option.map (fun spec ->
+             match Hashtbl.find_opt kernels spec with
+             | Some prog -> prog
+             | None ->
+               let prog = Matmul.generate spec { Matmul.a_base = 0; w_base = 0; c_base = 0 } in
+               Hashtbl.add kernels spec prog;
+               prog))
 
 (* ------------------------------------------------------------------ *)
 (* Encoding                                                            *)

@@ -8,7 +8,12 @@
     generator spec determines the emitted loop nest, hence its packed
     cycle count; costing each {e unique} spec once collapses the
     hundreds of per-node kernel generations of a cold compile into the
-    dozens that are actually distinct.
+    dozens that are actually distinct.  The rule for kernels: costing
+    memoizes cycles (an int per spec, so the thousands of candidates
+    the heuristics and the autotuner visit retain no program), while
+    materializing a kernel ({!Gcd2_codegen.Matmul.generate},
+    [Eltwise.binary]/[unary], the [Rowops] passes) memoizes the program,
+    so every use of it shares one physical value.
 
     {b Key discipline}: always key by the full spec value (a pure-data
     record), never by a hand-picked subset of its fields — a new spec
@@ -25,7 +30,9 @@
     [memo-hits] / [memo-misses] counters.
 
     Values live for the whole process, deliberately: a serving loop
-    compiling many models reuses kernel costings across requests.
+    compiling many models reuses kernel costings across requests, and
+    repeated inferences reuse the programs (and the simulator's
+    translations of them) the first one built.
     Benchmarks measuring a {e cold} compile must call {!clear_all}
     first — "first kernel of a shape" and "repeat kernel" now cost very
     different amounts. *)

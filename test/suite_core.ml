@@ -81,6 +81,23 @@ let weighted_attention seed =
   let _ = B.add b Op.Layer_norm [ s ] in
   B.finish b
 
+(* One node of every kernel family the runtime materializes: a conv, a
+   residual add, a matmul, a batched matmul and a softmax. *)
+let weighted_mixed seed =
+  let rng = Rng.create seed in
+  let b = B.create () in
+  let x = B.input b [| 1; 4; 4; 8 |] in
+  let w1 = T.random ~quant:weight_q rng [| 3; 3; 8; 8 |] in
+  let c = B.conv2d ~weight:w1 b x ~kh:3 ~kw:3 ~stride:1 ~pad:1 ~cout:8 in
+  let s = B.add b Op.Add [ x; c ] in
+  let flat = B.add b (Op.Reshape { shape = [| 16; 8 |] }) [ s ] in
+  let w2 = T.random ~quant:weight_q rng [| 8; 8 |] in
+  let m = B.matmul ~weight:w2 b flat ~cout:8 in
+  let h = B.add b (Op.Reshape { shape = [| 2; 8; 8 |] }) [ m ] in
+  let scores = B.add b (Op.Batch_matmul { transpose_b = true }) [ h; h ] in
+  let _ = B.add b Op.Softmax [ scores ] in
+  B.finish b
+
 let run_both ?config graph_fn seed =
   let g = graph_fn seed in
   let c = Compiler.compile ?config g in
@@ -173,6 +190,8 @@ let test_bmm_one_kernel_per_node () =
     }
   in
   let one = Trace.create "one kernel" in
+  (* cold, or the kernel memo would answer without packing anything *)
+  Gcd2_util.Memo.clear_all ();
   Trace.with_ambient one (fun () -> ignore (Testbench.kernel spec));
   Alcotest.(check bool) "a kernel packs some packets" true (Trace.counter one "packets" > 0);
   Alcotest.(check int) "one kernel's packets" (Trace.counter one "packets")
@@ -184,6 +203,35 @@ let test_bmm_one_kernel_per_node () =
   Alcotest.(check int) "vm cycles = sum over slices"
     (List.fold_left (fun acc r -> acc + r.Testbench.cycles) 0 slices)
     stats.Runtime.vm_cycles
+
+(* Kernels are generated once per process: a second inference of the
+   same compiled model runs the programs the first one built (and the
+   simulator translated), so nothing is emitted or packed again, and
+   the outputs and cycles do not move. *)
+let test_second_inference_packs_nothing () =
+  let module Trace = Gcd2_util.Trace in
+  Gcd2_util.Memo.clear_all ();
+  let c = Compiler.compile (weighted_mixed 3) in
+  let inputs = [ (0, T.random (Rng.create 21) [| 1; 4; 4; 8 |]) ] in
+  let run () =
+    let trace = Trace.create "inference" in
+    let outs, stats = Trace.with_ambient trace (fun () -> Runtime.run_with_stats c ~inputs) in
+    (trace, outs, stats)
+  in
+  let t1, first, s1 = run () in
+  let t2, second, s2 = run () in
+  check_equal "first inference" first (Interp.run c.Compiler.graph ~inputs);
+  List.iter
+    (fun kind ->
+      let on_vm =
+        match Hashtbl.find_opt s1.Runtime.kinds kind with Some k -> k.Runtime.k_vm | None -> 0
+      in
+      Alcotest.(check int) (kind ^ " node on the vm") 1 on_vm)
+    [ "conv2d"; "add"; "matmul"; "bmm"; "softmax" ];
+  Alcotest.(check bool) "the first inference packs" true (Trace.find t1 "pack" <> None);
+  Alcotest.(check bool) "the second packs nothing" true (Trace.find t2 "pack" = None);
+  check_equal "second inference" second first;
+  Alcotest.(check int) "same vm cycles" s1.Runtime.vm_cycles s2.Runtime.vm_cycles
 
 let test_all_selections_agree_functionally () =
   let configs =
@@ -286,6 +334,8 @@ let tests =
       test_attention_runtime_matches_reference;
     Alcotest.test_case "batched matmul: one kernel per node" `Quick
       test_bmm_one_kernel_per_node;
+    Alcotest.test_case "a second inference packs nothing" `Quick
+      test_second_inference_packs_nothing;
     Alcotest.test_case "all selections agree functionally" `Quick
       test_all_selections_agree_functionally;
     Alcotest.test_case "fusion reduces node count" `Quick test_fusion_reduces_nodes;

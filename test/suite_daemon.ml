@@ -295,8 +295,11 @@ let test_single_flight_coalesces_requests () =
 
 (* Backpressure: one worker, queue depth one.  While the worker is
    inside a cold compile and the queue already holds a connection, the
-   next connection is shed with a retryable rejection. *)
+   next connection is shed with a retryable rejection.  The memo tables
+   start empty, so the compile is fully cold and long enough (~0.6 s) to
+   hold the worker while the other two connections arrive. *)
 let test_backpressure_rejects_retryable () =
+  Gcd2_util.Memo.clear_all ();
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   with_daemon (config ~workers:1 ~queue_depth:1 dir) @@ fun d ->

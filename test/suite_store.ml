@@ -182,6 +182,148 @@ let test_roundtrip_bytes () =
     (Stdlib.Digest.to_hex (Stdlib.Digest.string raw))
     (Stdlib.Digest.to_hex (Stdlib.Digest.bytes (Artifact.to_bytes art)))
 
+(* Nodes with equal kernel specs share one stored program, and the
+   encoded artifact is the same bytes whatever the kernel memo holds:
+   warm, emptied, or losing every lookup. *)
+let test_artifact_stores_each_kernel_once () =
+  let module Opcost = Gcd2_cost.Opcost in
+  let module Fault = Gcd2_util.Fault in
+  let dir = temp_dir () in
+  let c = Compiler.compile ~cache_dir:dir (Zoo.build ~seq:16 "TinyBERT") in
+  let path = only_entry dir in
+  let art =
+    match Artifact.load ~path () with Ok (a, _) -> a | Error e -> Alcotest.failf "load: %s" e
+  in
+  let options = c.Compiler.config.Compiler.opcost in
+  let g = art.Artifact.graph in
+  let specs =
+    Array.init (Graph.size g) (fun v ->
+        Opcost.plan_spec options g (Graph.node g v)
+          art.Artifact.plans.(v).(art.Artifact.assignment.(v)))
+  in
+  let shared = ref 0 in
+  Array.iteri
+    (fun i si ->
+      Array.iteri
+        (fun j sj ->
+          if i < j && si <> None && si = sj then begin
+            incr shared;
+            check_bool "equal specs hold one program" true
+              (Option.get art.Artifact.programs.(i) == Option.get art.Artifact.programs.(j))
+          end)
+        specs)
+    specs;
+  check_bool "some nodes share a kernel" true (!shared > 0);
+  let stored = read_file path in
+  let encode () =
+    Bytes.to_string
+      (Artifact.to_bytes
+         {
+           art with
+           Artifact.programs =
+             Artifact.programs_of ~options g art.Artifact.plans art.Artifact.assignment;
+         })
+  in
+  check_bool "warm memo: same bytes" true (encode () = stored);
+  Gcd2_util.Memo.clear_all ();
+  check_bool "empty memo: same bytes" true (encode () = stored);
+  Fault.with_spec (Fault.parse_exn "seed=1,memo-lookup=1") (fun () ->
+      check_bool "every memo lookup missing: same bytes" true (encode () = stored))
+
+(* The program an artifact stores for a SIMD node is the program the
+   runtime executes for it, up to what differs by construction: the
+   buffer bases ([Smovi] immediates), the requantization ([Vscale]
+   multiplier and shift) and the lookup tables.  Both have the kernel
+   cycles the cost model charged the node. *)
+let test_stored_program_is_executed () =
+  let module Opcost = Gcd2_cost.Opcost in
+  let module Matmul = Gcd2_codegen.Matmul in
+  let module Testbench = Gcd2_codegen.Testbench in
+  let module Program = Gcd2_isa.Program in
+  let module Instr = Gcd2_isa.Instr in
+  let erase (p : Program.t) =
+    let instr = function
+      | Instr.Smovi (r, _) -> Instr.Smovi (r, 0)
+      | Instr.Vscale (d, s, _, _) -> Instr.Vscale (d, s, 0, 0)
+      | i -> i
+    in
+    let rec node = function
+      | Program.Block packets -> Program.Block (List.map (List.map instr) packets)
+      | Program.Loop { trip; body } -> Program.Loop { trip; body = List.map node body }
+    in
+    { p with Program.nodes = List.map node p.Program.nodes; tables = [] }
+  in
+  let hexagon698 = Gcd2_devices.Desc.hexagon698 in
+  List.iter
+    (fun (name, seq) ->
+      Gcd2_util.Memo.clear_all ();
+      let dir = temp_dir () in
+      let config = Compiler.with_device hexagon698 Compiler.default in
+      let c =
+        Compiler.compile ~config ~cache_dir:dir
+          (Zoo.with_random_weights (Zoo.build ?seq name))
+      in
+      let art =
+        match Artifact.load ~path:(only_entry dir) () with
+        | Ok (a, _) -> a
+        | Error e -> Alcotest.failf "load: %s" e
+      in
+      let g = c.Compiler.graph in
+      let rng = Rng.create 5 in
+      let inputs =
+        Graph.fold
+          (fun acc node ->
+            match node.Graph.op with
+            | Op.Input { shape } -> (node.Graph.id, T.random rng shape) :: acc
+            | _ -> acc)
+          [] g
+      in
+      let outs = Runtime.run c ~inputs in
+      let checked = ref 0 in
+      Graph.iter
+        (fun node ->
+          let id = node.Graph.id in
+          let plan =
+            c.Compiler.cost.Gcd2_cost.Graphcost.plans.(id).(c.Compiler.assignment.(id))
+          in
+          let options = c.Compiler.config.Compiler.opcost in
+          match (art.Artifact.programs.(id), Opcost.plan_spec options g node plan) with
+          | None, None -> ()
+          | Some stored, Some spec ->
+            (* the runtime's spec, rebuilt as [Runtime] builds it *)
+            let quant i = outs.(List.nth node.Graph.inputs i).T.quant in
+            let in_b, act =
+              match node.Graph.op with
+              | Op.Conv2d { act; _ } | Op.Matmul { act; _ } ->
+                ((Option.get node.Graph.weight).T.quant, act)
+              | _ -> (quant 1, None)
+            in
+            let mult, shift = Q.requant_multiplier ~in_a:(quant 0) ~in_b ~out:Q.default in
+            let tables =
+              match act with
+              | Some a -> [ (1, Gcd2_kernels.Lut.of_act ~in_q:Q.default ~out_q:Q.default a) ]
+              | None -> []
+            in
+            let runtime_spec = { spec with Matmul.device = hexagon698; mult; shift } in
+            let trace = Trace.create "runtime kernel" in
+            let executed =
+              Trace.with_ambient trace (fun () ->
+                  Testbench.program (Testbench.kernel ~tables runtime_spec))
+            in
+            let what = Printf.sprintf "%s node %d" name id in
+            check_int (what ^ ": the runtime built this kernel") 0
+              (Trace.counter trace "memo-misses");
+            check_bool (what ^ ": stored = executed up to immediates") true
+              (erase stored = erase executed);
+            let costed = Matmul.cycles spec in
+            check_int (what ^ ": stored cycles") costed (Program.static_cycles stored);
+            check_int (what ^ ": executed cycles") costed (Program.static_cycles executed);
+            incr checked
+          | _ -> Alcotest.failf "%s node %d: artifact and plan disagree on SIMD" name id)
+        g;
+      check_bool (name ^ ": some SIMD nodes") true (!checked > 0))
+    [ ("MobileNet-V3", None); ("TinyBERT", Some 64) ]
+
 let test_of_bytes_rejects_garbage () =
   let err b = match Artifact.of_bytes b with Ok _ -> "ok" | Error e -> e in
   Alcotest.(check string) "short input" "too short for header"
@@ -696,6 +838,10 @@ let tests =
       test_disabled_passes_do_not_share_entries;
     Alcotest.test_case "load never raises" `Quick test_load_never_raises;
     Alcotest.test_case "artifact round-trip is bit-identical" `Quick test_roundtrip_bytes;
+    Alcotest.test_case "artifact stores each distinct kernel once" `Quick
+      test_artifact_stores_each_kernel_once;
+    Alcotest.test_case "stored program is the executed program" `Quick
+      test_stored_program_is_executed;
     Alcotest.test_case "of_bytes rejects garbage" `Quick test_of_bytes_rejects_garbage;
     Alcotest.test_case "cache hit equals cold compile" `Quick test_cache_hit_equivalence;
     Alcotest.test_case "corrupt entries are misses" `Quick test_corrupt_entries_are_misses;
