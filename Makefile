@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is the tier-1 gate.
 
-.PHONY: all build test test-parallel test-devices chaos vm-smoke devices-smoke daemon-smoke tune-smoke attn-smoke crash-smoke check fmt-check fmt clean
+.PHONY: all build test test-parallel chaos vm-smoke devices-smoke daemon-smoke tune-smoke attn-smoke crash-smoke check fmt-check fmt clean
 
 all: build
 
@@ -16,16 +16,6 @@ test:
 # GCD2_JOBS as a dependency, so this is not a cached no-op after `test`.
 test-parallel:
 	GCD2_JOBS=2 dune runtest
-
-# Run the suite once per built-in machine description.  Library
-# defaults pin hexagon698 (the bit-identity goldens always run), but
-# entry points resolve their default device through GCD2_DEVICE, so the
-# second pass exercises the descriptor-generic paths on the wider
-# device.  test/dune declares GCD2_DEVICE, so neither pass is a cached
-# no-op.
-test-devices:
-	GCD2_DEVICE=hexagon698 dune runtest
-	GCD2_DEVICE=hexagon-g2 dune runtest
 
 # Tiny cross-device benchmark: three models on every built-in
 # descriptor, writing BENCH_devices.json.
@@ -98,7 +88,7 @@ daemon-smoke: build
 crash-smoke: build
 	GCD2_CRASH_ROUNDS=3 ./_build/default/bench/main.exe crash-smoke
 
-check: build test test-parallel test-devices chaos vm-smoke devices-smoke daemon-smoke tune-smoke attn-smoke crash-smoke fmt-check
+check: build test test-parallel chaos vm-smoke devices-smoke daemon-smoke tune-smoke attn-smoke crash-smoke fmt-check
 
 clean:
 	dune clean

@@ -97,7 +97,7 @@ let run () =
               { s with Matmul.shift }
               { Matmul.a_base = 0; w_base = 0; c_base = 0 }
           in
-          let pc = Gcd2_isa.Program.static_cycles prog in
+          let pc = Gcd2_isa.Program.static_cycles ~desc:s.Matmul.device prog in
           Report.row "%5dx%4dx%3d %-5s | %10d %12d | %+7.2f%%\n" m k n (Simd.name simd) uni pc
             (100.0 *. ((float_of_int pc /. float_of_int uni) -. 1.0)))
         Simd.all)

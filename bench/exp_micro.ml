@@ -14,12 +14,14 @@ module Graphcost = Gcd2_cost.Graphcost
 module Machine = Gcd2_vm.Machine
 module Zoo = Gcd2_models.Zoo
 
+let desc = Gcd2_devices.Desc.hexagon698
+
 (* A representative inner-loop block to pack (from the vmpy kernel). *)
 let kernel_block =
   lazy
     (let spec =
        {
-         Matmul.device = Gcd2_devices.Desc.hexagon698;
+         Matmul.device = desc;
          simd = Simd.I_vmpy;
          m = 128;
          k = 64;
@@ -60,11 +62,12 @@ let mobilenet_cost =
 
 let test_sda_packing =
   Test.make ~name:"sda packing (vmpy inner block)"
-    (Staged.stage (fun () -> ignore (Packer.pack Packer.sda (Lazy.force kernel_block))))
+    (Staged.stage (fun () -> ignore (Packer.pack ~desc Packer.sda (Lazy.force kernel_block))))
 
 let test_list_packing =
   Test.make ~name:"list packing (same block)"
-    (Staged.stage (fun () -> ignore (Packer.pack Packer.List_topdown (Lazy.force kernel_block))))
+    (Staged.stage (fun () ->
+         ignore (Packer.pack ~desc Packer.List_topdown (Lazy.force kernel_block))))
 
 let test_codegen =
   Test.make ~name:"matmul codegen + packing (128x64x8)"
@@ -72,7 +75,7 @@ let test_codegen =
          ignore
            (Matmul.cycles
               {
-                Matmul.device = Gcd2_devices.Desc.hexagon698;
+                Matmul.device = desc;
                 simd = Simd.I_vrmpy;
                 m = 128;
                 k = 64;
@@ -109,7 +112,7 @@ let test_vm_matmul =
          ignore
            (Gcd2_codegen.Testbench.run
               {
-                Matmul.device = Gcd2_devices.Desc.hexagon698;
+                Matmul.device = desc;
                 simd = Simd.I_vrmpy;
                 m = 32;
                 k = 32;
@@ -157,8 +160,8 @@ let pack_scaling () =
   List.iter
     (fun k ->
       let block = replicate k base in
-      let inc = time_pack Packer.pack_indices block in
-      let reference = time_pack Packer.pack_indices_reference block in
+      let inc = time_pack (Packer.pack_indices ~desc) block in
+      let reference = time_pack (Packer.pack_indices_reference ~desc) block in
       Report.row "   %8d %11.3f ms %11.3f ms %8.1fx\n" (Array.length block)
         (inc *. 1e3) (reference *. 1e3)
         (reference /. Float.max inc 1e-9))

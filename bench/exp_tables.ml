@@ -90,7 +90,8 @@ let table2 () =
                addressing = Matmul.Bump;
              })
       in
-      let data simd = float_of_int (Simd.padded_data_bytes simd ~m:d ~k:d ~n:d) in
+      let desc = Gcd2_devices.Desc.hexagon698 in
+      let data simd = float_of_int (Simd.padded_data_bytes ~desc simd ~m:d ~k:d ~n:d) in
       let base_c = cycles Simd.I_vmpy and base_d = data Simd.I_vmpy in
       let pa, pr = List.assoc d paper in
       Report.row "%4d %4d %4d | %6.2f %6.2f %6.2f | %6.2f %6.2f %6.2f | (%.2f %.2f)\n" d d d

@@ -121,19 +121,24 @@ let smoke () =
 
 (* Regenerate the zoo golden literals of test/suite_desc.ml (exact %h
    cycles/ms and the MD5 of the plan assignment under the default
-   configuration).  Goldens move only when a change is sanctioned to
-   move them — paste the output over the [goldens] list and record the
-   delta in the commit. *)
+   configuration retargeted to each built-in device), one list per
+   device.  Goldens move only when a change is sanctioned to move them —
+   paste the output over the lists and record the delta in the commit. *)
 let goldens () =
   Report.header "zoo goldens (default config): paste into test/suite_desc.ml";
   List.iter
-    (fun (e : Zoo.entry) ->
-      let c = Compiler.compile (e.Zoo.build ()) in
-      let asg =
-        String.concat ","
-          (Array.to_list (Array.map string_of_int c.Compiler.assignment))
-      in
-      Printf.printf "    (%S, \"%h\", \"%h\",\n     %S);\n" e.Zoo.name
-        c.Compiler.report.Graphcost.cycles c.Compiler.report.Graphcost.ms
-        (Stdlib.Digest.to_hex (Stdlib.Digest.string asg)))
-    Zoo.all
+    (fun (d : Gcd2_devices.Desc.t) ->
+      Printf.printf "  (* %s *)\n" d.Gcd2_devices.Desc.name;
+      let config = Compiler.with_device d Compiler.default in
+      List.iter
+        (fun (e : Zoo.entry) ->
+          let c = Compiler.compile ~config (e.Zoo.build ()) in
+          let asg =
+            String.concat ","
+              (Array.to_list (Array.map string_of_int c.Compiler.assignment))
+          in
+          Printf.printf "    (%S, \"%h\", \"%h\",\n     %S);\n" e.Zoo.name
+            c.Compiler.report.Graphcost.cycles c.Compiler.report.Graphcost.ms
+            (Stdlib.Digest.to_hex (Stdlib.Digest.string asg)))
+        Zoo.all)
+    Gcd2_devices.Desc.builtins

@@ -745,13 +745,13 @@ let kernel_run m k n =
       let prog = Matmul.generate spec { Matmul.a_base = 0; w_base = 0; c_base = 0 } in
       let pad =
         100.0
-        *. (float_of_int (Simd.padded_data_bytes simd ~m ~k ~n)
+        *. (float_of_int (Simd.padded_data_bytes ~desc:spec.Matmul.device simd ~m ~k ~n)
             /. float_of_int ((m * k) + (k * n) + (m * n))
            -. 1.0)
       in
       Fmt.pr "%-6s %-10s %10d %10d %7.1f%%@." (Simd.name simd)
         (Gcd2_tensor.Layout.name (Simd.layout simd))
-        (Gcd2_isa.Program.static_cycles prog)
+        (Gcd2_isa.Program.static_cycles ~desc:spec.Matmul.device prog)
         (Gcd2_isa.Program.packet_count prog)
         pad)
     Simd.all

@@ -37,10 +37,11 @@ let () =
   (* 1. the three candidate execution plans *)
   Fmt.pr "candidate SIMD instructions and layouts:@.";
   let mult, shift = Sat.quantize_multiplier 0.05 in
+  let desc = Gcd2_devices.Desc.hexagon698 in
   let spec_of simd =
     let u = Unroll.adaptive simd ~m ~k ~n in
     {
-      Matmul.device = Gcd2_devices.Desc.hexagon698;
+      Matmul.device = desc;
       simd;
       m;
       k;
@@ -61,10 +62,10 @@ let () =
     (fun simd ->
       let spec = spec_of simd in
       let cycles = Matmul.cycles spec in
-      let mp, kp, np = Simd.padded_mkn simd ~m ~k ~n in
+      let mp, kp, np = Simd.padded_mkn ~desc simd ~m ~k ~n in
       let pad_pct =
         100.0
-        *. (float_of_int (Simd.padded_data_bytes simd ~m ~k ~n)
+        *. (float_of_int (Simd.padded_data_bytes ~desc simd ~m ~k ~n)
             /. float_of_int ((m * k) + (k * n) + (m * n))
            -. 1.0)
       in
@@ -80,7 +81,7 @@ let () =
   Fmt.pr "@.chosen: %s (%d cycles, %.1f effective GMAC/s)@." (Simd.name spec.Matmul.simd)
     best_cycles
     (float_of_int (m * k * n)
-    /. (float_of_int best_cycles /. Gcd2_cost.Config.model_cycles_per_sec)
+    /. (float_of_int best_cycles /. desc.Gcd2_devices.Desc.model_cycles_per_sec)
     /. 1e9);
 
   (* 2. the packed inner loop, as the scheduler emitted it *)
@@ -99,7 +100,7 @@ let () =
     Fmt.pr "@.innermost loop (trip %d), %d packets:@." trip (List.length packets);
     List.iteri
       (fun i p ->
-        Fmt.pr "  %2d (%d cyc) %a@." i (Gcd2_isa.Packet.cycles p) Gcd2_isa.Packet.pp p)
+        Fmt.pr "  %2d (%d cyc) %a@." i (Gcd2_isa.Packet.cycles ~desc p) Gcd2_isa.Packet.pp p)
       packets
   | None -> Fmt.pr "@.(no inner loop at this size)@.");
 

@@ -14,7 +14,8 @@
     the fast VM against the heuristic kernel on deterministic data, and
     any output mismatch falls back to the heuristic (candidates only
     reshape the loop nest, so a mismatch means a generator bug — the
-    qcheck suite keeps this path cold).
+    qcheck suite keeps this path cold).  Verifying for a device the VM
+    cannot execute raises [Invalid_argument] naming it.
 
     Ambient trace counters: [tune-candidates] (feasible candidates
     considered), [tune-costed] (budget actually spent),
@@ -84,6 +85,11 @@ let spec_with (base : Matmul.spec) (u : Unroll.setting) =
     [wbuf] are ignored. *)
 let tune config (base : Matmul.spec) =
   Trace.in_span "autotune" @@ fun () ->
+  let d = base.Matmul.device in
+  if config.verify && not (Gcd2_vm.Machine.executable d) then
+    invalid_arg
+      (Fmt.str "tune verification runs kernels on the simulator, which cannot execute %s"
+         d.Gcd2_devices.Desc.name);
   let baseline =
     Unroll.adaptive base.Matmul.simd ~m:base.Matmul.m ~k:base.Matmul.k ~n:base.Matmul.n
   in

@@ -39,5 +39,8 @@ val binary_cycles : binary -> spec -> int
 
 val unary_cycles : spec -> int
 
+(** A plain spec: unroll 2, no rescale or activation tables.  [device]
+    defaults to {!Gcd2_devices.Desc.hexagon698} only for the benchmark
+    harness; library callers pass it. *)
 val default_spec :
   ?strategy:Packer.strategy -> ?device:Gcd2_devices.Desc.t -> vectors:int -> unit -> spec

@@ -12,12 +12,11 @@ let emit t i = t.rev_instrs <- i :: t.rev_instrs
 
 let instrs t = Array.of_list (List.rev t.rev_instrs)
 
-(** Close the buffer into a packed basic block (packed for the device;
-    default {!Gcd2_devices.Desc.hexagon698}). *)
-let block ?desc ~strategy t =
+(** Close the buffer into a basic block packed for the device. *)
+let block ~desc ~strategy t =
   let is = instrs t in
   t.rev_instrs <- [];
-  Program.Block (Packer.pack ?desc strategy is)
+  Program.Block (Packer.pack ~desc strategy is)
 
 (* Shorthands *)
 

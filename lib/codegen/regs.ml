@@ -18,9 +18,8 @@ type t = {
 
 (* r0/r1 are reserved as always-zero / scratch conventions are not needed;
    allocate everything from 0.  The register-file sizes come from the
-   device descriptor (the default matches {!Reg.scalar_count} /
-   {!Reg.vector_count}). *)
-let create ?(desc = Desc.hexagon698) () =
+   device descriptor. *)
+let create ~desc () =
   {
     next_scalar = 0;
     next_vector = 0;

@@ -7,9 +7,9 @@ exception Out_of_registers of string
 
 type t
 
-(** [create ()] — fresh allocator sized to the device's register files
-    (default {!Gcd2_devices.Desc.hexagon698}). *)
-val create : ?desc:Gcd2_devices.Desc.t -> unit -> t
+(** [create ~desc ()] — fresh allocator sized to the device's register
+    files. *)
+val create : desc:Gcd2_devices.Desc.t -> unit -> t
 val scalar : t -> Reg.t
 val vector : t -> Reg.t
 

@@ -24,7 +24,7 @@ let of_layout = function
 
 (** Rows processed per vector operation (the layout's panel height on the
     device). *)
-let panel_rows ?desc t = Layout.panel_rows ?desc (layout t)
+let panel_rows ~desc t = Layout.panel_rows ~desc (layout t)
 
 (** Reduction-dimension padding required by the kernel. *)
 let k_pad = function I_vmpy -> 4 | I_vmpa -> 4 | I_vrmpy -> 4
@@ -32,14 +32,14 @@ let k_pad = function I_vmpy -> 4 | I_vmpa -> 4 | I_vrmpy -> 4
 (** Padded problem dimensions for C = A(MxK) * W(KxN) under this choice.
     M pads to the panel height, K to the kernel's reduction granularity,
     N to the output layout's column group. *)
-let padded_mkn ?desc t ~m ~k ~n =
+let padded_mkn ~desc t ~m ~k ~n =
   let module S = Gcd2_util.Stats in
-  ( S.round_up m (panel_rows ?desc t),
+  ( S.round_up m (panel_rows ~desc t),
     S.round_up k (k_pad t),
     S.round_up n (Layout.column_group (layout t)) )
 
 (** Total int8 bytes (with padding) of A, W and C — the "Total Data Size
     w/ Pad" column of the paper's Table II. *)
-let padded_data_bytes ?desc t ~m ~k ~n =
-  let mp, kp, np = padded_mkn ?desc t ~m ~k ~n in
+let padded_data_bytes ~desc t ~m ~k ~n =
+  let mp, kp, np = padded_mkn ~desc t ~m ~k ~n in
   (mp * kp) + (kp * np) + (mp * np)

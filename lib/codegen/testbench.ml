@@ -26,6 +26,13 @@ type kernel = {
 }
 
 let kernel ?(tables = []) ?per_channel (spec : Matmul.spec) =
+  let d = spec.Matmul.device in
+  if not (Machine.executable d) then
+    invalid_arg
+      (Fmt.str
+         "Testbench: device %s (%dB vectors) cannot run on the simulator, which \
+          executes hexagon698 only"
+         d.Gcd2_devices.Desc.name d.Gcd2_devices.Desc.vector_bytes);
   let simd = spec.Matmul.simd in
   let out_bytes = Weights.output_bytes simd ~m:spec.m ~n:spec.n in
   let align x = Gcd2_util.Stats.round_up x 128 in

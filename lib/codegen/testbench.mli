@@ -15,7 +15,8 @@ type kernel
 (** [kernel spec] lays out the kernel's memory and takes its program
     from {!Matmul.generate}, so equal specs share one physical program
     across calls; [per_channel] = [(mults, shift)] enables per-channel
-    requantization. *)
+    requantization.  Raises [Invalid_argument] naming the device when
+    [spec]'s device is not {!Gcd2_vm.Machine.executable}. *)
 val kernel :
   ?tables:(int * int array) list -> ?per_channel:int array * int -> Matmul.spec -> kernel
 

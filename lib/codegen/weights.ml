@@ -18,6 +18,10 @@ module Layout = Gcd2_tensor.Layout
 module Pack = Gcd2_tensor.Pack
 module Stats = Gcd2_util.Stats
 
+(* Activations and outputs are staged for the simulator's device, the
+   only one it executes. *)
+let desc = Gcd2_devices.Desc.hexagon698
+
 (** K and N as the kernel actually iterates them. *)
 let padded_kn simd ~k ~n =
   let kp = Stats.round_up k (Simd.k_pad simd) in
@@ -65,9 +69,9 @@ let column_stride simd ~k =
   ignore simd;
   4 * (kp / 4)
 
-let activation_bytes ?desc simd ~m ~k =
+let activation_bytes simd ~m ~k =
   let kp, _ = padded_kn simd ~k ~n:1 in
-  Layout.padded_bytes ?desc (Simd.layout simd) ~rows:m ~cols:kp
+  Layout.padded_bytes ~desc (Simd.layout simd) ~rows:m ~cols:kp
 
 (** Pack an M x K activation matrix for the kernel (layout of the SIMD
     choice, K padded to the kernel granularity) into [dst] at [off],
@@ -80,7 +84,7 @@ let store_activations simd ~m ~k a dst off =
   for r = 0 to m - 1 do
     for c = 0 to k - 1 do
       Bytes.set_uint8 dst
-        (off + Layout.offset layout ~rows:m ~cols:kp ~r ~c)
+        (off + Layout.offset ~desc layout ~rows:m ~cols:kp ~r ~c)
         (a.((r * k) + c) land 0xff)
     done
   done
@@ -92,8 +96,7 @@ let pack_activations simd ~m ~k a =
   Array.init (Bytes.length b) (Bytes.get_int8 b)
 
 (** Output buffer size (int8, layout-padded M x N). *)
-let output_bytes ?desc simd ~m ~n =
-  Layout.padded_bytes ?desc (Simd.layout simd) ~rows:m ~cols:n
+let output_bytes simd ~m ~n = Layout.padded_bytes ~desc (Simd.layout simd) ~rows:m ~cols:n
 
 (** Recover the logical row-major M x N matrix from the kernel's output
     buffer. *)

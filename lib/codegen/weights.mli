@@ -1,7 +1,8 @@
 (** Compile-time weight prepacking and activation/output staging for the
     matmul kernels: weights become 4-byte words the kernels [Sload]
     directly into the multiplies' scalar operands (byte orders per
-    instruction; see the implementation notes). *)
+    instruction; see the implementation notes).  Activations and outputs
+    are staged for hexagon698, the simulator's device. *)
 
 (** K and N as the kernel iterates them (padded). *)
 val padded_kn : Simd.t -> k:int -> n:int -> int * int
@@ -26,10 +27,11 @@ val pack_activations : Simd.t -> m:int -> k:int -> int array -> int array
     bytes straight into [dst] at [off]. *)
 val store_activations : Simd.t -> m:int -> k:int -> int array -> Bytes.t -> int -> unit
 
-val activation_bytes : ?desc:Gcd2_devices.Desc.t -> Simd.t -> m:int -> k:int -> int
+(** Staged activation buffer size (int8, layout-padded M x K). *)
+val activation_bytes : Simd.t -> m:int -> k:int -> int
 
 (** Output buffer size (int8, layout-padded M x N). *)
-val output_bytes : ?desc:Gcd2_devices.Desc.t -> Simd.t -> m:int -> n:int -> int
+val output_bytes : Simd.t -> m:int -> n:int -> int
 
 (** Recover the logical row-major M x N matrix from the output buffer. *)
 val unpack_output : Simd.t -> m:int -> n:int -> int array -> int array

@@ -374,6 +374,6 @@ let pp_summary ppf c =
     c.config.name (Graph.size c.graph) r.Graphcost.ms r.Graphcost.cycles
     (100.0 *. r.Graphcost.utilization)
     r.Graphcost.bandwidth_gbs
-    (Gcd2_cost.Config.tops_on (device c.config) ~macs:r.Graphcost.macs
+    (Gcd2_devices.Desc.tops (device c.config) ~macs:r.Graphcost.macs
        ~cycles:r.Graphcost.cycles)
     pp_phases c pp_cache c

@@ -84,14 +84,16 @@ let is_identity_scale ~from ~into = from.Q.scale = into.Q.scale && from.Q.zero =
 
 (* ---------------- matmul-family on the VM ---------------- *)
 
-(* The kernel spec of a matmul-family node under its chosen plan.  The
-   simulated DSP executes the hexagon698 ISA (128-byte vectors) whatever
-   device the compile was costed for; wider targets are modeled
+(* The simulated DSP executes the hexagon698 ISA (128-byte vectors)
+   whatever device the compile was costed for; wider targets are modeled
    analytically, not run. *)
+let device = Gcd2_devices.Desc.hexagon698
+
+(* The kernel spec of a matmul-family node under its chosen plan. *)
 let matmul_spec ~options ~plan ~m ~k ~n ~mult ~shift ~act_table =
   let u = Option.get plan.Plan.unroll in
   {
-    Matmul.device = Gcd2_devices.Desc.hexagon698;
+    Matmul.device;
     simd = Option.get plan.Plan.simd;
     m;
     k;
@@ -186,7 +188,7 @@ let run_layer_norm ~stats ~options (x : T.t) =
 (* ---------------- elementwise on the VM ---------------- *)
 
 let stage_eltwise ~stats ~tables ~spec op layout ~rows ~cols a_data b_data =
-  let bytes = Gcd2_tensor.Layout.padded_bytes layout ~rows ~cols in
+  let bytes = Gcd2_tensor.Layout.padded_bytes ~desc:device layout ~rows ~cols in
   let align x = Gcd2_util.Stats.round_up x 128 in
   let a_base = 0 in
   let b_base = align bytes in
@@ -212,10 +214,12 @@ let run_binary ~stats ~options ~plan op (a : T.t) (b : T.t) =
   let layout = plan.Plan.layout in
   let rows, cols = T.matrix_dims a in
   let vectors =
-    Gcd2_util.Stats.ceil_div (Gcd2_tensor.Layout.padded_bytes layout ~rows ~cols) 128
+    Gcd2_util.Stats.ceil_div
+      (Gcd2_tensor.Layout.padded_bytes ~desc:device layout ~rows ~cols)
+      128
   in
   let base_spec =
-    Eltwise.default_spec ~strategy:options.Gcd2_cost.Opcost.strategy ~vectors ()
+    Eltwise.default_spec ~strategy:options.Gcd2_cost.Opcost.strategy ~device ~vectors ()
   in
   let tables = ref [] in
   let add_table id t = tables := (id, t) :: !tables in
@@ -267,9 +271,13 @@ let run_unary ~stats ~options ~plan node_op (x : T.t) =
     let layout = plan.Plan.layout in
     let rows, cols = T.matrix_dims x in
     let vectors =
-      Gcd2_util.Stats.ceil_div (Gcd2_tensor.Layout.padded_bytes layout ~rows ~cols) 128
+      Gcd2_util.Stats.ceil_div
+        (Gcd2_tensor.Layout.padded_bytes ~desc:device layout ~rows ~cols)
+        128
     in
-    let spec = Eltwise.default_spec ~strategy:options.Gcd2_cost.Opcost.strategy ~vectors () in
+    let spec =
+      Eltwise.default_spec ~strategy:options.Gcd2_cost.Opcost.strategy ~device ~vectors ()
+    in
     let spec =
       { spec with
         Eltwise.uv =

@@ -12,7 +12,6 @@
 module Layout = Gcd2_tensor.Layout
 module Simd = Gcd2_codegen.Simd
 module Matmul = Gcd2_codegen.Matmul
-module Weights = Gcd2_codegen.Weights
 module Unroll = Gcd2_codegen.Unroll
 module Autotune = Gcd2_codegen.Autotune
 module Eltwise = Gcd2_codegen.Eltwise
@@ -150,11 +149,7 @@ let matmul_plans options ~m ~k ~n ~act ~batch ~staging ~extra_bytes ~extra_macs 
       in
       let kernel = float_of_int (Matmul.cycles spec) in
       let bytes =
-        float_of_int
-          (batch
-           *(Weights.activation_bytes ~desc:device simd ~m ~k
-             + Weights.prepacked_bytes simd ~k ~n
-             + Weights.output_bytes ~desc:device simd ~m ~n))
+        float_of_int (batch * Simd.padded_data_bytes ~desc:device simd ~m ~k ~n)
         +. extra_bytes
       in
       {

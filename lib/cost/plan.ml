@@ -24,9 +24,8 @@ type t = {
 (** Roofline node cost: the DSP overlaps compute with DDR traffic, so a
     node takes the max of its compute and memory time, plus any serial
     staging.  The memory arm uses the target device's sustained DDR
-    bandwidth; the default is the hexagon698 calibration
-    ({!Config.ddr_bytes_per_cycle}). *)
-let cycles ?(desc = Gcd2_devices.Desc.hexagon698) t =
+    bandwidth. *)
+let cycles ~desc t =
   Float.max t.compute_cycles
     (t.mem_bytes /. desc.Gcd2_devices.Desc.ddr_bytes_per_cycle)
   +. t.staging_cycles

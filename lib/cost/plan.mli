@@ -20,7 +20,7 @@ type t = {
 }
 
 (** Roofline node time: max(compute, memory) plus serial staging; the
-    memory arm uses [desc]'s DDR bandwidth (default hexagon698). *)
-val cycles : ?desc:Gcd2_devices.Desc.t -> t -> float
+    memory arm uses [desc]'s DDR bandwidth. *)
+val cycles : desc:Gcd2_devices.Desc.t -> t -> float
 
 val pp : Format.formatter -> t -> unit

@@ -3,10 +3,12 @@
     A {!t} is the pure-data description of one VLIW DSP target: issue
     slots and per-class slot masks, instruction latencies, vector width,
     register-file sizes, memory bandwidths and the clock calibration.
-    Every layer of the compiler that used to read a global Hexagon-698
-    constant takes a descriptor instead (defaulting to {!hexagon698}, so
-    the historical behaviour is the zero-argument behaviour, bit for
-    bit).
+    It is the one way a device reaches the compiler: every layer that
+    depends on the machine (isa, sched, tensor, codegen, cost) takes a
+    descriptor as a required argument, so no default silently picks a
+    device.  {!hexagon698}'s fields equal the historical global
+    constants, so it reproduces the seed bit for bit.  The simulator
+    executes hexagon698 only ([Gcd2_vm.Machine.executable]).
 
     The descriptor is deliberately dumb data — no functions, no
     closures — so it can serve as (part of) memo keys
@@ -33,14 +35,20 @@ type t = {
   vtcm_bytes : int;  (** tightly-coupled vector memory capacity *)
   ddr_bytes_per_cycle : float;  (** sustained DDR bandwidth *)
   gather_bytes_per_cycle : float;  (** TCM/L2 staging bandwidth *)
-  model_cycles_per_sec : float;  (** model-cycle → wall-clock calibration *)
+  model_cycles_per_sec : float;
+      (** model-cycle → wall-clock calibration.  The machine model follows
+          the paper's timing rules literally (packets never overlap,
+          footnote 5), undercounting the silicon's inter-packet
+          pipelining; this constant maps model cycles to wall clock and is
+          calibrated once so GCD2's ResNet-50 lands at the paper's ~7 ms.
+          Every compared system scales by it identically. *)
 }
 
 let iclass_count = 9
 
 (** The paper's Hexagon-698 cDSP: four slots, 128-byte HVX vectors, the
-    slot map and latencies of [Gcd2_isa.Iclass]'s module documentation.
-    This is the default device everywhere; its field values equal the
+    slot map and latencies of [Gcd2_isa.Iclass]'s module documentation,
+    ~30 GB/s DDR (one byte per model cycle).  Its field values equal the
     historical global constants exactly. *)
 let hexagon698 =
   {
@@ -95,10 +103,9 @@ let get name =
       (Fmt.str "unknown device %S (known: %s)" name (String.concat ", " names))
 
 (** The ambient default device: [$GCD2_DEVICE] when set (unknown names
-    raise [Invalid_argument]), {!hexagon698} otherwise.  Library
-    defaults do {e not} read this — they pin {!hexagon698} — so the env
-    var steers the CLI / serve / bench entry points without silently
-    changing what a library caller computes. *)
+    raise [Invalid_argument]), {!hexagon698} otherwise.  Only the CLI
+    reads it; the library takes its device as an argument, so the env var
+    never changes what a library caller computes. *)
 let default () =
   match Sys.getenv_opt "GCD2_DEVICE" with
   | None | Some "" -> hexagon698
@@ -163,6 +170,13 @@ let digest d = Stdlib.Digest.to_hex (Stdlib.Digest.string (canonical d))
 let ms_of_cycles d cycles = cycles /. (d.model_cycles_per_sec /. 1e3)
 let cycles_of_us d us = us *. d.model_cycles_per_sec /. 1e6
 let cycles_of_ms d ms = ms *. d.model_cycles_per_sec /. 1e3
+
+(** Effective tera-ops (2 ops per MAC) for a node that executes [macs]
+    MACs in [cycles] — wall-clock-referred through the device's clock,
+    comparable to the paper's "1.51 TOPS for an individual layer". *)
+let tops d ~macs ~cycles =
+  if cycles <= 0.0 then 0.0
+  else 2.0 *. float_of_int macs /. (cycles /. d.model_cycles_per_sec) /. 1e12
 
 let pp ppf d =
   Fmt.pf ppf "%s (%d slots, %dB vectors, %.1f B/cyc DDR)" d.name d.slot_count d.vector_bytes

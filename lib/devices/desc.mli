@@ -1,6 +1,8 @@
-(** First-class machine descriptions (see the implementation's module
-    documentation for the design contract and the fixed instruction-class
-    order of the per-class arrays). *)
+(** First-class machine descriptions — the one way a device reaches the
+    compiler: every machine-dependent layer takes one as a required
+    argument.  See the implementation's module documentation for the
+    design contract and the fixed instruction-class order of the
+    per-class arrays. *)
 
 type t = {
   name : string;
@@ -17,12 +19,14 @@ type t = {
   vtcm_bytes : int;  (** tightly-coupled vector memory capacity *)
   ddr_bytes_per_cycle : float;  (** sustained DDR bandwidth *)
   gather_bytes_per_cycle : float;  (** TCM/L2 staging bandwidth *)
-  model_cycles_per_sec : float;  (** model-cycle → wall-clock calibration *)
+  model_cycles_per_sec : float;
+      (** model-cycle → wall-clock calibration (ResNet-50 at the paper's
+          ~7 ms on hexagon698) *)
 }
 
 val iclass_count : int
 
-(** The paper's Hexagon-698 cDSP — the default device everywhere; its
+(** The paper's Hexagon-698 cDSP — the device the simulator executes; its
     fields equal the historical global constants exactly. *)
 val hexagon698 : t
 
@@ -41,8 +45,8 @@ val find : string -> t option
 val get : string -> t
 
 (** [$GCD2_DEVICE] when set (unknown value raises), {!hexagon698}
-    otherwise.  Entry points (CLI, serve, bench) resolve their default
-    device through this; library defaults pin {!hexagon698}. *)
+    otherwise.  The CLI resolves its default device through this; the
+    library never reads it. *)
 val default : unit -> t
 
 (** Raises [Invalid_argument] on an inconsistent descriptor. *)
@@ -60,4 +64,8 @@ val digest : t -> string
 val ms_of_cycles : t -> float -> float
 val cycles_of_us : t -> float -> float
 val cycles_of_ms : t -> float -> float
+
+(** Wall-clock-referred effective tera-ops (2 ops per MAC). *)
+val tops : t -> macs:int -> cycles:float -> float
+
 val pp : Format.formatter -> t -> unit

@@ -24,7 +24,10 @@ module Matmul = Gcd2_codegen.Matmul
 module Unroll = Gcd2_codegen.Unroll
 module Packer = Gcd2_sched.Packer
 module Program = Gcd2_isa.Program
-module Config = Gcd2_cost.Config
+module Desc = Gcd2_devices.Desc
+
+(* Every kernel compiler of the comparison targets the paper's DSP. *)
+let device = Desc.hexagon698
 
 type t = Halide | Tvm | Rake | Gcd_b | Gcd2_kernel
 
@@ -54,7 +57,7 @@ let conv_mkn ~n ~h ~w ~c ~kh ~kw ~stride ~pad ~cout =
 
 let base_spec ?(addressing = Matmul.Bump) simd strategy ~m ~k ~n =
   {
-    Matmul.device = Gcd2_devices.Desc.hexagon698;
+    Matmul.device;
     simd;
     m;
     k;
@@ -75,7 +78,7 @@ let instantiate spec (u : Unroll.setting) =
     { spec with Matmul.un = u.Unroll.un; ug = u.Unroll.ug; abuf = u.Unroll.abuf; wbuf = u.Unroll.wbuf }
   in
   let prog = Matmul.generate spec { Matmul.a_base = 0; w_base = 0; c_base = 0 } in
-  (Program.static_cycles prog, Program.packet_count prog)
+  (Program.static_cycles ~desc:spec.Matmul.device prog, Program.packet_count prog)
 
 (* RAKE synthesizes vector instruction selections for the program's given
    (standard, channel-contiguous) layout, where the reducing multiply is
@@ -132,5 +135,5 @@ let conv framework ~m ~k ~n =
     unroll;
     cycles;
     packets;
-    ms = Config.ms_of_cycles (float_of_int cycles);
+    ms = Desc.ms_of_cycles device (float_of_int cycles);
   }

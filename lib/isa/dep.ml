@@ -41,7 +41,7 @@ let regs_intersect xs ys = List.exists (fun x -> List.exists (Reg.overlap x) ys)
 
 let raw_kind_classes producer consumer =
   match producer with
-  | Iclass.Ld -> Soft (Iclass.latency Iclass.Ld - 2)
+  | Iclass.Ld -> Soft 2
   | Iclass.Salu -> Soft 1
   | Iclass.Smul -> Soft 2
   | Iclass.Vmpy -> Soft 2

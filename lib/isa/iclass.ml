@@ -57,27 +57,12 @@ let name = function
   | Vshift -> "vshift"
   | Vperm -> "vperm"
 
-(** {!slots} as a bitmask (bit [s] set iff slot [s] is allowed) on a
-    given device — the form the packer's feasibility check consumes. *)
+(** Slots in which the class may issue on device [d], as a bitmask (bit
+    [s] set iff slot [s] is allowed) — the form the packer's feasibility
+    check consumes. *)
 let slot_mask_on (d : Desc.t) c = d.Desc.slot_masks.(index c)
-
-(** Slots in which an instruction of this class may issue on device [d]. *)
-let slots_on d c =
-  let m = slot_mask_on d c in
-  List.filter (fun s -> m land (1 lsl s) <> 0) (List.init 16 Fun.id)
 
 (** Cycles from issue to result write-back on device [d]. *)
 let latency_on (d : Desc.t) c = d.Desc.latencies.(index c)
-
-(** Slots (0..3) in which the class may issue on the default
-    {!Desc.hexagon698} (the slot map of the module documentation). *)
-let slots c = slots_on Desc.hexagon698 c
-
-(** {!slots} as a bitmask on the default {!Desc.hexagon698}. *)
-let slot_mask c = slot_mask_on Desc.hexagon698 c
-
-(** Cycles from issue to result write-back on the default
-    {!Desc.hexagon698} (see module doc). *)
-let latency c = latency_on Desc.hexagon698 c
 
 let pp ppf c = Fmt.string ppf (name c)

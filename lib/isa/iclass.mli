@@ -22,25 +22,13 @@ val name : t -> string
     ([slot_masks] / [latencies]). *)
 val index : t -> int
 
-(** Slots in which the class may issue on a device. *)
-val slots_on : Gcd2_devices.Desc.t -> t -> int list
-
-(** {!slots_on} as a bitmask: bit [s] set iff slot [s] is allowed. *)
+(** Slots in which the class may issue on a device, as a bitmask: bit
+    [s] set iff slot [s] is allowed. *)
 val slot_mask_on : Gcd2_devices.Desc.t -> t -> int
 
-(** Issue-to-writeback cycles on a device. *)
+(** Issue-to-writeback cycles on a device (on hexagon698: the
+    three-stage pipeline of the paper's Fig. 4, plus extra execute stages
+    for loads/multiplies). *)
 val latency_on : Gcd2_devices.Desc.t -> t -> int
-
-(** Slots (0..3) in which the class may issue on the default
-    {!Gcd2_devices.Desc.hexagon698}. *)
-val slots : t -> int list
-
-(** {!slots} as a bitmask: bit [s] set iff slot [s] is allowed. *)
-val slot_mask : t -> int
-
-(** Issue-to-writeback cycles on the default device (three-stage pipeline
-    of the paper's Fig. 4, plus extra execute stages for
-    loads/multiplies). *)
-val latency : t -> int
 
 val pp : Format.formatter -> t -> unit

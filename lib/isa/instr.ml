@@ -118,9 +118,7 @@ let iclass = function
   | Vpack _ -> Iclass.Vshift
   | Vshuff _ | Vlut _ | Vdup _ -> Iclass.Vperm
 
-let latency i = Iclass.latency (iclass i)
-
-(** Per-device {!latency}. *)
+(** Issue-to-writeback cycles on device [d]. *)
 let latency_on d i = Iclass.latency_on d (iclass i)
 
 (** Number of 8-bit multiply-accumulate operations performed (for the

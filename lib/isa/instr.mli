@@ -66,9 +66,7 @@ val mem_access : t -> mem_access option
 (** Issue class (slots + latency; see {!Iclass}). *)
 val iclass : t -> Iclass.t
 
-val latency : t -> int
-
-(** Per-device {!latency}. *)
+(** Issue-to-writeback cycles on a device. *)
 val latency_on : Gcd2_devices.Desc.t -> t -> int
 
 (** 8-bit multiply-accumulates performed (utilization counters). *)

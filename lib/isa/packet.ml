@@ -6,7 +6,7 @@
     exactly what the interlocked hardware computes.
 
     A packet is legal when (1) a slot assignment exists under the
-    {!Iclass.slots} constraints, and (2) no two members have a hard
+    {!Iclass.slot_mask_on} constraints, and (2) no two members have a hard
     dependency.  Its cost is the maximum member latency plus the stalls
     induced by intra-packet soft-dependency chains (paper Figure 4) —
     packets do not overlap (paper footnote 5). *)
@@ -26,7 +26,7 @@ let capacity (d : Desc.t) = d.Desc.slot_count
    order-independent, so callers may pass masks in any order.  This is
    the packer's hot legality primitive — no lists, no [Instr.t] in
    sight. *)
-let masks_feasible ?(desc = Desc.hexagon698) masks =
+let masks_feasible ~desc masks =
   let rec assign used = function
     | [] -> true
     | m :: rest ->
@@ -41,7 +41,7 @@ let masks_feasible ?(desc = Desc.hexagon698) masks =
   List.length masks <= capacity desc && assign 0 masks
 
 (** Does a slot assignment exist for these instructions? *)
-let slots_feasible ?(desc = Desc.hexagon698) instrs =
+let slots_feasible ~desc instrs =
   masks_feasible ~desc (List.map (fun i -> Iclass.slot_mask_on desc (Instr.iclass i)) instrs)
 
 (* Hard dependencies forbid co-packing. *)
@@ -53,7 +53,7 @@ let rec no_hard_pairs = function
 
 (** A packet is legal iff it fits the slots and contains no hard
     dependency. *)
-let legal ?desc instrs = slots_feasible ?desc instrs && no_hard_pairs instrs
+let legal ~desc instrs = slots_feasible ~desc instrs && no_hard_pairs instrs
 
 (** [stall p] — extra cycles caused by intra-packet soft-dependency chains:
     the longest penalty-weighted soft path inside the packet. *)
@@ -72,7 +72,7 @@ let stall (p : t) =
 
 (** Issue-to-completion cycles of the packet: max latency + soft stalls.
     The empty packet costs nothing. *)
-let cycles ?(desc = Desc.hexagon698) (p : t) =
+let cycles ~desc (p : t) =
   match p with
   | [] -> 0
   | _ -> List.fold_left (fun m i -> max m (Instr.latency_on desc i)) 0 p + stall p

@@ -12,21 +12,20 @@ val capacity : Gcd2_devices.Desc.t -> int
 
 (** Does an injective slot assignment exist for these
     {!Iclass.slot_mask_on} bitmasks (order-irrelevant) on the device's
-    slots (default {!Gcd2_devices.Desc.hexagon698})?  The packer's
-    allocation-free legality primitive. *)
-val masks_feasible : ?desc:Gcd2_devices.Desc.t -> int list -> bool
+    slots?  The packer's allocation-free legality primitive. *)
+val masks_feasible : desc:Gcd2_devices.Desc.t -> int list -> bool
 
 (** Does a slot assignment exist for these instructions? *)
-val slots_feasible : ?desc:Gcd2_devices.Desc.t -> Instr.t list -> bool
+val slots_feasible : desc:Gcd2_devices.Desc.t -> Instr.t list -> bool
 
 (** Slot-feasible and free of intra-packet hard dependencies. *)
-val legal : ?desc:Gcd2_devices.Desc.t -> Instr.t list -> bool
+val legal : desc:Gcd2_devices.Desc.t -> Instr.t list -> bool
 
 (** Extra cycles from the longest penalty-weighted soft chain inside. *)
 val stall : t -> int
 
 (** Issue-to-completion cycles of the packet (0 when empty), under the
-    device's latencies (default {!Gcd2_devices.Desc.hexagon698}). *)
-val cycles : ?desc:Gcd2_devices.Desc.t -> t -> int
+    device's latencies. *)
+val cycles : desc:Gcd2_devices.Desc.t -> t -> int
 
 val pp : Format.formatter -> t -> unit

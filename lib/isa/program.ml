@@ -46,7 +46,7 @@ let sum_packets measure t =
   go t.nodes
 
 (** Total execution cycles (packets never overlap). *)
-let static_cycles ?desc t = sum_packets (Packet.cycles ?desc) t
+let static_cycles ~desc t = sum_packets (Packet.cycles ~desc) t
 
 (** Dynamic packet count. *)
 let packet_count t = sum_packets (fun _ -> 1) t

@@ -29,9 +29,8 @@ val identity_hash : t -> int
 
 val same : t -> t -> bool
 
-(** Total execution cycles under the device's latencies (default
-    {!Gcd2_devices.Desc.hexagon698}). *)
-val static_cycles : ?desc:Gcd2_devices.Desc.t -> t -> int
+(** Total execution cycles under the device's latencies. *)
+val static_cycles : desc:Gcd2_devices.Desc.t -> t -> int
 
 (** Dynamic (trip-weighted) packet count. *)
 val packet_count : t -> int

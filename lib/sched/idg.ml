@@ -17,8 +17,8 @@ type t = {
   pred : (int * Dep.kind) list array;  (** incoming edges *)
   order : int array;  (** longest hop-distance from an entry (paper's [i.order]) *)
   ancestors : int array;  (** number of transitive predecessors (paper's [i.pred]) *)
-  lat : int array;  (** [Instr.latency], by instruction index *)
-  slot_mask : int array;  (** [Iclass.slot_mask] of the class, by index *)
+  lat : int array;  (** [Instr.latency_on], by instruction index *)
+  slot_mask : int array;  (** [Iclass.slot_mask_on] of the class, by index *)
   kinds : Bytes.t;  (** n×n dependence-kind matrix; query via {!edge} *)
 }
 
@@ -35,7 +35,7 @@ let decode = function
   | 1 -> Some Dep.Hard
   | c -> Some (Dep.Soft (c - 2))
 
-let build ?(desc = Gcd2_devices.Desc.hexagon698) instrs =
+let build ~desc instrs =
   let n = Array.length instrs in
   let infos = Array.map Dep.info instrs in
   let succ = Array.make n [] and pred = Array.make n [] in

@@ -20,8 +20,8 @@ type t = {
 }
 
 (** Build the IDG, baking the device's latencies and slot masks into
-    [lat]/[slot_mask] (default {!Gcd2_devices.Desc.hexagon698}). *)
-val build : ?desc:Gcd2_devices.Desc.t -> Instr.t array -> t
+    [lat]/[slot_mask]. *)
+val build : desc:Gcd2_devices.Desc.t -> Instr.t array -> t
 val size : t -> int
 
 (** [edge t i j] — the dependency from [i] to [j] ([i < j] in program

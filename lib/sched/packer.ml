@@ -29,7 +29,6 @@
     tests in the test suite pin across random blocks and every strategy. *)
 
 open Gcd2_isa
-module Desc = Gcd2_devices.Desc
 
 type strategy =
   | Sda of { w : float; p : float }
@@ -301,7 +300,7 @@ module Trace = Gcd2_util.Trace
 (* Strategy dispatch over a prebuilt IDG (built once per block — the Sda
    dual-policy run shares it).  The IDG must have been built with the same
    [desc]. *)
-let pack_indices_idg ?(desc = Desc.hexagon698) strategy idg =
+let pack_indices_idg ~desc strategy idg =
   match strategy with
   | Sda { w; p } ->
     (* The stall penalty pays off in slot-saturated code (avoid stalls,
@@ -331,15 +330,15 @@ let pack_indices_idg ?(desc = Desc.hexagon698) strategy idg =
 
 (** [pack_indices strategy instrs] packs one basic block (given in program
     order) and returns packets as ascending instruction-index lists. *)
-let pack_indices ?desc strategy instrs =
+let pack_indices ~desc strategy instrs =
   if Array.length instrs = 0 then []
   else begin
     let idg = ref None in
     let packets =
       Trace.in_span "pack" @@ fun () ->
-      let g = Idg.build ?desc instrs in
+      let g = Idg.build ~desc instrs in
       idg := Some g;
-      pack_indices_idg ?desc strategy g
+      pack_indices_idg ~desc strategy g
     in
     (* Observability: how many packets this schedule issues and how many
        stall cycles its soft co-packings pay (ambient trace only — the
@@ -355,13 +354,13 @@ let pack_indices ?desc strategy instrs =
 
 (** [pack strategy instrs] packs one basic block (given in program order)
     into a legal packet sequence. *)
-let pack ?desc strategy instrs =
+let pack ~desc strategy instrs =
   List.map (fun members -> List.map (fun i -> instrs.(i)) members)
-    (pack_indices ?desc strategy instrs)
+    (pack_indices ~desc strategy instrs)
 
 (** Total cycles of a packed block (no overlap between packets). *)
-let block_cycles ?desc packets =
-  List.fold_left (fun a p -> a + Packet.cycles ?desc p) 0 packets
+let block_cycles ~desc packets =
+  List.fold_left (fun a p -> a + Packet.cycles ~desc p) 0 packets
 
 (* ------------------------------------------------------------------ *)
 (* Reference implementation                                            *)
@@ -550,7 +549,7 @@ end
 (** The pre-optimization packer (the executable specification): returns
     the same packet-index lists as {!pack_indices}, recomputed the
     original O(n)-rescan way.  For tests and benchmarks. *)
-let pack_indices_reference ?(desc = Desc.hexagon698) strategy instrs =
+let pack_indices_reference ~desc strategy instrs =
   if Array.length instrs = 0 then []
   else
     match strategy with
@@ -580,6 +579,6 @@ let pack_indices_reference ?(desc = Desc.hexagon698) strategy instrs =
     | In_order -> Reference.pack_in_order ~desc instrs
 
 (** Reference {!pack}. *)
-let pack_reference ?desc strategy instrs =
+let pack_reference ~desc strategy instrs =
   List.map (fun members -> List.map (fun i -> instrs.(i)) members)
-    (pack_indices_reference ?desc strategy instrs)
+    (pack_indices_reference ~desc strategy instrs)

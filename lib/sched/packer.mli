@@ -26,11 +26,11 @@ val pp_strategy : Format.formatter -> strategy -> unit
 
 (** Pack one basic block (program order); packets as ascending
     instruction-index lists.  [desc] selects the device (slot masks,
-    capacity, latencies); default {!Gcd2_devices.Desc.hexagon698}. *)
-val pack_indices : ?desc:Gcd2_devices.Desc.t -> strategy -> Instr.t array -> int list list
+    capacity, latencies). *)
+val pack_indices : desc:Gcd2_devices.Desc.t -> strategy -> Instr.t array -> int list list
 
 (** Pack one basic block into a legal packet sequence. *)
-val pack : ?desc:Gcd2_devices.Desc.t -> strategy -> Instr.t array -> Packet.t list
+val pack : desc:Gcd2_devices.Desc.t -> strategy -> Instr.t array -> Packet.t list
 
 (** The pre-optimization packer, kept as the executable specification of
     the incremental one: [pack_indices_reference s b = pack_indices s b]
@@ -38,10 +38,10 @@ val pack : ?desc:Gcd2_devices.Desc.t -> strategy -> Instr.t array -> Packet.t li
     per-candidate freeness rescans and from-scratch legality/stall
     recomputation — so for tests and the pack-scaling benchmark only. *)
 val pack_indices_reference :
-  ?desc:Gcd2_devices.Desc.t -> strategy -> Instr.t array -> int list list
+  desc:Gcd2_devices.Desc.t -> strategy -> Instr.t array -> int list list
 
 (** Reference {!pack}. *)
-val pack_reference : ?desc:Gcd2_devices.Desc.t -> strategy -> Instr.t array -> Packet.t list
+val pack_reference : desc:Gcd2_devices.Desc.t -> strategy -> Instr.t array -> Packet.t list
 
 (** Total cycles of a packed block (packets never overlap). *)
-val block_cycles : ?desc:Gcd2_devices.Desc.t -> Packet.t list -> int
+val block_cycles : desc:Gcd2_devices.Desc.t -> Packet.t list -> int

@@ -18,7 +18,7 @@ let pp_error ppf = function
 
 (** [check instrs packets] — [packets] as returned by
     {!Packer.pack_indices}, validated against the device's slot rules. *)
-let check ?desc instrs (packets : int list list) =
+let check ~desc instrs (packets : int list list) =
   Gcd2_util.Trace.in_span "verify" @@ fun () ->
   let n = Array.length instrs in
   let position = Array.make n (-1) in
@@ -40,13 +40,13 @@ let check ?desc instrs (packets : int list list) =
   in
   if not ok_partition then Error Not_a_partition
   else begin
-    let idg = Idg.build ?desc instrs in
+    let idg = Idg.build ~desc instrs in
     let bad_packet = ref None in
     List.iteri
       (fun k members ->
         let sorted = List.sort compare members = members in
         let packet = List.map (fun i -> instrs.(i)) members in
-        if (not sorted) || not (Packet.legal ?desc packet) then
+        if (not sorted) || not (Packet.legal ~desc packet) then
           if !bad_packet = None then bad_packet := Some k)
       packets;
     match !bad_packet with

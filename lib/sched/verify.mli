@@ -12,9 +12,8 @@ val pp_error : Format.formatter -> error -> unit
 
 (** [check instrs packets] — packets as returned by
     {!Packer.pack_indices}: every instruction exactly once, every packet
-    legal (under the device's slot rules; default
-    {!Gcd2_devices.Desc.hexagon698}) and internally in program order,
+    legal (under the device's slot rules) and internally in program order,
     every dependency ordered (hard: strictly earlier packet; soft: no
     later packet). *)
 val check :
-  ?desc:Gcd2_devices.Desc.t -> Instr.t array -> int list list -> (unit, error) result
+  desc:Gcd2_devices.Desc.t -> Instr.t array -> int list list -> (unit, error) result

@@ -86,13 +86,15 @@ let parse_line ~framework ~selection ~device ?tune ~line text =
         in
         (* an unknown device (or malformed tune/seq spec) is a per-line
            error, not a served failure: the request never names a valid
-           target, so reject it here with its line number *)
-        match named with
-        | Some name when Desc.find name = None ->
+           target, so reject it here with its line number.  A known one is
+           stored under its canonical name, so one device is one spelling
+           in cold/warm and single-flight keys and in outcome lines. *)
+        match Option.map (fun name -> (name, Desc.find name)) named with
+        | Some (name, None) ->
           error
             (Fmt.str "unknown device %S (known: %s)" name (String.concat ", " Desc.names))
-        | _ -> (
-          let device = Option.value named ~default:device in
+        | found -> (
+          let device = match found with Some (_, Some d) -> d.Desc.name | _ -> device in
           match
             match sq with
             | [ tok ] -> (

@@ -32,7 +32,7 @@ let pp ppf l = Fmt.string ppf (name l)
 
 (** Rows per panel: one vector load's worth of rows ([vector_bytes] over
     the column group, so 128/64/32 on the default 128-byte device). *)
-let panel_rows ?(desc = Desc.hexagon698) l =
+let panel_rows ~desc l =
   let vb = desc.Desc.vector_bytes in
   match l with Row_major -> 1 | Col1 -> vb | Col2 -> vb / 2 | Col4 -> vb / 4
 
@@ -40,45 +40,38 @@ let panel_rows ?(desc = Desc.hexagon698) l =
 let column_group = function Row_major -> 1 | Col1 -> 1 | Col2 -> 2 | Col4 -> 4
 
 (** Dimensions after padding to the layout's panel/group granularity. *)
-let padded_dims ?desc l ~rows ~cols =
+let padded_dims ~desc l ~rows ~cols =
   match l with
   | Row_major -> (rows, cols)
-  | _ -> (Stats.round_up rows (panel_rows ?desc l), Stats.round_up cols (column_group l))
+  | _ -> (Stats.round_up rows (panel_rows ~desc l), Stats.round_up cols (column_group l))
 
-(** Bytes occupied by an int8 matrix in this layout (padding included). *)
-let padded_bytes ?desc l ~rows ~cols =
-  let r, c = padded_dims ?desc l ~rows ~cols in
+(** Bytes occupied by an int8 matrix in this layout (padding included).
+    The hexagon698 default serves only the benchmark harness's replay of
+    the simulator's staging; library callers pass the device. *)
+let padded_bytes ?(desc = Desc.hexagon698) l ~rows ~cols =
+  let r, c = padded_dims ~desc l ~rows ~cols in
   r * c
 
 (** Linear byte offset of element [(r, c)] (paper Figure 2). *)
-let offset ?desc l ~rows ~cols ~r ~c =
-  let _, pc = padded_dims ?desc l ~rows ~cols in
+let offset ~desc l ~rows ~cols ~r ~c =
+  let _, pc = padded_dims ~desc l ~rows ~cols in
   match l with
   | Row_major -> (r * cols) + c
   | _ ->
-    let pr = panel_rows ?desc l and g = column_group l in
+    let pr = panel_rows ~desc l and g = column_group l in
     let panel = r / pr and r_in = r mod pr in
     let group = c / g and c_in = c mod g in
     (panel * pr * pc) + (group * pr * g) + (r_in * g) + c_in
-
-(** Sustained DDR bandwidth in bytes per model cycle.  Model cycles map to
-    wall clock through {!Gcd2_cost.Config.model_cycles_per_sec}; at that
-    rate a ~30 GB/s mobile memory system delivers about one byte per
-    cycle, which is what makes layout conversions as expensive relative to
-    compute as they are on the real platform. *)
-let ddr_bytes_per_cycle = 1.0
 
 (** Estimated cycles to convert a [rows] x [cols] int8 matrix from layout
     [src] to layout [dst] — the paper's data-transformation cost
     [TC(ep_i, ep_j)], zero when no conversion is needed.  Repacking streams
     the source and destination buffers through memory (the permute slot is
-    never the bottleneck), so the cost is the traffic over the DDR rate. *)
+    never the bottleneck), so the cost is the traffic over the device's
+    DDR rate. *)
 let transform_cycles_on (desc : Desc.t) ~src ~dst ~rows ~cols =
   if src = dst then 0
   else begin
     let bytes = padded_bytes ~desc src ~rows ~cols + padded_bytes ~desc dst ~rows ~cols in
     int_of_float (Float.ceil (float_of_int bytes /. desc.Desc.ddr_bytes_per_cycle))
   end
-
-let transform_cycles ~src ~dst ~rows ~cols =
-  transform_cycles_on Desc.hexagon698 ~src ~dst ~rows ~cols

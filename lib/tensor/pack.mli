@@ -1,6 +1,6 @@
 (** Materialized layout buffers — what the generated DSP code actually
-    loads and stores.  [pack] zero-pads; [unpack] recovers the logical
-    matrix. *)
+    loads and stores, laid out for hexagon698, the simulator's device.
+    [pack] zero-pads; [unpack] recovers the logical matrix. *)
 
 type buffer = {
   layout : Layout.t;
@@ -28,5 +28,5 @@ val load : Layout.t -> rows:int -> cols:int -> Bytes.t -> int -> int array
 val pack_tensor : Layout.t -> Tensor.t -> buffer
 
 (** Re-layout a buffer (the runtime transformation whose cost is
-    {!Layout.transform_cycles}). *)
+    {!Layout.transform_cycles_on}). *)
 val convert : buffer -> Layout.t -> buffer

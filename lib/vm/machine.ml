@@ -64,24 +64,14 @@ type t = {
 
 (** Can this device's programs execute on the simulator?  The ISA
     semantics (lane counts, packet shapes, the translated engine's
-    specialized loops) are fixed to the hexagon698 register file; wider
+    specialized loops) and the packet timing are hexagon698's; wider
     descriptors are costed analytically, never run. *)
 let executable (d : Desc.t) =
   d.Desc.vector_bytes = Reg.vector_bytes
   && d.Desc.scalar_count = Reg.scalar_count
   && d.Desc.vector_count = Reg.vector_count
 
-let check_executable d =
-  if not (executable d) then
-    invalid_arg
-      (Fmt.str
-         "Machine: device %s (%dB vectors, %d/%d regs) is not executable — the \
-          simulator runs the %dB hexagon698 ISA only"
-         d.Desc.name d.Desc.vector_bytes d.Desc.scalar_count d.Desc.vector_count
-         Reg.vector_bytes)
-
-let create ?(desc = Desc.hexagon698) ?(mem_bytes = 1 lsl 22) () =
-  check_executable desc;
+let create ?(mem_bytes = 1 lsl 22) () =
   {
     sregs = Array.make Reg.scalar_count 0;
     vregs = Array.init Reg.vector_count (fun _ -> Bytes.make Reg.vector_bytes '\000');
@@ -455,7 +445,7 @@ let exec = exec_reference
 
 let exec_packet t (p : Packet.t) =
   t.counters.packets <- t.counters.packets + 1;
-  t.counters.cycles <- t.counters.cycles + Packet.cycles p;
+  t.counters.cycles <- t.counters.cycles + Packet.cycles ~desc:Desc.hexagon698 p;
   List.iter (exec_reference t) p
 
 let rec exec_node t = function
@@ -897,7 +887,7 @@ let translate_instr t ~tables (instr : Instr.t) : exec_fn =
    precomputed cycle cost, followed by its member instructions. *)
 let translate_packet t ~tables (p : Packet.t) : exec_fn list =
   let c = t.counters in
-  let cyc = Packet.cycles p in
+  let cyc = Packet.cycles ~desc:Desc.hexagon698 p in
   let prologue () =
     c.packets <- c.packets + 1;
     c.cycles <- c.cycles + cyc
@@ -999,25 +989,13 @@ let reset ?(mem_bytes = 1 lsl 22) t =
   c.loaded_bytes <- 0;
   c.stored_bytes <- 0
 
-(* One scratch machine per (domain, device): the table is domain-local,
-   keyed by the descriptor's name, so two devices never share registers,
-   memory or translation caches. *)
-let scratch_key : (string, t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 4)
+(* One scratch machine per domain. *)
+let scratch_key = Domain.DLS.new_key (fun () -> create ~mem_bytes:4096 ())
 
-let scratch ?(desc = Desc.hexagon698) ?(mem_bytes = 1 lsl 22) () =
-  check_executable desc;
+let scratch ?(mem_bytes = 1 lsl 22) () =
   match !engine_state with
-  | Reference -> create ~desc ~mem_bytes ()
+  | Reference -> create ~mem_bytes ()
   | Translated ->
-    let table = Domain.DLS.get scratch_key in
-    let m =
-      match Hashtbl.find_opt table desc.Desc.name with
-      | Some m -> m
-      | None ->
-        let m = create ~desc ~mem_bytes:4096 () in
-        Hashtbl.replace table desc.Desc.name m;
-        m
-    in
+    let m = Domain.DLS.get scratch_key in
     reset ~mem_bytes m;
     m

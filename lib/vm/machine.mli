@@ -29,14 +29,14 @@ type t
 
 (** Can this device's programs execute on the simulator?  The ISA
     semantics and the translated engine's specialized loops are fixed to
-    the hexagon698 register file (128-byte vectors, 32+32 registers);
-    wider descriptors are costed analytically, never run. *)
+    the hexagon698 register file (128-byte vectors, 32+32 registers), and
+    packets are timed under hexagon698's latencies; wider descriptors are
+    costed analytically, never run. *)
 val executable : Gcd2_devices.Desc.t -> bool
 
-(** [create ?desc ~mem_bytes ()] — fresh machine with zeroed registers
-    and memory (default 4 MiB).  [desc] (default hexagon698) must satisfy
-    {!executable}; raises [Invalid_argument] otherwise. *)
-val create : ?desc:Gcd2_devices.Desc.t -> ?mem_bytes:int -> unit -> t
+(** [create ~mem_bytes ()] — fresh hexagon698 machine with zeroed
+    registers and memory (default 4 MiB). *)
+val create : ?mem_bytes:int -> unit -> t
 
 val counters : t -> counters
 val memory_size : t -> int
@@ -104,10 +104,8 @@ val engine : unit -> engine
     kept. *)
 val reset : ?mem_bytes:int -> t -> unit
 
-(** [scratch ?desc ~mem_bytes ()] — a domain-local machine, {!reset} and
-    ready: per-node runners reuse it instead of allocating a fresh
-    multi-MiB machine per node.  Machines are kept per device (keyed by
-    the descriptor name), so two devices never share registers, memory or
-    translation caches.  [desc] must satisfy {!executable}.  Under the
-    [Reference] engine this returns a fresh {!create} instead. *)
-val scratch : ?desc:Gcd2_devices.Desc.t -> ?mem_bytes:int -> unit -> t
+(** [scratch ~mem_bytes ()] — the domain's one scratch machine, {!reset}
+    and ready: per-node runners reuse it instead of allocating a fresh
+    multi-MiB machine per node.  Under the [Reference] engine this
+    returns a fresh {!create} instead. *)
+val scratch : ?mem_bytes:int -> unit -> t

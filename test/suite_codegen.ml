@@ -13,6 +13,8 @@ module Rng = Gcd2_util.Rng
 module Sat = Gcd2_util.Saturate
 module Q = Gcd2_tensor.Quant
 
+let desc = Gcd2_devices.Desc.hexagon698
+
 let mult, shift = Sat.quantize_multiplier 0.05
 
 let spec ?un ?(ug = 1) ?(strategy = Packer.sda) ?act_table simd ~m ~k ~n =
@@ -113,7 +115,7 @@ let test_fused_activation () =
 let test_padded_sizes () =
   (* Table II's padding accounting: at M=K=N=32 the three instructions pad
      very differently (vmpy 4x, vmpa 2x, vrmpy none on A). *)
-  let bytes simd = Simd.padded_data_bytes simd ~m:32 ~k:32 ~n:32 in
+  let bytes simd = Simd.padded_data_bytes ~desc simd ~m:32 ~k:32 ~n:32 in
   Alcotest.(check bool) "vmpy pads most" true (bytes Simd.I_vmpy > bytes Simd.I_vmpa);
   Alcotest.(check bool) "vmpa pads more than vrmpy" true
     (bytes Simd.I_vmpa > bytes Simd.I_vrmpy);
@@ -123,7 +125,7 @@ let test_padded_sizes () =
       Alcotest.(check int)
         (Simd.name simd ^ " no padding at 128")
         (3 * 128 * 128)
-        (Simd.padded_data_bytes simd ~m:128 ~k:128 ~n:128))
+        (Simd.padded_data_bytes ~desc simd ~m:128 ~k:128 ~n:128))
     Simd.all
 
 let test_cycle_counts_positive () =

@@ -3,11 +3,13 @@
 
 module Opcost = Gcd2_cost.Opcost
 module Plan = Gcd2_cost.Plan
-module Config = Gcd2_cost.Config
+module Desc = Gcd2_devices.Desc
 module Graphcost = Gcd2_cost.Graphcost
 module Layout = Gcd2_tensor.Layout
 open Gcd2_graph
 module B = Graph.Builder
+
+let desc = Desc.hexagon698
 
 let small_graph () =
   let b = B.create () in
@@ -29,7 +31,7 @@ let test_plans_for_every_op () =
       if Array.length plans = 0 then Alcotest.failf "no plans for %s" node.Graph.name;
       Array.iter
         (fun p ->
-          if Plan.cycles p < 0.0 then Alcotest.failf "negative cost for %s" node.Graph.name)
+          if Plan.cycles ~desc p < 0.0 then Alcotest.failf "negative cost for %s" node.Graph.name)
         plans)
     g
 
@@ -48,8 +50,8 @@ let test_dispatch_overhead_included () =
   let conv = Graph.node g 1 in
   let with_d = Opcost.plans Opcost.gcd2 g conv in
   let without = Opcost.plans { Opcost.gcd2 with Opcost.dispatch_us = 0.0 } g conv in
-  let diff = (Plan.cycles with_d.(0)) -. (Plan.cycles without.(0)) in
-  Alcotest.(check (float 1.0)) "dispatch cycles" (Config.cycles_of_us 15.0) diff
+  let diff = (Plan.cycles ~desc with_d.(0)) -. (Plan.cycles ~desc without.(0)) in
+  Alcotest.(check (float 1.0)) "dispatch cycles" (Desc.cycles_of_us desc 15.0) diff
 
 let test_channel_padding_costs_more () =
   let g = small_graph () in
@@ -69,7 +71,7 @@ let test_fallback_plan () =
   let plans = Opcost.plans options g relu in
   Alcotest.(check int) "single fallback plan" 1 (Array.length plans);
   Alcotest.(check bool) "fallback is expensive" true
-    (Plan.cycles plans.(0) > Config.cycles_of_us 120.0)
+    (Plan.cycles ~desc plans.(0) > Desc.cycles_of_us desc 120.0)
 
 let test_problem_valid_and_reportable () =
   let g = small_graph () in
@@ -107,7 +109,7 @@ let test_global_beats_local () =
     (optimal.Gcd2_layout.Solver.cost <= local.Gcd2_layout.Solver.cost +. 1e-6)
 
 let test_tops_scale () =
-  let t = Config.tops ~macs:1_000_000_000 ~cycles:Config.model_cycles_per_sec in
+  let t = Desc.tops desc ~macs:1_000_000_000 ~cycles:desc.Desc.model_cycles_per_sec in
   Alcotest.(check (float 1e-9)) "1 GMAC in 1 s = 0.002 TOPS" 0.002 t
 
 let tests =

@@ -248,6 +248,43 @@ let test_daemon_serves () =
   check_int "hits" 1 (Counters.get s.Daemon.counts "hits");
   check_int "one compile" 1 (Counters.get s.Daemon.counts "compiles")
 
+(* Tune verification runs kernels on the simulator, which executes
+   hexagon698 only.  On hexagon-g2, compile, serve and the daemon must
+   all answer a typed invalid-request that names the device, instead of
+   running hexagon-g2 kernels on the wrong simulator. *)
+let test_tune_verify_unexecutable_device () =
+  let model = "MobileNet-V3" and device = "hexagon-g2" in
+  let names_device msg = List.mem device (String.split_on_char ' ' msg) in
+  let check_diag what (d : Gcd2.Diag.t) =
+    check_bool (what ^ ": invalid-request") true
+      (d.Gcd2.Diag.code = Gcd2.Diag.Invalid_request);
+    check_bool (what ^ ": names the device: " ^ d.Gcd2.Diag.message) true
+      (names_device d.Gcd2.Diag.message)
+  in
+  let tune = { Gcd2_codegen.Autotune.budget = 8; verify = true } in
+  (match Serve.config_of ~device ~tune ~framework:"gcd2" ~selection:"13" () with
+  | Ok config -> (
+    match Gcd2.Compiler.compile_result ~config (Gcd2_models.Zoo.build model) with
+    | Error d -> check_diag "compile" d
+    | Ok _ -> Alcotest.fail "compile: tune-verify on hexagon-g2 succeeded")
+  | Error d -> Alcotest.failf "config: %a" Gcd2.Diag.pp d);
+  let served =
+    Serve.serve_one Serve.default_policy ~cold:true (Serve.request ~device ~tune model)
+  in
+  (match served.Serve.diag with
+  | Some d -> check_diag "serve" d
+  | None -> Alcotest.fail "serve: tune-verify on hexagon-g2 succeeded");
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  with_daemon (config dir) @@ fun d ->
+  match Client.batch (Daemon.address d) [ model ^ " device=hexagon-g2 tune=8+verify" ] with
+  | [ Ok r ] ->
+    Alcotest.(check string) "daemon: outcome" "error" r.Protocol.outcome;
+    Alcotest.(check (option string)) "daemon: code" (Some "invalid-request") r.Protocol.code;
+    check_bool "daemon: names the device" true
+      (names_device (Option.value r.Protocol.msg ~default:""))
+  | _ -> Alcotest.fail "daemon: expected one response"
+
 (* The acceptance test of the PR: K identical cold requests arriving
    concurrently perform exactly one compile.  The compile is a real zoo
    model (hundreds of ms) while the clients arrive within a few ms, so
@@ -613,6 +650,8 @@ let tests =
       test_protocol_roundtrip;
     Alcotest.test_case "daemon serves cold, warm and invalid" `Quick
       test_daemon_serves;
+    Alcotest.test_case "tune-verify on a device the VM cannot run" `Quick
+      test_tune_verify_unexecutable_device;
     Alcotest.test_case "single-flight: K requests, one compile" `Quick
       test_single_flight_coalesces_requests;
     Alcotest.test_case "backpressure rejection is retryable" `Quick

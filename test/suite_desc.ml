@@ -1,8 +1,8 @@
 (* Tests for the machine descriptors (Gcd2_devices.Desc) and everything
-   the descriptor threads through: bit-identity of the default device
-   with the historical constants (zoo goldens), cross-device cost
-   ordering, memo-key separation, slot monotonicity, and the
-   cross-device placement pass. *)
+   the descriptor threads through: bit-identity of every built-in device
+   with its pinned zoo goldens (hexagon698's are the historical
+   constants), cross-device cost ordering, memo-key separation, slot
+   monotonicity, and the cross-device placement pass. *)
 
 module Desc = Gcd2_devices.Desc
 module Zoo = Gcd2_models.Zoo
@@ -51,18 +51,21 @@ let test_builtins_valid () =
   | _ -> Alcotest.fail "unknown device accepted"
 
 (* ------------------------------------------------------------------ *)
-(* Zoo goldens: the default device must reproduce the seed bit for bit *)
+(* Zoo goldens: every built-in device reproduces its pinned compiles bit
+   for bit *)
 
 (* Captured via `bench/main.exe zoo-goldens`: total cycles and ms (hex
    floats, exact) and the MD5 of the comma-joined plan assignment of
-   Compiler.compile under the default configuration.  These move only
-   when a change is sanctioned to move them; the last regeneration
-   accompanied the transformer kernels (batched MatMul / Softmax /
-   LayerNorm costed from generated Rowops programs), which re-priced
-   every model containing a softmax or a normalization — the
-   classifiers, the instance-norm GANs and the sequence models — while
-   every plan assignment stayed put. *)
-let goldens =
+   Compiler.compile under the default configuration retargeted to each
+   device.  These move only when a change is sanctioned to move them.
+   hexagon698's last regeneration accompanied the transformer kernels
+   (batched MatMul / Softmax / LayerNorm costed from generated Rowops
+   programs), which re-priced every model containing a softmax or a
+   normalization — the classifiers, the instance-norm GANs and the
+   sequence models — while every plan assignment stayed put;
+   hexagon-g2's were first captured when the descriptor became a
+   required argument everywhere, before that refactor. *)
+let goldens_698 =
   [
     ("MobileNet-V3", "0x1.3f1e568p+26", "0x1.64ed91f79d136p+1",
      "8b5b71b8be8ebabbf55f7426a121a8d6");
@@ -86,6 +89,30 @@ let goldens =
      "bb0b7ff720de715187a0350ebb5a5bf5");
   ]
 
+let goldens_g2 =
+  [
+    ("MobileNet-V3", "0x1.169e5f4p+26", "0x1.37a1325be474p+1",
+     "2ffc3331c84050f61b668d59375ef4bc");
+    ("EfficientNet-b0", "0x1.aedf058p+26", "0x1.e1ebd7540f4bdp+1",
+     "2af23a26793549d057a6daa3e52b59e5");
+    ("ResNet-50", "0x1.d048a78p+26", "0x1.03a5756feea56p+2",
+     "681cab05cb5eb3256bf82aab34379d70");
+    ("FST", "0x1.e46e81a8p+31", "0x1.0ee9f05136538p+7",
+     "ce9b817dc598e3a06525a2d66300b25f");
+    ("CycleGAN", "0x1.91e16628p+31", "0x1.c17ee59e54ea4p+6",
+     "b1a51d95fc337d470f55271706c08d2a");
+    ("WDSR-b", "0x1.cb48cecp+28", "0x1.00d9b7731009bp+4",
+     "84f18c3324bb51ad02e57689ac822713");
+    ("EfficientDet-d0", "0x1.0b2fb09p+28", "0x1.2ad7c2053a434p+3",
+     "235e43fb704657c15d3619c8b470b72f");
+    ("PixOr", "0x1.47f50bp+28", "0x1.6ed05cebdaf6ap+3",
+     "635cf4ff7b795fc2e5ce43cfa8107b63");
+    ("TinyBERT", "0x1.195be1ep+27", "0x1.3ab1d2994dd2bp+2",
+     "afc84c124ac19b4eb1fcbffdb9a742e8");
+    ("Conformer", "0x1.1b9bbd2cp+30", "0x1.3d35e84a8fff7p+5",
+     "3b4deb25a1d28b29282096d60275896d");
+  ]
+
 (* One compile per (model, device), shared by the golden and the
    cross-device tests. *)
 let zoo_compiled =
@@ -102,12 +129,11 @@ let zoo_compiled =
          (e.Zoo.name, c698, cg2))
        Zoo.all)
 
-let test_zoo_golden_hexagon698 () =
-  check_bool "default config targets hexagon698" true
-    (Desc.equal (Compiler.device Compiler.default) Desc.hexagon698);
+(* [compiled] picks one device's compile out of a [zoo_compiled] row. *)
+let check_zoo_goldens goldens compiled =
   List.iter
     (fun (name, cycles_hex, ms_hex, asg_md5) ->
-      let _, c, _ = List.find (fun (n, _, _) -> n = name) (Lazy.force zoo_compiled) in
+      let c = compiled (List.find (fun (n, _, _) -> n = name) (Lazy.force zoo_compiled)) in
       check_string (name ^ " cycles") cycles_hex
         (Printf.sprintf "%h" c.Compiler.report.Graphcost.cycles);
       check_string (name ^ " ms") ms_hex
@@ -119,6 +145,13 @@ let test_zoo_golden_hexagon698 () =
       check_string (name ^ " assignment") asg_md5
         (Stdlib.Digest.to_hex (Stdlib.Digest.string asg)))
     goldens
+
+let test_zoo_golden_hexagon698 () =
+  check_bool "default config targets hexagon698" true
+    (Desc.equal (Compiler.device Compiler.default) Desc.hexagon698);
+  check_zoo_goldens goldens_698 (fun (_, c698, _) -> c698)
+
+let test_zoo_golden_hexagon_g2 () = check_zoo_goldens goldens_g2 (fun (_, _, cg2) -> cg2)
 
 let test_zoo_g2_faster () =
   let results = Lazy.force zoo_compiled in
@@ -300,20 +333,23 @@ let test_place_two_devices () =
     | _ -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Whatever GCD2_DEVICE selects must behave: `make check` runs the
-   suite once per built-in device through this test. *)
+(* Every built-in device must behave, whichever one GCD2_DEVICE picks for
+   the CLI. *)
 
-let test_default_device_compiles () =
-  let dut = Desc.default () in
-  Desc.validate dut;
+let test_builtin_devices_compile () =
   let g = small_cnn 3 in
-  let c = Compiler.compile ~config:(Compiler.with_device dut Compiler.default) g in
-  check_bool "latency positive" true (Compiler.latency_ms c > 0.0);
-  check_bool "report cycles finite" true
-    (Float.is_finite c.Compiler.report.Graphcost.cycles);
-  let d1 = Compiler.fingerprint (Compiler.with_device dut Compiler.default) g in
-  let d2 = Compiler.fingerprint (Compiler.with_device dut Compiler.default) g in
-  check_string "fingerprint deterministic" d1 d2
+  List.iter
+    (fun (dut : Desc.t) ->
+      let what = dut.Desc.name ^ ": " in
+      Desc.validate dut;
+      let config = Compiler.with_device dut Compiler.default in
+      let c = Compiler.compile ~config g in
+      check_bool (what ^ "latency positive") true (Compiler.latency_ms c > 0.0);
+      check_bool (what ^ "report cycles finite") true
+        (Float.is_finite c.Compiler.report.Graphcost.cycles);
+      check_string (what ^ "fingerprint deterministic") (Compiler.fingerprint config g)
+        (Compiler.fingerprint config g))
+    Desc.builtins
 
 let tests =
   [
@@ -321,6 +357,8 @@ let tests =
       test_builtins_valid;
     Alcotest.test_case "zoo goldens: hexagon698 = seed, bit for bit" `Slow
       test_zoo_golden_hexagon698;
+    Alcotest.test_case "zoo goldens: hexagon-g2 pinned, bit for bit" `Slow
+      test_zoo_golden_hexagon_g2;
     Alcotest.test_case "zoo: hexagon-g2 faster on >= 80%" `Slow test_zoo_g2_faster;
     Alcotest.test_case "memo keys separate devices" `Quick
       test_memo_no_cross_device_sharing;
@@ -330,6 +368,6 @@ let tests =
     Alcotest.test_case "place: single device degenerates to selection" `Quick
       test_place_single_device_degenerates;
     Alcotest.test_case "place: two devices" `Quick test_place_two_devices;
-    Alcotest.test_case "default device (GCD2_DEVICE) compiles" `Quick
-      test_default_device_compiles;
+    Alcotest.test_case "every built-in device compiles" `Quick
+      test_builtin_devices_compile;
   ]

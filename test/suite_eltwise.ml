@@ -12,6 +12,9 @@ module Rng = Gcd2_util.Rng
 module Lut = Gcd2_kernels.Lut
 module Packer = Gcd2_sched.Packer
 
+(* The simulator's device: these kernels run on the VM. *)
+let device = Gcd2_devices.Desc.hexagon698
+
 (* Stage packed operands, run the kernel, unpack the result. *)
 let run_kernel ?(tables = []) op spec layout ~rows ~cols a b =
   let pa = (Pack.pack layout ~rows ~cols a).Pack.bytes in
@@ -39,7 +42,7 @@ let rescale_table ?(negate = false) q_mult =
       Sat.sat8 (if negate then -v else v) land 0xff)
 
 let vectors_for layout ~rows ~cols =
-  Gcd2_util.Stats.ceil_div (Layout.padded_bytes layout ~rows ~cols) 128
+  Gcd2_util.Stats.ceil_div (Layout.padded_bytes ~desc:device layout ~rows ~cols) 128
 
 let random_pair seed n =
   let rng = Rng.create seed in
@@ -52,7 +55,7 @@ let test_add_all_layouts () =
   List.iter
     (fun layout ->
       let spec =
-        Eltwise.default_spec ~vectors:(vectors_for layout ~rows ~cols) ()
+        Eltwise.default_spec ~device ~vectors:(vectors_for layout ~rows ~cols) ()
       in
       let got = run_kernel (`Binary Eltwise.Badd) spec layout ~rows ~cols a (Some b) in
       Alcotest.(check (array int)) (Layout.name layout) want got)
@@ -67,7 +70,7 @@ let test_add_with_rescale () =
   let table = rescale_table ma in
   let spec =
     {
-      (Eltwise.default_spec ~vectors:(vectors_for Layout.Col1 ~rows ~cols) ()) with
+      (Eltwise.default_spec ~device ~vectors:(vectors_for Layout.Col1 ~rows ~cols) ()) with
       Eltwise.rescale_a = Some 2;
     }
   in
@@ -87,7 +90,7 @@ let test_sub_via_negating_table () =
   let table = rescale_table ~negate:true identity in
   let spec =
     {
-      (Eltwise.default_spec ~vectors:(vectors_for Layout.Col4 ~rows ~cols) ()) with
+      (Eltwise.default_spec ~device ~vectors:(vectors_for Layout.Col4 ~rows ~cols) ()) with
       Eltwise.rescale_b = Some 3;
     }
   in
@@ -105,7 +108,7 @@ let test_sub_via_negating_table () =
 let test_plain_vsub () =
   let rows, cols = (12, 12) in
   let a, b = random_pair 4 (rows * cols) in
-  let spec = Eltwise.default_spec ~vectors:(vectors_for Layout.Col2 ~rows ~cols) () in
+  let spec = Eltwise.default_spec ~device ~vectors:(vectors_for Layout.Col2 ~rows ~cols) () in
   let got = run_kernel (`Binary Eltwise.Bsub) spec Layout.Col2 ~rows ~cols a (Some b) in
   let want = Array.map2 (fun x y -> Sat.sat8 (x - y)) a b in
   Alcotest.(check (array int)) "vector subtract" want got
@@ -116,7 +119,7 @@ let test_mul_requant () =
   let mult, shift = Q.requant_multiplier ~in_a:Q.default ~in_b:Q.default ~out:Q.default in
   let spec =
     {
-      (Eltwise.default_spec ~vectors:(vectors_for Layout.Col1 ~rows ~cols) ()) with
+      (Eltwise.default_spec ~device ~vectors:(vectors_for Layout.Col1 ~rows ~cols) ()) with
       Eltwise.mult;
       shift;
     }
@@ -132,7 +135,7 @@ let test_mul_with_activation () =
   let act = Lut.of_act ~in_q:Q.default ~out_q:Q.default Gcd2_graph.Op.A_relu in
   let spec =
     {
-      (Eltwise.default_spec ~vectors:(vectors_for Layout.Row_major ~rows ~cols) ()) with
+      (Eltwise.default_spec ~device ~vectors:(vectors_for Layout.Row_major ~rows ~cols) ()) with
       Eltwise.mult;
       shift;
       act_table = Some 1;
@@ -156,7 +159,7 @@ let test_unary_all_layouts () =
   let want = Array.map (fun q -> Lut.apply table q) a in
   List.iter
     (fun layout ->
-      let spec = Eltwise.default_spec ~vectors:(vectors_for layout ~rows ~cols) () in
+      let spec = Eltwise.default_spec ~device ~vectors:(vectors_for layout ~rows ~cols) () in
       let got =
         run_kernel ~tables:[ (1, table) ] (`Unary 1) spec layout ~rows ~cols a None
       in
@@ -169,9 +172,8 @@ let test_strategies_agree () =
   let results =
     List.map
       (fun strategy ->
-        let spec =
-          Eltwise.default_spec ~strategy ~vectors:(vectors_for Layout.Col1 ~rows ~cols) ()
-        in
+        let vectors = vectors_for Layout.Col1 ~rows ~cols in
+        let spec = Eltwise.default_spec ~device ~strategy ~vectors () in
         run_kernel (`Binary Eltwise.Badd) spec Layout.Col1 ~rows ~cols a (Some b))
       [ Packer.sda; Packer.Soft_to_hard; Packer.Soft_to_none; Packer.List_topdown; Packer.In_order ]
   in
@@ -188,9 +190,8 @@ let test_unroll_tail () =
   let a, b = random_pair 9 (rows * cols) in
   List.iter
     (fun uv ->
-      let spec =
-        { (Eltwise.default_spec ~vectors:(vectors_for Layout.Col1 ~rows ~cols) ()) with Eltwise.uv }
-      in
+      let vectors = vectors_for Layout.Col1 ~rows ~cols in
+      let spec = { (Eltwise.default_spec ~device ~vectors ()) with Eltwise.uv } in
       let got = run_kernel (`Binary Eltwise.Badd) spec Layout.Col1 ~rows ~cols a (Some b) in
       let want = Array.map2 (fun x y -> Sat.sat8 (x + y)) a b in
       Alcotest.(check (array int)) (Fmt.str "uv=%d" uv) want got)
@@ -202,7 +203,7 @@ let qcheck_add_random =
     (fun (rows, cols, li) ->
       let layout = List.nth Layout.all li in
       let a, b = random_pair ((rows * 100) + cols) (rows * cols) in
-      let spec = Eltwise.default_spec ~vectors:(vectors_for layout ~rows ~cols) () in
+      let spec = Eltwise.default_spec ~device ~vectors:(vectors_for layout ~rows ~cols) () in
       let got = run_kernel (`Binary Eltwise.Badd) spec layout ~rows ~cols a (Some b) in
       got = Array.map2 (fun x y -> Sat.sat8 (x + y)) a b)
 

@@ -3,6 +3,8 @@
 
 open Gcd2_isa
 
+let desc = Gcd2_devices.Desc.hexagon698
+
 let r n = Reg.R n
 let v n = Reg.V n
 let p n = Reg.P n
@@ -35,21 +37,21 @@ let test_slots () =
   (* Two narrowing packs need the single shift slot: unpackable (the
      paper's "packing two shift operations together is not allowed"). *)
   check "two vpack infeasible" false
-    (Packet.slots_feasible [ Instr.Vpack (v 0, p 1, Instr.W32); Instr.Vpack (v 1, p 2, Instr.W32) ]);
-  check "two loads feasible" true (Packet.slots_feasible [ vload 0 1; vload 2 3 ]);
+    (Packet.slots_feasible ~desc [ Instr.Vpack (v 0, p 1, Instr.W32); Instr.Vpack (v 1, p 2, Instr.W32) ]);
+  check "two loads feasible" true (Packet.slots_feasible ~desc [ vload 0 1; vload 2 3 ]);
   check "two loads + store infeasible" false
-    (Packet.slots_feasible [ vload 0 1; vload 2 3; vstore 4 5 ]);
-  check "load + store feasible" true (Packet.slots_feasible [ vload 0 1; vstore 4 5 ]);
+    (Packet.slots_feasible ~desc [ vload 0 1; vload 2 3; vstore 4 5 ]);
+  check "load + store feasible" true (Packet.slots_feasible ~desc [ vload 0 1; vstore 4 5 ]);
   check "three multiplies infeasible" false
-    (Packet.slots_feasible
+    (Packet.slots_feasible ~desc
        [ Instr.Vmpy (p 1, v 0, r 0); Instr.Vmpy (p 2, v 0, r 0); Instr.Vmpy (p 3, v 0, r 0) ]);
   check "four salu feasible" true
-    (Packet.slots_feasible [ salu 0 1; salu 2 3; salu 4 5; salu 6 7 ]);
+    (Packet.slots_feasible ~desc [ salu 0 1; salu 2 3; salu 4 5; salu 6 7 ]);
   check "five instructions infeasible" false
-    (Packet.slots_feasible [ salu 0 1; salu 2 3; salu 4 5; salu 6 7; salu 8 9 ]);
+    (Packet.slots_feasible ~desc [ salu 0 1; salu 2 3; salu 4 5; salu 6 7; salu 8 9 ]);
   (* mixed: store, load, vmpy, vperm fills slots 0..3 exactly *)
   check "full mixed packet feasible" true
-    (Packet.slots_feasible
+    (Packet.slots_feasible ~desc
        [ vstore 4 5; vload 0 1; Instr.Vmpy (p 3, v 2, r 0); Instr.Vshuff (p 4, p 5, Instr.W16) ])
 
 let dep_kind = Alcotest.testable Dep.pp_kind ( = )
@@ -116,25 +118,25 @@ let test_packet_cycles_fig4 () =
      take 4 cycles; unpacked they take 3 + 3 = 6. *)
   let i1 = Instr.Salu (Instr.Add, r 1, r 0, Instr.Imm 1) in
   let i2 = Instr.Salu (Instr.Add, r 2, r 1, Instr.Imm 2) in
-  Alcotest.(check int) "packed soft pair" 4 (Packet.cycles [ i1; i2 ]);
-  Alcotest.(check int) "unpacked total" 6 (Packet.cycles [ i1 ] + Packet.cycles [ i2 ]);
+  Alcotest.(check int) "packed soft pair" 4 (Packet.cycles ~desc [ i1; i2 ]);
+  Alcotest.(check int) "unpacked total" 6 (Packet.cycles ~desc [ i1 ] + Packet.cycles ~desc [ i2 ]);
   (* independent instructions: packet costs just the max latency *)
   let i3 = Instr.Salu (Instr.Add, r 4, r 3, Instr.Imm 1) in
-  Alcotest.(check int) "independent pair" 3 (Packet.cycles [ i1; i3 ])
+  Alcotest.(check int) "independent pair" 3 (Packet.cycles ~desc [ i1; i3 ])
 
 let test_packet_soft_chain () =
   (* a -> b -> c all soft: stalls accumulate along the chain. *)
   let a = Instr.Salu (Instr.Add, r 1, r 0, Instr.Imm 1) in
   let b = Instr.Salu (Instr.Add, r 2, r 1, Instr.Imm 1) in
   let c = Instr.Sstore (addr (r 3) 0, r 2) in
-  Alcotest.(check int) "soft chain of three" 5 (Packet.cycles [ a; b; c ])
+  Alcotest.(check int) "soft chain of three" 5 (Packet.cycles ~desc [ a; b; c ])
 
 let test_packet_legality () =
   let i1 = Instr.Vrmpy (v 1, v 0, r 0) in
   let i2 = Instr.Vscale (v 2, v 1, 5, 3) in
-  Alcotest.(check bool) "hard pair not legal" false (Packet.legal [ i1; i2 ]);
+  Alcotest.(check bool) "hard pair not legal" false (Packet.legal ~desc [ i1; i2 ]);
   Alcotest.(check bool) "soft pair legal" true
-    (Packet.legal
+    (Packet.legal ~desc
        [ Instr.Salu (Instr.Add, r 1, r 0, Instr.Imm 1);
          Instr.Salu (Instr.Add, r 2, r 1, Instr.Imm 2) ])
 
@@ -151,8 +153,8 @@ let test_program_stats () =
   Alcotest.(check int) "store bytes" 1280 (Program.store_bytes prog);
   Alcotest.(check int) "static packets ignore trip" 3 (Program.static_packet_count prog);
   Alcotest.(check int) "cycles"
-    (10 * (Packet.cycles [ load ] + Packet.cycles [ mac ] + Packet.cycles [ store ]))
-    (Program.static_cycles prog)
+    (10 * (Packet.cycles ~desc [ load ] + Packet.cycles ~desc [ mac ] + Packet.cycles ~desc [ store ]))
+    (Program.static_cycles ~desc prog)
 
 let tests =
   [

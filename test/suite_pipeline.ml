@@ -12,6 +12,8 @@ module Matmul = Gcd2_codegen.Matmul
 module Unroll = Gcd2_codegen.Unroll
 module Simd = Gcd2_codegen.Simd
 module Packer = Gcd2_sched.Packer
+
+let desc = Gcd2_devices.Desc.hexagon698
 open Gcd2_graph
 module B = Graph.Builder
 
@@ -158,7 +160,7 @@ let test_golden_behaviour_preserved () =
     }
   in
   let prog = Matmul.generate spec { Matmul.a_base = 0; w_base = 0; c_base = 0 } in
-  Alcotest.(check int) "static_cycles" 336 (Gcd2_isa.Program.static_cycles prog);
+  Alcotest.(check int) "static_cycles" 336 (Gcd2_isa.Program.static_cycles ~desc prog);
   Alcotest.(check int) "packet_count" 86 (Gcd2_isa.Program.packet_count prog)
 
 let test_golden_efficientnet () =

@@ -5,6 +5,8 @@
 open Gcd2_isa
 open Gcd2_sched
 
+let desc = Gcd2_devices.Desc.hexagon698
+
 let r n = Reg.R n
 let v n = Reg.V n
 let p n = Reg.P n
@@ -28,7 +30,7 @@ let fig5_block () =
   |]
 
 let test_idg_structure () =
-  let idg = Idg.build (fig5_block ()) in
+  let idg = Idg.build ~desc (fig5_block ()) in
   (* the first vadd depends on loads 0 and 1 *)
   Alcotest.(check bool) "vadd depends on load0" true (List.mem_assoc 0 idg.Idg.pred.(3));
   Alcotest.(check bool) "vadd depends on load1" true (List.mem_assoc 1 idg.Idg.pred.(3));
@@ -43,7 +45,7 @@ let test_idg_structure () =
 
 let test_critical_path () =
   let instrs = fig5_block () in
-  let idg = Idg.build instrs in
+  let idg = Idg.build ~desc instrs in
   let alive = Array.make (Array.length instrs) true in
   let path = Idg.critical_path idg alive in
   (* The heaviest chain is load -> vadd -> vadd -> store -> pointer bump
@@ -67,21 +69,21 @@ let test_all_strategies_valid () =
   let instrs = fig5_block () in
   List.iter
     (fun (name, strategy) ->
-      let packets = Packer.pack_indices strategy instrs in
-      match Verify.check instrs packets with
+      let packets = Packer.pack_indices ~desc strategy instrs in
+      match Verify.check ~desc instrs packets with
       | Ok () -> ()
       | Error e -> Alcotest.failf "%s: %a" name Verify.pp_error e)
     all_strategies
 
-let cycles_of strategy instrs = Packer.block_cycles (Packer.pack strategy instrs)
+let cycles_of strategy instrs = Packer.block_cycles ~desc (Packer.pack ~desc strategy instrs)
 
 let test_sda_beats_soft_to_hard () =
   let instrs = fig5_block () in
   let sda = cycles_of (Packer.sda) instrs in
   let hard = cycles_of Packer.Soft_to_hard instrs in
   if sda > hard then Alcotest.failf "SDA %d cycles > soft_to_hard %d cycles" sda hard;
-  let sda_packets = List.length (Packer.pack (Packer.sda) instrs) in
-  let hard_packets = List.length (Packer.pack Packer.Soft_to_hard instrs) in
+  let sda_packets = List.length (Packer.pack ~desc (Packer.sda) instrs) in
+  let hard_packets = List.length (Packer.pack ~desc Packer.Soft_to_hard instrs) in
   if sda_packets > hard_packets then
     Alcotest.failf "SDA %d packets > soft_to_hard %d packets" sda_packets hard_packets
 
@@ -112,14 +114,14 @@ let test_single_instruction () =
   let instrs = [| Instr.Smovi (r 1, 42) |] in
   List.iter
     (fun (name, strategy) ->
-      let packets = Packer.pack strategy instrs in
+      let packets = Packer.pack ~desc strategy instrs in
       Alcotest.(check int) (name ^ ": one packet") 1 (List.length packets))
     all_strategies
 
 let test_empty_block () =
   List.iter
     (fun (_, strategy) ->
-      Alcotest.(check int) "no packets" 0 (List.length (Packer.pack strategy [||])))
+      Alcotest.(check int) "no packets" 0 (List.length (Packer.pack ~desc strategy [||])))
     all_strategies
 
 let test_packets_bounded () =
@@ -130,7 +132,7 @@ let test_packets_bounded () =
         (fun packet ->
           if List.length packet > Packet.max_size then
             Alcotest.failf "%s produced an oversized packet" name)
-        (Packer.pack strategy instrs))
+        (Packer.pack ~desc strategy instrs))
     all_strategies
 
 (* ------------------------------------------------------------------ *)
@@ -165,7 +167,7 @@ let arbitrary_block =
 let prop_schedules_valid strategy name =
   QCheck.Test.make ~name:(Fmt.str "%s schedules are valid" name) ~count:100 arbitrary_block
     (fun instrs ->
-      match Verify.check instrs (Packer.pack_indices strategy instrs) with
+      match Verify.check ~desc instrs (Packer.pack_indices ~desc strategy instrs) with
       | Ok () -> true
       | Error _ -> false)
 
@@ -179,8 +181,8 @@ let prop_incremental_matches_reference =
     arbitrary_block (fun instrs ->
       List.for_all
         (fun (name, strategy) ->
-          let fast = Packer.pack_indices strategy instrs in
-          let ref_ = Packer.pack_indices_reference strategy instrs in
+          let fast = Packer.pack_indices ~desc strategy instrs in
+          let ref_ = Packer.pack_indices_reference ~desc strategy instrs in
           if fast <> ref_ then
             QCheck.Test.fail_reportf "%s: packets differ@.fast %a@.ref  %a" name
               Fmt.(Dump.list (Dump.list int))
@@ -188,18 +190,18 @@ let prop_incremental_matches_reference =
               Fmt.(Dump.list (Dump.list int))
               ref_
           else
-            Packer.block_cycles (Packer.pack strategy instrs)
-            = Packer.block_cycles (Packer.pack_reference strategy instrs))
+            Packer.block_cycles ~desc (Packer.pack ~desc strategy instrs)
+            = Packer.block_cycles ~desc (Packer.pack_reference ~desc strategy instrs))
         all_strategies)
 
 let prop_packing_never_slower_than_sequential =
   QCheck.Test.make ~name:"packed cycles never exceed fully sequential" ~count:100
     arbitrary_block (fun instrs ->
       let sequential =
-        Array.fold_left (fun a i -> a + Packet.cycles [ i ]) 0 instrs
+        Array.fold_left (fun a i -> a + Packet.cycles ~desc [ i ]) 0 instrs
       in
       List.for_all
-        (fun (_, strategy) -> Packer.block_cycles (Packer.pack strategy instrs) <= sequential)
+        (fun (_, strategy) -> Packer.block_cycles ~desc (Packer.pack ~desc strategy instrs) <= sequential)
         all_strategies)
 
 let tests =
@@ -251,7 +253,7 @@ let prop_packing_preserves_semantics =
       let sequential = List.map (fun i -> [ i ]) (Array.to_list instrs) in
       let want = execute_block sequential in
       List.for_all
-        (fun (_, strategy) -> execute_block (Packer.pack strategy instrs) = want)
+        (fun (_, strategy) -> execute_block (Packer.pack ~desc strategy instrs) = want)
         all_strategies)
 
 let tests = tests @ [ QCheck_alcotest.to_alcotest prop_packing_preserves_semantics ]

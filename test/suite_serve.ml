@@ -84,8 +84,9 @@ let test_parse_rejects () =
   check_bool "garbage tail named" true
     (contains (reason (parse "m fw sel junk more")) "junk more")
 
-(* The positionless device= field: parsed anywhere on the line, rejected
-   with the offending line when unknown or duplicated. *)
+(* The positionless device= field: parsed anywhere on the line, stored
+   under the device's canonical name, rejected with the offending line
+   when unknown or duplicated. *)
 let test_parse_device_field () =
   (match parse "WDSR-b device=hexagon-g2" with
   | Ok (Some r) -> Alcotest.(check string) "device parsed" "hexagon-g2" r.Serve.device
@@ -99,6 +100,10 @@ let test_parse_device_field () =
   (match parse "WDSR-b" with
   | Ok (Some r) -> Alcotest.(check string) "default device" "hexagon698" r.Serve.device
   | _ -> Alcotest.fail "defaulted line did not parse");
+  (match parse "WDSR-b device=HEXAGON698" with
+  | Ok (Some r) ->
+    Alcotest.(check string) "mixed case canonicalized" "hexagon698" r.Serve.device
+  | _ -> Alcotest.fail "mixed-case device= line did not parse");
   check_bool "unknown device rejected" true
     (contains (reason (parse "m device=hexagon9000")) "unknown device");
   check_bool "known names listed" true

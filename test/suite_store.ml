@@ -11,6 +11,8 @@ module Compiler = Gcd2.Compiler
 module Runtime = Gcd2.Runtime
 module Artifact = Gcd2_store.Artifact
 module Zoo = Gcd2_models.Zoo
+
+let desc = Gcd2_devices.Desc.hexagon698
 open Gcd2_graph
 module B = Graph.Builder
 
@@ -316,8 +318,8 @@ let test_stored_program_is_executed () =
             check_bool (what ^ ": stored = executed up to immediates") true
               (erase stored = erase executed);
             let costed = Matmul.cycles spec in
-            check_int (what ^ ": stored cycles") costed (Program.static_cycles stored);
-            check_int (what ^ ": executed cycles") costed (Program.static_cycles executed);
+            check_int (what ^ ": stored cycles") costed (Program.static_cycles ~desc stored);
+            check_int (what ^ ": executed cycles") costed (Program.static_cycles ~desc executed);
             incr checked
           | _ -> Alcotest.failf "%s node %d: artifact and plan disagree on SIMD" name id)
         g;

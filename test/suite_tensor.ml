@@ -7,9 +7,11 @@ module Quant = Gcd2_tensor.Quant
 module T = Gcd2_tensor.Tensor
 module Rng = Gcd2_util.Rng
 
+let desc = Gcd2_devices.Desc.hexagon698
+
 let test_fig2_offsets_col1 () =
   (* paper figure 2a: 128-row panels stored column-major *)
-  let off r c = Layout.offset Layout.Col1 ~rows:256 ~cols:4 ~r ~c in
+  let off r c = Layout.offset ~desc Layout.Col1 ~rows:256 ~cols:4 ~r ~c in
   Alcotest.(check int) "(0,0)" 0 (off 0 0);
   Alcotest.(check int) "(1,0)" 1 (off 1 0);
   Alcotest.(check int) "(0,1)" 128 (off 0 1);
@@ -19,7 +21,7 @@ let test_fig2_offsets_col1 () =
 
 let test_fig2_offsets_col2 () =
   (* paper figure 2b: 64-row panels, 2 adjacent columns interleave *)
-  let off r c = Layout.offset Layout.Col2 ~rows:64 ~cols:4 ~r ~c in
+  let off r c = Layout.offset ~desc Layout.Col2 ~rows:64 ~cols:4 ~r ~c in
   Alcotest.(check int) "(0,0)" 0 (off 0 0);
   Alcotest.(check int) "(0,1)" 1 (off 0 1);
   Alcotest.(check int) "(1,0)" 2 (off 1 0);
@@ -29,7 +31,7 @@ let test_fig2_offsets_col2 () =
 
 let test_fig2_offsets_col4 () =
   (* paper figure 2c: 32-row panels, 4 adjacent columns interleave *)
-  let off r c = Layout.offset Layout.Col4 ~rows:32 ~cols:8 ~r ~c in
+  let off r c = Layout.offset ~desc Layout.Col4 ~rows:32 ~cols:8 ~r ~c in
   Alcotest.(check int) "(0,0..3)" 0 (off 0 0);
   Alcotest.(check int) "(0,3)" 3 (off 0 3);
   Alcotest.(check int) "(1,0)" 4 (off 1 0);
@@ -38,13 +40,13 @@ let test_fig2_offsets_col4 () =
 
 let test_padding () =
   Alcotest.(check int) "col1 pads rows to 128" (128 * 4)
-    (Layout.padded_bytes Layout.Col1 ~rows:100 ~cols:4);
+    (Layout.padded_bytes ~desc Layout.Col1 ~rows:100 ~cols:4);
   Alcotest.(check int) "col2 pads rows to 64 and cols to 2" (64 * 2)
-    (Layout.padded_bytes Layout.Col2 ~rows:33 ~cols:1);
+    (Layout.padded_bytes ~desc Layout.Col2 ~rows:33 ~cols:1);
   Alcotest.(check int) "col4 pads rows to 32 and cols to 4" (32 * 4)
-    (Layout.padded_bytes Layout.Col4 ~rows:5 ~cols:3);
+    (Layout.padded_bytes ~desc Layout.Col4 ~rows:5 ~cols:3);
   Alcotest.(check int) "row-major never pads" (100 * 3)
-    (Layout.padded_bytes Layout.Row_major ~rows:100 ~cols:3)
+    (Layout.padded_bytes ~desc Layout.Row_major ~rows:100 ~cols:3)
 
 let test_pack_roundtrip () =
   let rng = Rng.create 5 in
@@ -78,8 +80,8 @@ let test_pack_convert () =
 
 let test_transform_cost () =
   Alcotest.(check int) "same layout free" 0
-    (Layout.transform_cycles ~src:Layout.Col1 ~dst:Layout.Col1 ~rows:128 ~cols:128);
-  let c = Layout.transform_cycles ~src:Layout.Col1 ~dst:Layout.Col4 ~rows:128 ~cols:128 in
+    (Layout.transform_cycles_on desc ~src:Layout.Col1 ~dst:Layout.Col1 ~rows:128 ~cols:128);
+  let c = Layout.transform_cycles_on desc ~src:Layout.Col1 ~dst:Layout.Col4 ~rows:128 ~cols:128 in
   Alcotest.(check bool) "transform proportional to traffic" true
     (c > 16384 && c < 16384 * 4)
 
@@ -124,8 +126,8 @@ let qcheck_offsets_bijective =
       let ok = ref true in
       for r = 0 to rows - 1 do
         for c = 0 to cols - 1 do
-          let o = Layout.offset layout ~rows ~cols ~r ~c in
-          if o < 0 || o >= Layout.padded_bytes layout ~rows ~cols then ok := false;
+          let o = Layout.offset ~desc layout ~rows ~cols ~r ~c in
+          if o < 0 || o >= Layout.padded_bytes ~desc layout ~rows ~cols then ok := false;
           if Hashtbl.mem seen o then ok := false;
           Hashtbl.add seen o ()
         done

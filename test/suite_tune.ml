@@ -120,6 +120,24 @@ let test_tune_verified_winner () =
         (Matmul.cycles tuned <= Matmul.cycles heuristic))
     Simd.all
 
+(* The simulator executes hexagon698 only: a kernel packed for a wider
+   device must be refused by name, not run with the wrong vector width
+   (which returns different data, or faults out of bounds). *)
+let test_testbench_refuses_unexecutable_device () =
+  let m, k, n = (64, 32, 8) in
+  let spec = base_spec Simd.I_vrmpy ~m ~k ~n in
+  let rng = Rng.create 7 in
+  let a = Array.init (m * k) (fun _ -> Rng.int8 rng) in
+  let w = Array.init (k * n) (fun _ -> Rng.int8 rng) in
+  Alcotest.(check (array int))
+    "hexagon698 runs" (Interp.matmul_i8 ~m ~k ~n a w ~mult ~shift)
+    (Testbench.run spec ~a ~w).Testbench.data;
+  match Testbench.kernel { spec with Matmul.device = Desc.hexagon_g2 } with
+  | exception Invalid_argument msg ->
+    let names = List.mem "hexagon-g2" (String.split_on_char ' ' msg) in
+    Alcotest.(check bool) ("message names the device: " ^ msg) true names
+  | _ -> Alcotest.fail "a hexagon-g2 kernel ran on the hexagon698 simulator"
+
 (* ------------------------------------------------------------------ *)
 (* The tune spec grammar *)
 
@@ -294,6 +312,8 @@ let tests =
     QCheck_alcotest.to_alcotest qcheck_tuned_never_worse;
     Alcotest.test_case "verify path never loses to heuristic" `Quick
       test_tune_verified_winner;
+    Alcotest.test_case "testbench refuses a device it cannot run" `Quick
+      test_testbench_refuses_unexecutable_device;
     Alcotest.test_case "tune spec grammar" `Quick test_spec_grammar;
     Alcotest.test_case "tuned compile: identical outputs, counters" `Quick
       test_tuned_compile_outputs_identical;

@@ -6,6 +6,9 @@ open Gcd2_isa
 module Machine = Gcd2_vm.Machine
 module Sat = Gcd2_util.Saturate
 
+(* The simulator times packets as hexagon698's. *)
+let desc = Gcd2_devices.Desc.hexagon698
+
 let r n = Reg.R n
 let v n = Reg.V n
 let p n = Reg.P n
@@ -314,7 +317,7 @@ let test_cycles_match_static () =
   let m = Machine.create ~mem_bytes:4096 () in
   Machine.run m prog;
   let c = Machine.counters m in
-  Alcotest.(check int) "dynamic cycles = static cycles" (Program.static_cycles prog) c.cycles;
+  Alcotest.(check int) "dynamic cycles = static cycles" (Program.static_cycles ~desc prog) c.cycles;
   Alcotest.(check int) "dynamic packets = static" (Program.packet_count prog) c.packets;
   Alcotest.(check int) "macs counted" (Program.macs prog) c.macs;
   Alcotest.(check int) "load bytes" (Program.load_bytes prog) c.loaded_bytes
@@ -701,7 +704,7 @@ let qcheck_fast_cycles_match_static =
       in
       (* only completed runs execute every packet *)
       QCheck.assume (o = "ok");
-      cycles = Program.static_cycles prog
+      cycles = Program.static_cycles ~desc prog
       && packets = Program.packet_count prog
       && instrs = Program.instr_count prog)
 
