@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is the tier-1 gate.
 
-.PHONY: all build test test-parallel chaos vm-smoke devices-smoke daemon-smoke tune-smoke attn-smoke crash-smoke check fmt-check fmt clean
+.PHONY: all build test test-parallel chaos smoke check fmt-check fmt clean
 
 all: build
 
@@ -16,11 +16,6 @@ test:
 # GCD2_JOBS as a dependency, so this is not a cached no-op after `test`.
 test-parallel:
 	GCD2_JOBS=2 dune runtest
-
-# Tiny cross-device benchmark: three models on every built-in
-# descriptor, writing BENCH_devices.json.
-devices-smoke: build
-	./_build/default/bench/main.exe devices-smoke
 
 # Formatting gate: enforced when ocamlformat is available (the committed
 # .ocamlformat pins the style), skipped with a note otherwise so `check`
@@ -49,46 +44,18 @@ chaos: build
 	GCD2_FAULTS="seed=20260807,cache-read=0.3,cache-write=0.3,artifact-decode=0.5,memo-lookup=0.3,pool-worker=0.2,flight-lease=0.3,janitor-unlink=0.3" \
 		./_build/default/test/test_main.exe test chaos
 
-# Tiny vm benchmark: exercises both the translated engine and the
-# reference interpreter on every opcode plus a small whole model, and
-# fails if their outputs or statistics ever diverge.
-vm-smoke: build
-	./_build/default/bench/main.exe vm-smoke
+# Bench smoke: small runs of the vm, devices, tune, attn, serve-load and
+# crash experiments in one process, writing no file.  It fails if the translated VM and the
+# reference interpreter ever diverge, if a tuned schedule is worse than
+# the heuristic, if the transformer kernels do not flip TinyBERT
+# majority-DSP, if the serve daemon fails a request (two workers under a
+# fixed fault spec, then workers 1 and 4 fault-free), or if daemons
+# SIGKILLed mid-compile do not recover bit-identically with a converged
+# cache directory.
+smoke: build
+	./_build/default/bench/main.exe smoke
 
-# Autotuner smoke: a tiny costing budget on two models walks the full
-# tune path (enumerate, cost, rank) and fails if the tuned
-# schedule is ever worse than the adaptive heuristic.  The full-zoo
-# run (`bench/main.exe tune`) writes BENCH_codegen.json.
-tune-smoke: build
-	./_build/default/bench/main.exe tune-smoke
-
-# Transformer-kernel smoke: TinyBERT at a bucketed sequence length,
-# compiled with the attention kernels off and on, fails unless the
-# kernels flip the model majority-DSP.  The full run
-# (`bench/main.exe attn`) writes BENCH_attn.json.
-attn-smoke: build
-	./_build/default/bench/main.exe attn-smoke
-
-# Daemon load smoke: the serve-load generator against a live daemon,
-# first with two workers under a fixed fault spec (faulted workers must
-# absorb every injection without dropping a session), then fault-free
-# across the worker sweep, writing BENCH_serve.json.
-daemon-smoke: build
-	GCD2_SERVE_LOAD_WORKERS=2 GCD2_SERVE_LOAD_MS=800 \
-	GCD2_FAULTS="seed=20260808,cache-read=0.2,artifact-decode=0.2,memo-lookup=0.2" \
-		./_build/default/bench/main.exe serve-load-smoke
-	./_build/default/bench/main.exe serve-load-smoke
-
-# Kill-chaos smoke: real daemon processes SIGKILLed mid-compile under a
-# fixed seed, restarted over the wreckage.  Fails unless recovered
-# responses are bit-identical to the fault-free baseline, no client
-# wedges, a peer daemon breaks a dead leader's lease, and the janitor
-# converges the shared cache directory (zero .tmp, within budget).
-# Appends a "crash" recovery-time key to BENCH_serve.json.
-crash-smoke: build
-	GCD2_CRASH_ROUNDS=3 ./_build/default/bench/main.exe crash-smoke
-
-check: build test test-parallel chaos vm-smoke devices-smoke daemon-smoke tune-smoke attn-smoke crash-smoke fmt-check
+check: build test test-parallel chaos smoke fmt-check
 
 clean:
 	dune clean

@@ -7,28 +7,18 @@
    the translated engine under both assignments.  The table reports the host-vs-VM node flip, the
    simulated DSP cycles, the cost model's end-to-end latency for both
    configurations, and the measured inference wall time.  Writes
-   BENCH_attn.json so the flip and the speedup are tracked across
-   revisions.
+   BENCH_attn.json.
 
-   "attn-smoke" is the CI variant: TinyBERT at a small bucketed
-   sequence length (seq=32 exercises the shape-bucket padding path),
-   asserting the majority-DSP flip rather than printing a table. *)
+   The smoke runs TinyBERT at a small bucketed sequence length (seq=32
+   exercises the shape-bucket padding path), asserting the majority-DSP
+   flip rather than printing a table. *)
 
 module Zoo = Gcd2_models.Zoo
 module Compiler = Gcd2.Compiler
 module Runtime = Gcd2.Runtime
 module Opcost = Gcd2_cost.Opcost
-module Trace = Gcd2_util.Trace
-module Rng = Gcd2_util.Rng
-module T = Gcd2_tensor.Tensor
 module Machine = Gcd2_vm.Machine
 module Graph = Gcd2_graph.Graph
-module Op = Gcd2_graph.Op
-
-let timed f =
-  let t0 = Trace.now () in
-  let v = f () in
-  (v, Trace.now () -. t0)
 
 (* The comparison baseline is the default configuration with only the
    transformer kernels withheld — same selection, same packing, same
@@ -39,17 +29,6 @@ let config_off =
     Compiler.name = "gcd2-no-attn";
     opcost = { Compiler.default.Compiler.opcost with Opcost.attn_kernels = false };
   }
-
-let inputs_of g =
-  let rng = Rng.create 42 in
-  let acc = ref [] in
-  Graph.iter
-    (fun node ->
-      match node.Graph.op with
-      | Op.Input { shape } -> acc := (node.Graph.id, T.random rng shape) :: !acc
-      | _ -> ())
-    g;
-  List.rev !acc
 
 type leg = {
   vm_nodes : int;
@@ -73,7 +52,7 @@ let measure_leg config g ~inputs =
   Machine.set_engine Machine.Translated;
   (* untimed warm-up pays decode+translation outside the clock *)
   ignore (Runtime.run_with_stats c ~inputs);
-  let (_, stats), wall_s = timed (fun () -> Runtime.run_with_stats c ~inputs) in
+  let (_, stats), wall_s = Report.timed (fun () -> Runtime.run_with_stats c ~inputs) in
   Machine.set_engine saved;
   ( {
       vm_nodes = stats.Runtime.vm_nodes;
@@ -85,7 +64,7 @@ let measure_leg config g ~inputs =
     stats )
 
 let measure name g =
-  let inputs = inputs_of g in
+  let inputs = Report.inputs_of g in
   let off, _ = measure_leg config_off g ~inputs in
   let on_, stats = measure_leg Compiler.default g ~inputs in
   {
@@ -93,10 +72,7 @@ let measure name g =
     nodes = Graph.size g;
     off;
     on_;
-    kinds =
-      List.sort
-        (fun (a, _) (b, _) -> String.compare a b)
-        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) stats.Runtime.kinds []);
+    kinds = Report.kinds stats;
   }
 
 let seq_models () =
@@ -108,37 +84,6 @@ let seq_models () =
     Zoo.all
 
 (* ---------------- reporting ---------------- *)
-
-let json_of rows =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n  \"experiment\": \"attn\",\n  \"models\": [\n";
-  List.iteri
-    (fun i r ->
-      let leg_json (l : leg) =
-        Printf.sprintf
-          "{\"vm_nodes\": %d, \"host_nodes\": %d, \"vm_cycles\": %d, \
-           \"latency_ms\": %.6f, \"wall_s\": %.6f}"
-          l.vm_nodes l.host_nodes l.vm_cycles l.latency_ms l.wall_s
-      in
-      let kinds_json =
-        String.concat ", "
-          (List.map
-             (fun (k, (ks : Runtime.kind_stat)) ->
-               Printf.sprintf "%S: {\"vm\": %d, \"host\": %d, \"vm_cycles\": %d}" k
-                 ks.Runtime.k_vm ks.Runtime.k_host ks.Runtime.k_cycles)
-             r.kinds)
-      in
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"name\": %S, \"nodes\": %d, \"kernels_off\": %s, \"kernels_on\": %s, \
-            \"wall_speedup\": %.3f, \"kinds\": {%s}}%s\n"
-           r.name r.nodes (leg_json r.off) (leg_json r.on_)
-           (r.off.wall_s /. r.on_.wall_s)
-           kinds_json
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
 
 let print_rows rows =
   Printf.printf "   %-12s %7s  %11s %11s %14s %12s %9s\n" "model" "kernels" "vm/host"
@@ -177,19 +122,38 @@ let run () =
     \    leg runs the attention ops on the host interpreter, the on leg on the\n\
     \    simulated DSP; the latency column is each leg's own cost-model estimate,\n\
     \    not comparable across legs since the kernels re-price the row operators)\n";
-  let path = "BENCH_attn.json" in
-  let oc = open_out path in
-  output_string oc (json_of rows);
-  close_out oc;
-  Printf.printf "   wrote %s (%d models) for trajectory tracking\n" path
-    (List.length rows)
+  let leg (l : leg) =
+    Report.Obj
+      [
+        ("vm_nodes", Int l.vm_nodes);
+        ("host_nodes", Int l.host_nodes);
+        ("vm_cycles", Int l.vm_cycles);
+        ("latency_ms", Float l.latency_ms);
+        ("wall_s", Float l.wall_s);
+      ]
+  in
+  Report.write ~experiment:"attn" "BENCH_attn.json"
+    [
+      ( "models",
+        Report.rows
+          (fun r ->
+            [
+              ("name", Str r.name);
+              ("nodes", Int r.nodes);
+              ("kernels_off", leg r.off);
+              ("kernels_on", leg r.on_);
+              ("wall_speedup", Float (r.off.wall_s /. r.on_.wall_s));
+              ("kinds", Report.kinds_json r.kinds);
+            ])
+          rows );
+    ]
 
-(* CI smoke: TinyBERT at a bucketed sequence length must flip
+(* Smoke: TinyBERT at a bucketed sequence length must flip
    majority-DSP with the kernels on — both untuned and under a
    small-budget autotune, so the tuner's walk over the new kernel plans
-   is exercised too.  No JSON (CI must not dirty the tree). *)
+   is exercised too. *)
 let smoke () =
-  Report.header "attn-smoke: TinyBERT seq=32 majority-DSP flip";
+  Report.header "attn smoke: TinyBERT seq=32 majority-DSP flip";
   let g = Zoo.with_random_weights (Zoo.build ~seq:32 "TinyBERT") in
   let r = measure "TinyBERT-32" g in
   Printf.printf
@@ -197,9 +161,9 @@ let smoke () =
     r.off.vm_nodes r.off.host_nodes r.off.wall_s r.on_.vm_nodes r.on_.host_nodes
     r.on_.wall_s;
   if r.on_.vm_nodes <= r.on_.host_nodes then
-    failwith "attn-smoke: transformer kernels did not flip TinyBERT majority-DSP";
+    failwith "attn smoke: transformer kernels did not flip TinyBERT majority-DSP";
   if r.on_.vm_nodes <= r.off.vm_nodes then
-    failwith "attn-smoke: transformer kernels did not move nodes onto the DSP";
+    failwith "attn smoke: transformer kernels did not move nodes onto the DSP";
   let tuned_config =
     {
       Compiler.default with
@@ -211,13 +175,13 @@ let smoke () =
         };
     }
   in
-  let tuned, _ = measure_leg tuned_config g ~inputs:(inputs_of g) in
+  let tuned, _ = measure_leg tuned_config g ~inputs:(Report.inputs_of g) in
   Printf.printf "   tuned (budget 4): vm=%d host=%d latency=%.4f ms\n" tuned.vm_nodes
     tuned.host_nodes tuned.latency_ms;
   if tuned.vm_nodes <= tuned.host_nodes then
-    failwith "attn-smoke: tuned compile lost the majority-DSP flip";
+    failwith "attn smoke: tuned compile lost the majority-DSP flip";
   if tuned.latency_ms > r.on_.latency_ms then
-    failwith "attn-smoke: tuned schedule worse than the heuristic";
+    failwith "attn smoke: tuned schedule worse than the heuristic";
   Printf.printf "   ok: majority-DSP (%d vm / %d host), wall %.4f -> %.4f s (%.2fx)\n"
     r.on_.vm_nodes r.on_.host_nodes r.off.wall_s r.on_.wall_s
     (r.off.wall_s /. r.on_.wall_s)

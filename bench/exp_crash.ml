@@ -1,5 +1,5 @@
-(* Kill-chaos harness ("crash" / "crash-smoke"): real daemon processes,
-   real SIGKILL, one shared artifact store.
+(* Kill-chaos harness ("crash", and part of the smoke): real daemon
+   processes, real SIGKILL, one shared artifact store.
 
    What the serve stack promises under process death (PR 10) and this
    harness actually enforces:
@@ -17,12 +17,9 @@
 
    The daemons are the actual CLI binary (`gcd2 daemon`) spawned with
    Unix.create_process — forking a multi-domain OCaml process is not
-   safe, and the point is to kill what production runs.  Recovery time
-   (restart to first successful serve of the killed compile) is
-   recorded into BENCH_serve.json under a "crash" key.
-
-   Environment overrides: GCD2_CRASH_ROUNDS (kill rounds),
-   GCD2_CRASH_TIMEOUT_S (watchdog bound for the whole experiment). *)
+   safe, and the point is to kill what production runs.  The full run
+   records recovery time (restart to first successful serve of the
+   killed compile) per round in BENCH_crash.json. *)
 
 module Daemon = Gcd2_daemon.Daemon
 module Client = Gcd2_daemon.Client
@@ -37,11 +34,6 @@ module Trace = Gcd2_util.Trace
 module Rng = Gcd2_util.Rng
 
 let models = [| "MobileNet-V3"; "WDSR-b" |]
-
-let env_int name d =
-  match Option.bind (Sys.getenv_opt name) int_of_string_opt with
-  | Some v -> v
-  | None -> d
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("crash: FAIL " ^ s); exit 1) fmt
 let assert_ msg ok = if not ok then fail "%s" msg
@@ -149,57 +141,27 @@ let remove_entry dir digest =
   (try Sys.remove p with Sys_error _ -> ());
   try Sys.remove (Cache.quarantine_path p) with Sys_error _ -> ()
 
-let rm_rf dir =
-  if Sys.file_exists dir && Sys.is_directory dir then begin
-    Array.iter (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-      (Sys.readdir dir);
-    try Sys.rmdir dir with Sys_error _ -> ()
-  end
-
-(* ------------------------------------------------------------------ *)
-(* BENCH_serve.json "crash" key                                        *)
-
-let find_sub hay needle =
-  let n = String.length needle and h = String.length hay in
-  let rec go i = if i + n > h then None else if String.sub hay i n = needle then Some i else go (i + 1) in
-  go 0
-
-let update_bench_json crash_json =
-  let path = "BENCH_serve.json" in
-  let base =
-    if Sys.file_exists path then In_channel.with_open_bin path In_channel.input_all
-    else "{\n  \"experiment\": \"serve-load\",\n  \"rows\": []\n}\n"
-  in
-  (* idempotent: drop a "crash" key a previous run appended *)
-  let base =
-    match find_sub base ",\n  \"crash\":" with
-    | Some i -> String.sub base 0 i ^ "\n}\n"
-    | None -> base
-  in
-  match String.rindex_opt base '}' with
-  | None -> ()
-  | Some i ->
-    let out = String.sub base 0 i ^ ",\n  \"crash\": " ^ crash_json ^ "\n}\n" in
-    Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc out)
-
 (* ------------------------------------------------------------------ *)
 (* The experiment                                                      *)
 
 let run_rounds ~rounds =
-  let timeout_s = float_of_int (env_int "GCD2_CRASH_TIMEOUT_S" 300) in
   (* watchdog: a wedged request or daemon must fail the experiment, not
-     hang CI *)
+     hang CI; it stands down once the experiment is over, so experiments
+     run after this one in the same process are not cut short *)
+  let finished = Atomic.make false in
   let _watchdog =
     Thread.create
       (fun () ->
-        Thread.delay timeout_s;
-        prerr_endline "crash: FAIL watchdog: experiment exceeded its time bound";
-        exit 2)
+        Thread.delay 300.0;
+        if not (Atomic.get finished) then begin
+          prerr_endline "crash: FAIL watchdog: experiment exceeded its time bound";
+          exit 2
+        end)
       ()
   in
   let tag = Printf.sprintf "gcd2-crash-%d" (Unix.getpid ()) in
   let work = Filename.concat (Filename.get_temp_dir_name ()) tag in
-  rm_rf work;
+  Report.rm_rf work;
   Unix.mkdir work 0o755;
   let cache_dir = Filename.concat work "cache" in
   Unix.mkdir cache_dir 0o755;
@@ -224,8 +186,7 @@ let run_rounds ~rounds =
 
   (* -------- phase B: SIGKILL mid-compile, restart, recover -------- *)
   let rng = Rng.create 20260808 in
-  let recovery_ms = ref [] in
-  let identical = ref true in
+  let recovered = ref [] in
   for round = 1 to rounds do
     let model = models.(round mod Array.length models) in
     let digest = digest_of model in
@@ -270,28 +231,29 @@ let run_rounds ~rounds =
     let t_restart = Trace.now () in
     let d2 = spawn_daemon ~sock:(sock (string_of_int round ^ "r")) ~cache_dir () in
     wait_ready d2;
-    (match request_one d2 model with
-    | Ok r when r.Protocol.outcome = "ok" ->
-      let ms = 1000.0 *. (Trace.now () -. t_restart) in
-      recovery_ms := ms :: !recovery_ms;
-      if r.Protocol.lat <> Hashtbl.find baseline model then begin
-        identical := false;
-        fail "round %d: recovered %s served different bits (lat %s vs baseline %s)" round
-          model
-          (match r.Protocol.lat with Some l -> string_of_float l | None -> "-")
-          (match Hashtbl.find baseline model with
-          | Some l -> string_of_float l
-          | None -> "-")
-      end
-    | Ok r ->
-      fail "round %d: recovery outcome=%s code=%s" round r.Protocol.outcome
-        (Option.value r.Protocol.code ~default:"-")
-    | Error e -> fail "round %d: recovery failed: %s" round e);
+    let ms =
+      match request_one d2 model with
+      | Ok r when r.Protocol.outcome = "ok" ->
+        let ms = 1000.0 *. (Trace.now () -. t_restart) in
+        if r.Protocol.lat <> Hashtbl.find baseline model then
+          fail "round %d: recovered %s served different bits (lat %s vs baseline %s)" round
+            model
+            (match r.Protocol.lat with Some l -> string_of_float l | None -> "-")
+            (match Hashtbl.find baseline model with
+            | Some l -> string_of_float l
+            | None -> "-");
+        ms
+      | Ok r ->
+        fail "round %d: recovery outcome=%s code=%s" round r.Protocol.outcome
+          (Option.value r.Protocol.code ~default:"-")
+      | Error e -> fail "round %d: recovery failed: %s" round e
+    in
+    recovered := (round, model, ms) :: !recovered;
     (* leave this daemon SIGKILLed too: its debris feeds the final
        janitor-convergence check *)
     sigkill d2;
     Printf.printf "   round %d: killed mid-%s, recovered in %.0f ms, bits identical\n%!"
-      round model (List.hd !recovery_ms)
+      round model ms
   done;
 
   (* -------- phase C: lease takeover across two live daemons -------- *)
@@ -359,21 +321,27 @@ let run_rounds ~rounds =
   assert_ "janitor sweep reported errors" (Counters.get report "errors" = 0);
 
   (* -------- report -------- *)
-  let rec_ms = List.rev !recovery_ms in
-  let sorted = List.sort compare rec_ms in
+  let sorted = List.sort compare (List.map (fun (_, _, ms) -> ms) !recovered) in
   let p50 = match sorted with [] -> 0.0 | l -> List.nth l (List.length l / 2) in
   let max_ms = List.fold_left Float.max 0.0 sorted in
   Report.note "%d SIGKILL rounds, recovery p50=%.0f ms max=%.0f ms, takeover=%.0f ms"
     rounds p50 max_ms takeover_ms;
-  update_bench_json
-    (Printf.sprintf
-       "{\"rounds\": %d, \"recovery_ms_p50\": %.1f, \"recovery_ms_max\": %.1f, \
-        \"takeover_ms\": %.1f, \"bit_identical\": %b, \"tmp_after\": %d, \
-        \"bytes_after\": %d, \"budget\": %d}"
-       rounds p50 max_ms takeover_ms !identical tmp_after bytes_after budget);
-  Printf.printf "   updated BENCH_serve.json (crash key)\n";
-  rm_rf cache_dir;
-  rm_rf work
+  Report.rm_rf cache_dir;
+  Report.rm_rf work;
+  Atomic.set finished true;
+  [
+    ("recovery_ms_p50", Report.Float p50);
+    ("recovery_ms_max", Float max_ms);
+    ("takeover_ms", Float takeover_ms);
+    ("tmp_after", Int tmp_after);
+    ("bytes_after", Int bytes_after);
+    ("budget", Int budget);
+    ( "rounds",
+      Report.rows
+        (fun (round, model, ms) ->
+          [ ("round", Int round); ("model", Str model); ("recovery_ms", Float ms) ])
+        (List.rev !recovered) );
+  ]
 
-let run () = run_rounds ~rounds:(env_int "GCD2_CRASH_ROUNDS" 6)
-let smoke () = run_rounds ~rounds:(env_int "GCD2_CRASH_ROUNDS" 3)
+let run () = Report.write ~experiment:"crash" "BENCH_crash.json" (run_rounds ~rounds:6)
+let smoke () = ignore (run_rounds ~rounds:3)

@@ -1,9 +1,8 @@
 (* Cross-device benchmark ("devices"): modeled latency of the gcd2
    configuration for every zoo model on every built-in machine
    description.  The first device (hexagon698) is the speedup baseline.
-   Writes BENCH_devices.json so per-device trajectories can be tracked
-   across revisions like compile and vm.  "devices-smoke" runs the same
-   measurement on a three-model subset for CI. *)
+   Writes BENCH_devices.json.  The smoke runs the same measurement on a
+   three-model subset. *)
 
 module Zoo = Gcd2_models.Zoo
 module Compiler = Gcd2.Compiler
@@ -29,33 +28,6 @@ let measure devices (e : Zoo.entry) =
           })
         devices;
   }
-
-let json_of devices rows =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n  \"experiment\": \"devices\",\n  \"devices\": [";
-  List.iteri
-    (fun i (d : Desc.t) ->
-      Buffer.add_string b
-        (Printf.sprintf "%S%s" d.Desc.name
-           (if i = List.length devices - 1 then "" else ", ")))
-    devices;
-  Buffer.add_string b "],\n  \"models\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string b (Printf.sprintf "    {\"name\": %S, \"results\": [" r.name);
-      List.iteri
-        (fun j c ->
-          Buffer.add_string b
-            (Printf.sprintf
-               "{\"device\": %S, \"ms\": %.6f, \"cycles\": %.0f, \"utilization\": %.4f}%s"
-               c.device c.ms c.cycles c.utilization
-               (if j = List.length r.cells - 1 then "" else ", ")))
-        r.cells;
-      Buffer.add_string b
-        (Printf.sprintf "]}%s\n" (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
 
 let run_on entries =
   let devices = Desc.builtins in
@@ -84,19 +56,36 @@ let run_on entries =
         Printf.printf "\n   %s: modeled latency below %s on %d/%d models\n" d.Desc.name
           baseline wins.(i) (List.length rows))
     devices;
-  let path = "BENCH_devices.json" in
-  let oc = open_out path in
-  output_string oc (json_of devices rows);
-  close_out oc;
-  Printf.printf "\n   wrote %s (%d models x %d devices)\n" path (List.length rows)
-    (List.length devices)
+  rows
 
-let run () = run_on Zoo.all
+let run () =
+  let rows = run_on Zoo.all in
+  Report.write ~experiment:"devices" "BENCH_devices.json"
+    [
+      ("devices", List (List.map (fun (d : Desc.t) -> Report.Str d.Desc.name) Desc.builtins));
+      ( "models",
+        Report.rows
+          (fun r ->
+            [
+              ("name", Str r.name);
+              ( "results",
+                Report.rows
+                  (fun c ->
+                    [
+                      ("device", Str c.device);
+                      ("ms", Float c.ms);
+                      ("cycles", Float c.cycles);
+                      ("utilization", Float c.utilization);
+                    ])
+                  r.cells );
+            ])
+          rows );
+    ]
 
-(* CI variant: the three cheapest-to-compile models keep the smoke under
-   a few seconds while still exercising every built-in descriptor. *)
+(* Smoke: the three cheapest-to-compile models keep it under a few
+   seconds while still exercising every built-in descriptor. *)
 let smoke () =
-  run_on
+  ignore @@ run_on
     (List.filter
        (fun (e : Zoo.entry) ->
          List.mem e.Zoo.name [ "MobileNet-V3"; "EfficientNet-b0"; "TinyBERT" ])

@@ -130,11 +130,6 @@ let resnet_prefix n =
   let full = (compiled F.gcd2 (Zoo.find "ResNet-50")).Compiler.graph in
   { Graph.nodes = Array.sub full.Graph.nodes 0 n }
 
-let time f =
-  let t0 = Gcd2_util.Trace.now () in
-  let r = f () in
-  (r, Gcd2_util.Trace.now () -. t0)
-
 let fig10 () =
   Report.header
     "Figure 10 - Layout selection: speedup over local-optimal and search time vs #operators";
@@ -147,14 +142,14 @@ let fig10 () =
       let p = cost.Graphcost.problem in
       let eval plans = (Graphcost.report cost plans).Graphcost.cycles in
       let local = eval (Solver.local p).Solver.plans in
-      let s13, t13 = time (fun () -> Solver.partitioned ~max_size:13 p) in
-      let s17, t17 = time (fun () -> Solver.partitioned ~max_size:17 p) in
+      let s13, t13 = Report.timed (fun () -> Solver.partitioned ~max_size:13 p) in
+      let s17, t17 = Report.timed (fun () -> Solver.partitioned ~max_size:17 p) in
       let pbqp = Gcd2_layout.Pbqp.solve p in
       (* the exhaustive global optimum blows up exponentially; run it
          while feasible, otherwise report the exact frontier-DP optimum
          and extrapolate the enumeration time *)
       let exhaustive_result =
-        match time (fun () -> Solver.exhaustive ~max_states:20_000_000 p) with
+        match Report.timed (fun () -> Solver.exhaustive ~max_states:20_000_000 p) with
         | r, t -> Some (r, t)
         | exception Solver.Too_large -> None
       in
@@ -301,8 +296,8 @@ let fig12 () =
           addressing = Matmul.Bump;
         }
       in
-      let exh, t_exh = time (fun () -> Unroll.exhaustive spec) in
-      let adaptive, t_ad = time (fun () -> Unroll.adaptive simd ~m ~k ~n) in
+      let exh, t_exh = Report.timed (fun () -> Unroll.exhaustive spec) in
+      let adaptive, t_ad = Report.timed (fun () -> Unroll.adaptive simd ~m ~k ~n) in
       Report.row "O%-3d | %8.2f %8.2f %8.2f %11.2f %8.2f | %8.2f vs %.4f\n" (i + 1) 1.0
         (speed (Unroll.fixed_out simd ~k ~n ~factor:4))
         (speed (Unroll.fixed_mid simd ~k ~n ~factor:4))

@@ -13,12 +13,10 @@
    response's cold flag, and merged for the report.
 
    Writes BENCH_serve.json with one row per worker count, including the
-   throughput ratio against the 1-worker row.  "serve-load-smoke" is the
-   CI variant: shorter clock, workers 1 and 4.
-
-   Environment overrides: GCD2_SERVE_LOAD_WORKERS (comma-separated
-   worker counts), GCD2_SERVE_LOAD_MS (timed phase per worker count),
-   GCD2_SERVE_LOAD_CLIENTS, GCD2_SERVE_LOAD_THINK_MS. *)
+   throughput ratio against the 1-worker row.  The smoke runs two
+   workers under a fixed fault spec, then workers 1 and 4 fault-free,
+   on a shorter clock.  Any failed request fails the experiment:
+   faulted workers must absorb every injection without dropping one. *)
 
 module Daemon = Gcd2_daemon.Daemon
 module Client = Gcd2_daemon.Client
@@ -28,6 +26,7 @@ module Hist = Gcd2_util.Stats.Hist
 module Counters = Gcd2_util.Stats.Counters
 module Rng = Gcd2_util.Rng
 module Trace = Gcd2_util.Trace
+module Fault = Gcd2_util.Fault
 
 (* the zipf head of the zoo: small models, so the warm phase is
    request-rate-bound rather than one giant compile *)
@@ -49,28 +48,21 @@ let sample cdf rng =
   let rec find i = if i >= n - 1 || u < cdf.(i) then i else find (i + 1) in
   find 0
 
-let env_int name d =
-  match Option.bind (Sys.getenv_opt name) int_of_string_opt with
-  | Some v -> v
-  | None -> d
+let clients = 8
+let think_ms = 20.0
+let session_len = 10
 
-let env_float name d =
-  match Option.bind (Sys.getenv_opt name) float_of_string_opt with
-  | Some v -> v
-  | None -> d
+let served (r : Protocol.response) =
+  List.mem r.Protocol.outcome [ "ok"; "retried"; "degraded" ]
 
-let env_workers d =
-  match Sys.getenv_opt "GCD2_SERVE_LOAD_WORKERS" with
-  | None -> d
-  | Some s -> (
-    match
-      String.split_on_char ',' s
-      |> List.filter (fun x -> x <> "")
-      |> List.map int_of_string_opt
-    with
-    | [] -> d
-    | l when List.for_all Option.is_some l -> List.map Option.get l
-    | _ -> d)
+let log_failure m = function
+  | Ok (r : Protocol.response) ->
+    Gcd2_util.Logsink.emit_err
+      (Printf.sprintf "serve-load: %s -> outcome=%s code=%s msg=%s" m r.Protocol.outcome
+         (Option.value r.Protocol.code ~default:"-")
+         (Option.value r.Protocol.msg ~default:"-"))
+  | Error e ->
+    Gcd2_util.Logsink.emit_err (Printf.sprintf "serve-load: %s -> transport error: %s" m e)
 
 type acc = {
   warm : Hist.t;
@@ -95,7 +87,7 @@ let acc_create () =
    with [think_ms] of think time after each response, until [deadline].
    A rejected connection (backpressure) is retried after a short backoff
    — the retryable contract of the overloaded diagnostic. *)
-let client_thread addr acc seed ~deadline ~think_ms ~session_len () =
+let client_thread addr acc seed ~deadline () =
   let rng = Rng.create seed in
   let cdf = zipf_cdf (Array.length models) 1.1 in
   let rec sessions () =
@@ -110,28 +102,19 @@ let client_thread addr acc seed ~deadline ~think_ms ~session_len () =
                let m = models.(sample cdf rng) in
                let t0 = Trace.now () in
                (match Client.request conn m with
-               | Ok r -> (
-                 let ms = (Trace.now () -. t0) *. 1000. in
-                 match r.Protocol.outcome with
-                 | "ok" | "retried" | "degraded" ->
-                   acc.ok <- acc.ok + 1;
-                   if r.Protocol.flight = Protocol.Wait then
-                     acc.coalesced <- acc.coalesced + 1;
-                   Hist.add (if r.Protocol.cold then acc.cold else acc.warm) ms
-                 | "rejected" ->
-                   acc.rejected <- acc.rejected + 1;
-                   rejected := true
-                 | o ->
-                   acc.failed <- acc.failed + 1;
-                   Gcd2_util.Logsink.emit_err
-                     (Printf.sprintf
-                        "serve-load: %s -> outcome=%s code=%s msg=%s" m o
-                        (Option.value r.Protocol.code ~default:"-")
-                        (Option.value r.Protocol.msg ~default:"-")))
-               | Error e ->
+               | Ok r when served r ->
+                 acc.ok <- acc.ok + 1;
+                 if r.Protocol.flight = Protocol.Wait then
+                   acc.coalesced <- acc.coalesced + 1;
+                 Hist.add
+                   (if r.Protocol.cold then acc.cold else acc.warm)
+                   ((Trace.now () -. t0) *. 1000.)
+               | Ok r when r.Protocol.outcome = "rejected" ->
+                 acc.rejected <- acc.rejected + 1;
+                 rejected := true
+               | res ->
                  acc.failed <- acc.failed + 1;
-                 Gcd2_util.Logsink.emit_err
-                   (Printf.sprintf "serve-load: %s -> transport error: %s" m e));
+                 log_failure m res);
                if not !rejected then Thread.delay (think_ms /. 1000.);
                go (n - 1)
              end
@@ -161,13 +144,7 @@ type row = {
   st : Daemon.stats;
 }
 
-let rm_rf dir =
-  if Sys.file_exists dir && Sys.is_directory dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Sys.rmdir dir
-  end
-
-let run_one ~workers ~clients ~duration_ms ~think_ms ~session_len =
+let run_one ~workers ~duration_ms =
   let tag = Printf.sprintf "gcd2-serve-load-%d-%d" (Unix.getpid ()) workers in
   let cache_dir = Filename.concat (Filename.get_temp_dir_name ()) tag in
   if not (Sys.file_exists cache_dir) then Unix.mkdir cache_dir 0o755;
@@ -186,11 +163,14 @@ let run_one ~workers ~clients ~duration_ms ~think_ms ~session_len =
   (* prime: one cold pass over the mix, so the timed phase is warm *)
   let prime = Client.batch addr (Array.to_list models) in
   let cold_prime = Hist.create () in
-  List.iter
-    (fun r ->
+  let prime_failed = ref (Array.length models - List.length prime) in
+  List.iteri
+    (fun i r ->
       match r with
-      | Ok (r : Protocol.response) -> Hist.add cold_prime r.Protocol.ms
-      | Error _ -> ())
+      | Ok r when served r -> Hist.add cold_prime r.Protocol.ms
+      | r ->
+        incr prime_failed;
+        log_failure models.(i) r)
     prime;
   let accs = Array.init clients (fun _ -> acc_create ()) in
   let t0 = Trace.now () in
@@ -198,16 +178,15 @@ let run_one ~workers ~clients ~duration_ms ~think_ms ~session_len =
   let threads =
     List.init clients (fun i ->
         Thread.create
-          (client_thread addr accs.(i) (0x5EED + (977 * i)) ~deadline ~think_ms
-             ~session_len)
+          (client_thread addr accs.(i) (0x5EED + (977 * i)) ~deadline)
           ())
   in
   List.iter Thread.join threads;
   let elapsed_s = Trace.now () -. t0 in
   let st = Daemon.stop d in
-  rm_rf cache_dir;
+  Report.rm_rf cache_dir;
   let warm = Hist.create () and cold = Hist.copy cold_prime in
-  let ok = ref 0 and failed = ref 0 and rejected = ref 0 in
+  let ok = ref 0 and failed = ref !prime_failed and rejected = ref 0 in
   Array.iter
     (fun a ->
       Hist.merge_into ~into:warm a.warm;
@@ -232,41 +211,12 @@ let run_one ~workers ~clients ~duration_ms ~think_ms ~session_len =
     st;
   }
 
-let json_of rows =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n  \"experiment\": \"serve-load\",\n  \"rows\": [\n";
-  let base = (List.hd rows).rps in
-  List.iteri
-    (fun i r ->
-      let count = Counters.get r.st.Daemon.counts in
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"workers\": %d, \"rps\": %.1f, \"scaling\": %.2f, \"ok\": %d, \
-            \"failed\": %d, \"rejected\": %d, \"coalesced\": %d, \"compiles\": \
-            %d, \"hits\": %d, \"warm_p50_ms\": %.3f, \"warm_p95_ms\": %.3f, \
-            \"warm_p99_ms\": %.3f, \"cold_p50_ms\": %.1f, \"cold_p95_ms\": \
-            %.1f, \"cold_p99_ms\": %.1f}%s\n"
-           r.workers r.rps
-           (if base > 0. then r.rps /. base else 0.)
-           r.ok r.failed (count "rejected") (count "coalesced")
-           (count "compiles") (count "hits") r.warm_p50 r.warm_p95
-           r.warm_p99 r.cold_p50 r.cold_p95 r.cold_p99
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
-
 let run_on ~workers_list ~duration_ms =
   (* a roomy minor heap (8 MB/domain instead of the 256 KB default)
      keeps artifact-decode allocation from turning into a stop-the-world
      minor-GC storm across the worker domains — on a small machine the
      barriers, not the compiles, would otherwise cap throughput *)
   Gc.set { (Gc.get ()) with Gc.minor_heap_size = 1 lsl 20 };
-  let clients = env_int "GCD2_SERVE_LOAD_CLIENTS" 8 in
-  let think_ms = env_float "GCD2_SERVE_LOAD_THINK_MS" 20.0 in
-  let duration_ms = env_float "GCD2_SERVE_LOAD_MS" duration_ms in
-  let workers_list = env_workers workers_list in
-  let session_len = 10 in
   Report.header
     (Printf.sprintf
        "serve-load: zipf traffic, %d clients, %.0f ms think, %.0f ms timed \
@@ -274,13 +224,7 @@ let run_on ~workers_list ~duration_ms =
        clients think_ms duration_ms);
   Printf.printf "   %-8s %9s %8s %6s %6s %6s %9s %9s %9s\n" "workers" "req/s"
     "scaling" "ok" "fail" "rej" "warm_p50" "warm_p95" "warm_p99";
-  let rows =
-    List.map
-      (fun workers ->
-        let r = run_one ~workers ~clients ~duration_ms ~think_ms ~session_len in
-        r)
-      workers_list
-  in
+  let rows = List.map (fun workers -> run_one ~workers ~duration_ms) workers_list in
   let base = (List.hd rows).rps in
   List.iter
     (fun r ->
@@ -299,14 +243,50 @@ let run_on ~workers_list ~duration_ms =
       one.workers
       (if one.workers = 1 then "" else "s")
   | _ -> ());
-  let path = "BENCH_serve.json" in
-  let oc = open_out path in
-  output_string oc (json_of rows);
-  close_out oc;
-  Printf.printf "\n   wrote %s (%d worker counts)\n" path (List.length rows)
+  let failed = List.fold_left (fun n r -> n + r.failed) 0 rows in
+  if failed > 0 then failwith (Printf.sprintf "serve-load: %d requests failed" failed);
+  rows
 
-let run () = run_on ~workers_list:[ 1; 2; 4 ] ~duration_ms:3000.0
+let run () =
+  let duration_ms = 3000.0 in
+  let rows = run_on ~workers_list:[ 1; 2; 4 ] ~duration_ms in
+  let base = (List.hd rows).rps in
+  Report.write ~experiment:"serve-load" "BENCH_serve.json"
+    [
+      ("clients", Int clients);
+      ("think_ms", Float think_ms);
+      ("phase_ms", Float duration_ms);
+      ( "rows",
+        Report.rows
+          (fun r ->
+            let count n = Report.Int (Counters.get r.st.Daemon.counts n) in
+            [
+              ("workers", Int r.workers);
+              ("rps", Float r.rps);
+              ("scaling", Float (if base > 0. then r.rps /. base else 0.));
+              ("ok", Int r.ok);
+              ("failed", Int r.failed);
+              ("rejected", count "rejected");
+              ("coalesced", count "coalesced");
+              ("compiles", count "compiles");
+              ("hits", count "hits");
+              ("warm_p50_ms", Float r.warm_p50);
+              ("warm_p95_ms", Float r.warm_p95);
+              ("warm_p99_ms", Float r.warm_p99);
+              ("cold_p50_ms", Float r.cold_p50);
+              ("cold_p95_ms", Float r.cold_p95);
+              ("cold_p99_ms", Float r.cold_p99);
+            ])
+          rows );
+    ]
 
-(* CI variant: two worker counts, shorter clock — still long enough for
-   the 4-vs-1 scaling ratio to be meaningful. *)
-let smoke () = run_on ~workers_list:[ 1; 4 ] ~duration_ms:1200.0
+(* Smoke: two workers under a fault spec whose every injection the serve
+   path can absorb (retry, degrade, quarantine and recompile), then
+   workers 1 and 4 fault-free on a clock still long enough for the
+   4-vs-1 scaling ratio to be meaningful. *)
+let smoke () =
+  let spec = "seed=20260808,cache-read=0.2,artifact-decode=0.2,memo-lookup=0.2" in
+  Printf.printf "\n   faults: %s\n" spec;
+  Fault.with_spec (Fault.parse_exn spec) (fun () ->
+      ignore (run_on ~workers_list:[ 2 ] ~duration_ms:800.0));
+  ignore (run_on ~workers_list:[ 1; 4 ] ~duration_ms:1200.0)

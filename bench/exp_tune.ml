@@ -4,10 +4,9 @@
    every zoo model (Table-4-style).  Tuned is never worse than the
    heuristic by construction (the heuristic is always costed first), so
    any regression here is a bug and fails the experiment.  Writes
-   BENCH_codegen.json so the tuned-vs-heuristic trajectory can be
-   tracked across revisions.  "tune-smoke" runs a tiny budget on two
-   models for CI; "zoo-goldens" prints the zoo golden literals of
-   test/suite_desc.ml for sanctioned regenerations. *)
+   BENCH_codegen.json.  The smoke runs a tiny budget on two models;
+   "zoo-goldens" prints the zoo golden literals of test/suite_desc.ml
+   for sanctioned regenerations. *)
 
 module Zoo = Gcd2_models.Zoo
 module Compiler = Gcd2.Compiler
@@ -24,7 +23,7 @@ type row = {
   tuned_cycles : float;
   candidates : int;
   costed : int;
-  verified : int;
+  tuned_s : float;  (** wall time of the tuned compile *)
 }
 
 let with_tune tune (config : Compiler.config) =
@@ -33,11 +32,11 @@ let with_tune tune (config : Compiler.config) =
 let measure ~budget (e : Zoo.entry) =
   let g = e.Zoo.build () in
   let heuristic = Compiler.compile g in
-  let tuned =
-    Compiler.compile
-      ~config:
-        (with_tune (Some { Autotune.budget; verify = false }) Compiler.default)
-      g
+  let tuned, tuned_s =
+    Report.timed (fun () ->
+        Compiler.compile
+          ~config:(with_tune (Some { Autotune.budget; verify = false }) Compiler.default)
+          g)
   in
   let counter n = Trace.counter tuned.Compiler.trace n in
   {
@@ -48,38 +47,19 @@ let measure ~budget (e : Zoo.entry) =
     tuned_cycles = tuned.Compiler.report.Graphcost.cycles;
     candidates = counter "tune-candidates";
     costed = counter "tune-costed";
-    verified = counter "tune-vm-verified";
+    tuned_s;
   }
 
 let improvement_pct r =
   if r.heuristic_cycles = 0.0 then 0.0
   else 100.0 *. (1.0 -. (r.tuned_cycles /. r.heuristic_cycles))
 
-let json_of ~budget rows =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf "{\n  \"experiment\": \"tune\",\n  \"budget\": %d,\n  \"models\": [\n"
-       budget);
-  List.iteri
-    (fun i r ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"name\": %S, \"heuristic_ms\": %.6f, \"tuned_ms\": %.6f, \
-            \"heuristic_cycles\": %.0f, \"tuned_cycles\": %.0f, \
-            \"improvement_pct\": %.4f, \"candidates\": %d, \"costed\": %d}%s\n"
-           r.name r.heuristic_ms r.tuned_ms r.heuristic_cycles r.tuned_cycles
-           (improvement_pct r) r.candidates r.costed
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
-
-let run_on ?(write_json = true) ~budget entries =
+let run_on ~budget entries =
   Report.header
     (Printf.sprintf "tune: budgeted kernel-shape autotuning vs adaptive heuristic \
                      (budget %d)" budget);
-  Printf.printf "   %-18s %12s %12s %8s %10s %8s\n" "model" "heuristic" "tuned"
-    "delta" "candidates" "costed";
+  Printf.printf "   %-18s %12s %12s %8s %10s %8s %9s\n" "model" "heuristic" "tuned"
+    "delta" "candidates" "costed" "tune (s)";
   let rows = List.map (measure ~budget) entries in
   let improved = ref 0 and regressed = ref 0 in
   List.iter
@@ -87,18 +67,11 @@ let run_on ?(write_json = true) ~budget entries =
       let pct = improvement_pct r in
       if pct > 1.0 then incr improved;
       if r.tuned_cycles > r.heuristic_cycles then incr regressed;
-      Printf.printf "   %-18s %9.2f ms %9.2f ms %+7.2f%% %10d %8d\n" r.name
-        r.heuristic_ms r.tuned_ms (-.pct) r.candidates r.costed)
+      Printf.printf "   %-18s %9.2f ms %9.2f ms %+7.2f%% %10d %8d %9.2f\n" r.name
+        r.heuristic_ms r.tuned_ms (-.pct) r.candidates r.costed r.tuned_s)
     rows;
   Printf.printf "\n   >1%% modeled-cycle improvement on %d/%d models\n" !improved
     (List.length rows);
-  if write_json then begin
-    let path = "BENCH_codegen.json" in
-    let oc = open_out path in
-    output_string oc (json_of ~budget rows);
-    close_out oc;
-    Printf.printf "   wrote %s (%d models, budget %d)\n" path (List.length rows) budget
-  end;
   (* tuned <= heuristic holds by construction (the heuristic setting is
      always costed first); a regression means the tuner returned a
      setting it never costed *)
@@ -106,15 +79,37 @@ let run_on ?(write_json = true) ~budget entries =
     Printf.printf "   FAIL: tuned modeled cycles above the heuristic on %d models\n"
       !regressed;
     exit 1
-  end
+  end;
+  rows
 
-let run () = run_on ~budget:Autotune.default_budget Zoo.all
+let run () =
+  let budget = Autotune.default_budget in
+  let rows = run_on ~budget Zoo.all in
+  Report.write ~experiment:"tune" "BENCH_codegen.json"
+    [
+      ("budget", Int budget);
+      ( "models",
+        Report.rows
+          (fun r ->
+            [
+              ("name", Str r.name);
+              ("heuristic_ms", Float r.heuristic_ms);
+              ("tuned_ms", Float r.tuned_ms);
+              ("heuristic_cycles", Float r.heuristic_cycles);
+              ("tuned_cycles", Float r.tuned_cycles);
+              ("improvement_pct", Float (improvement_pct r));
+              ("candidates", Int r.candidates);
+              ("costed", Int r.costed);
+              ("tuned_s", Float r.tuned_s);
+            ])
+          rows );
+    ]
 
-(* CI variant: a tiny budget on the two cheapest-to-compile models keeps
-   the smoke in seconds while still walking the full tune path
-   (enumerate, cost, rank) and checking tuned <= heuristic. *)
+(* Smoke: a tiny budget on the two cheapest-to-compile models keeps it
+   in seconds while still walking the full tune path (enumerate, cost,
+   rank) and checking tuned <= heuristic. *)
 let smoke () =
-  run_on ~write_json:false ~budget:8
+  ignore @@ run_on ~budget:8
     (List.filter
        (fun (e : Zoo.entry) -> List.mem e.Zoo.name [ "MobileNet-V3"; "TinyBERT" ])
        Zoo.all)

@@ -2,17 +2,15 @@
    translated engine against the reference interpreter, and whole-model
    inference wall time over the zoo with both engines — asserting along
    the way that per-node outputs and execution statistics are
-   bit-identical.  Writes BENCH_vm.json so the numbers can be tracked
-   across revisions.
+   bit-identical.  Writes BENCH_vm.json.
 
-   "vm-smoke" is the CI variant: tiny iteration counts and a small
-   synthetic model so both engines are exercised in well under a second
-   of simulated work. *)
+   The smoke uses tiny iteration counts and a small synthetic model so
+   both engines are exercised in well under a second of simulated
+   work. *)
 
 module Zoo = Gcd2_models.Zoo
 module Compiler = Gcd2.Compiler
 module Runtime = Gcd2.Runtime
-module Trace = Gcd2_util.Trace
 module Stats = Gcd2_util.Stats
 module Rng = Gcd2_util.Rng
 module T = Gcd2_tensor.Tensor
@@ -24,11 +22,6 @@ module Program = Gcd2_isa.Program
 module Graph = Gcd2_graph.Graph
 module Op = Gcd2_graph.Op
 module B = Graph.Builder
-
-let timed f =
-  let t0 = Trace.now () in
-  let v = f () in
-  (v, Trace.now () -. t0)
 
 (* ---------------- per-opcode throughput ---------------- *)
 
@@ -88,7 +81,7 @@ let rate engine prog ~reps =
   (* warm-up run: pays translation (or nothing) outside the clock *)
   Machine.run m prog;
   let (), dt =
-    timed (fun () ->
+    Report.timed (fun () ->
         for _ = 1 to reps do
           Machine.run m prog
         done)
@@ -121,17 +114,6 @@ type model_row = {
   speedup : float;
 }
 
-let inputs_of g =
-  let rng = Rng.create 42 in
-  let acc = ref [] in
-  Graph.iter
-    (fun node ->
-      match node.Graph.op with
-      | Op.Input { shape } -> acc := (node.Graph.id, T.random rng shape) :: !acc
-      | _ -> ())
-    g;
-  List.rev !acc
-
 let check_identical name (vm : T.t array) (vm_ref : T.t array) (s : Runtime.stats)
     (s_ref : Runtime.stats) =
   if Array.length vm <> Array.length vm_ref then
@@ -147,14 +129,7 @@ let check_identical name (vm : T.t array) (vm_ref : T.t array) (s : Runtime.stat
     || s.Runtime.vm_nodes <> s_ref.Runtime.vm_nodes
     || s.Runtime.host_nodes <> s_ref.Runtime.host_nodes
   then failwith (name ^ ": execution stats differ between engines");
-  let kinds (s : Runtime.stats) =
-    List.sort compare
-      (Hashtbl.fold
-         (fun k (v : Runtime.kind_stat) acc ->
-           (k, v.Runtime.k_vm, v.Runtime.k_host, v.Runtime.k_cycles) :: acc)
-         s.Runtime.kinds [])
-  in
-  if kinds s <> kinds s_ref then
+  if Report.kinds s <> Report.kinds s_ref then
     failwith (name ^ ": per-kind stats differ between engines")
 
 (* Each engine's leg is timed at steady state: an untimed warm-up run
@@ -164,11 +139,11 @@ let check_identical name (vm : T.t array) (vm_ref : T.t array) (s : Runtime.stat
    engines get exactly the same treatment. *)
 let steady_run c ~inputs =
   ignore (Runtime.run_with_stats c ~inputs);
-  timed (fun () -> Runtime.run_with_stats c ~inputs)
+  Report.timed (fun () -> Runtime.run_with_stats c ~inputs)
 
 let measure_model name (g : Graph.t) =
   let c = Compiler.compile g in
-  let inputs = inputs_of g in
+  let inputs = Report.inputs_of g in
   let saved = Machine.engine () in
   Machine.set_engine Machine.Translated;
   let (vm, stats), fast_s = steady_run c ~inputs in
@@ -182,10 +157,7 @@ let measure_model name (g : Graph.t) =
     vm_nodes = stats.Runtime.vm_nodes;
     host_nodes = stats.Runtime.host_nodes;
     vm_cycles = stats.Runtime.vm_cycles;
-    kinds =
-      List.sort
-        (fun (a, _) (b, _) -> String.compare a b)
-        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) stats.Runtime.kinds []);
+    kinds = Report.kinds stats;
     fast_s;
     ref_s;
     speedup = ref_s /. fast_s;
@@ -222,41 +194,6 @@ let smoke_model () =
 
 (* ---------------- reporting ---------------- *)
 
-let json_of op_rows model_rows geomean =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n  \"experiment\": \"vm\",\n  \"opcodes\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"op\": %S, \"fast_instrs_s\": %.0f, \"ref_instrs_s\": %.0f, \
-            \"fast_macs_s\": %.0f, \"speedup\": %.2f}%s\n"
-           r.op r.fast_ips r.ref_ips r.fast_macs_s r.op_speedup
-           (if i = List.length op_rows - 1 then "" else ",")))
-    op_rows;
-  Buffer.add_string b "  ],\n  \"models\": [\n";
-  List.iteri
-    (fun i r ->
-      let kinds_json =
-        String.concat ", "
-          (List.map
-             (fun (k, (ks : Runtime.kind_stat)) ->
-               Printf.sprintf "%S: {\"vm\": %d, \"host\": %d, \"vm_cycles\": %d}" k
-                 ks.Runtime.k_vm ks.Runtime.k_host ks.Runtime.k_cycles)
-             r.kinds)
-      in
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"name\": %S, \"nodes\": %d, \"vm_nodes\": %d, \"host_nodes\": %d, \
-            \"vm_cycles\": %d, \"fast_s\": %.6f, \"ref_s\": %.6f, \"speedup\": %.2f, \
-            \"kinds\": {%s}}%s\n"
-           r.name r.nodes r.vm_nodes r.host_nodes r.vm_cycles r.fast_s r.ref_s r.speedup
-           kinds_json
-           (if i = List.length model_rows - 1 then "" else ",")))
-    model_rows;
-  Buffer.add_string b (Printf.sprintf "  ],\n  \"geomean_speedup\": %.3f\n}\n" geomean);
-  Buffer.contents b
-
 let print_opcodes op_rows =
   Printf.printf "   %-12s %14s %14s %14s %9s\n" "opcode" "fast (i/s)" "ref (i/s)"
     "fast MAC/s" "speedup";
@@ -276,7 +213,7 @@ let print_models model_rows geomean =
     model_rows;
   Printf.printf "\n   geomean whole-model speedup: %.2fx\n" geomean
 
-let run_with ~trip ~reps ~models ~label ~write_json () =
+let run_with ~trip ~reps ~models ~label =
   Report.header
     (label ^ ": translated engine vs reference interpreter (outputs bit-identical)");
   let op_rows = List.map (measure_opcode ~trip ~reps) opcodes in
@@ -288,21 +225,44 @@ let run_with ~trip ~reps ~models ~label ~write_json () =
     "   (steady-state wall times: per engine, one untimed warm-up run then one timed \
      run;\n    models capped at %.1f GMACs: the reference engine sets the cost)\n"
     model_budget_gmacs;
-  if write_json then begin
-    let path = "BENCH_vm.json" in
-    let oc = open_out path in
-    output_string oc (json_of op_rows model_rows geomean);
-    close_out oc;
-    Printf.printf "   wrote %s (%d opcodes, %d models) for trajectory tracking\n" path
-      (List.length op_rows) (List.length model_rows)
-  end
+  (op_rows, model_rows, geomean)
 
 let run () =
-  run_with ~trip:20_000 ~reps:8 ~models:(zoo_models ()) ~label:"vm" ~write_json:true ()
+  let op_rows, model_rows, geomean =
+    run_with ~trip:20_000 ~reps:8 ~models:(zoo_models ()) ~label:"vm"
+  in
+  Report.write ~experiment:"vm" "BENCH_vm.json"
+    [
+      ( "opcodes",
+        Report.rows
+          (fun r ->
+            [
+              ("op", Str r.op);
+              ("fast_instrs_s", Float r.fast_ips);
+              ("ref_instrs_s", Float r.ref_ips);
+              ("fast_macs_s", Float r.fast_macs_s);
+              ("speedup", Float r.op_speedup);
+            ])
+          op_rows );
+      ( "models",
+        Report.rows
+          (fun r ->
+            [
+              ("name", Str r.name);
+              ("nodes", Int r.nodes);
+              ("vm_nodes", Int r.vm_nodes);
+              ("host_nodes", Int r.host_nodes);
+              ("vm_cycles", Int r.vm_cycles);
+              ("fast_s", Float r.fast_s);
+              ("ref_s", Float r.ref_s);
+              ("speedup", Float r.speedup);
+              ("kinds", Report.kinds_json r.kinds);
+            ])
+          model_rows );
+      ("geomean_speedup", Float geomean);
+    ]
 
-(* CI smoke: both engines on every opcode and a small whole model, no
-   JSON (CI must not dirty the tree), small enough for `make check`. *)
+(* Smoke: both engines on every opcode and a small whole model. *)
 let smoke () =
-  run_with ~trip:200 ~reps:2
-    ~models:[ ("smoke-cnn", smoke_model ()) ]
-    ~label:"vm-smoke" ~write_json:false ()
+  ignore
+  @@ run_with ~trip:200 ~reps:2 ~models:[ ("smoke-cnn", smoke_model ()) ] ~label:"vm smoke"

@@ -216,7 +216,6 @@ type served = {
   attempts : int;
   quarantined : int;
   uncached : bool;
-  verified : bool;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -242,16 +241,19 @@ let log_degradation d =
 (* After a degraded or retried path, re-read the stored artifact with
    fault injection disabled and check it against the compile actually
    served: a damaged cache may cost retries and recompiles, never wrong
-   bits. *)
+   bits.  An entry that is gone by now (another daemon worker
+   quarantined it, or the janitor evicted it) leaves nothing to check
+   against, so the compile stands. *)
 let verify_against_store ~dir config graph (c : Compiler.compiled) =
   Fault.with_disabled @@ fun () ->
   let digest = Compiler.fingerprint config graph in
-  match Artifact.load ~expect_digest:digest ~path:(Cache.entry_path dir digest) () with
+  let path = Cache.entry_path dir digest in
+  match Artifact.load ~expect_digest:digest ~path () with
   | Ok (art, _) ->
     art.Artifact.assignment = c.Compiler.assignment
     && art.Artifact.report.Graphcost.ms = c.Compiler.report.Graphcost.ms
     && art.Artifact.report.Graphcost.cycles = c.Compiler.report.Graphcost.cycles
-  | Error _ -> false
+  | Error _ -> not (Sys.file_exists path)
 
 (* The compile step is pluggable so a front end can wrap it without
    re-implementing the policy machinery: the daemon passes a
@@ -285,7 +287,6 @@ let serve_one ?(resolve = default_resolve) ?(compile = default_compile) policy ~
       attempts;
       quarantined = 0;
       uncached = false;
-      verified = false;
     }
   in
   match
@@ -364,7 +365,6 @@ let serve_one ?(resolve = default_resolve) ?(compile = default_compile) policy ~
           attempts = !attempts;
           quarantined;
           uncached;
-          verified;
         })
 
 (* ------------------------------------------------------------------ *)

@@ -21,7 +21,8 @@
     - verification: any request served through a degraded or retried
       path re-reads the stored artifact with fault injection disabled
       and checks it against the served compile, so a damaged cache can
-      cost time but never serve wrong bits.
+      cost time but never serve wrong bits (an entry already moved
+      aside or evicted by a concurrent worker has nothing to check).
 
     Every request produces a {!served} outcome — [ok] / [retried] /
     [degraded] / [timeout] / [error] — with the typed {!Gcd2.Diag}
@@ -129,7 +130,6 @@ type served = {
   attempts : int;
   quarantined : int;  (** corrupt cache entries quarantined while serving it *)
   uncached : bool;  (** served by the uncached-fallback degradation *)
-  verified : bool;  (** stored artifact re-checked after a degraded/retried path *)
 }
 
 (** The compile step of the serving loop, pluggable so a front end can

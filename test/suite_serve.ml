@@ -324,6 +324,33 @@ let test_report_excludes_failures () =
   check_int "failed request not in the warm population" 1
     (List.length report.Serve.warm_ms)
 
+(* A retried request re-checks the stored artifact.  By then a
+   concurrent worker may have quarantined the entry (or the janitor
+   evicted it): nothing is left to check against, so the compile is
+   served, not failed as a mismatch. *)
+let test_retry_with_vanished_entry_is_served () =
+  let dir = temp_dir () in
+  let calls = ref 0 in
+  let compile ~config ~cache_dir ~jobs ~deadline_ms g =
+    incr calls;
+    if !calls = 1 then Error (Diag.make Diag.Cache_io "transient cache failure")
+    else begin
+      let r = Serve.default_compile ~config ~cache_dir ~jobs ~deadline_ms g in
+      let entry = Gcd2_store.Cache.entry_path dir (Compiler.fingerprint config g) in
+      Sys.rename entry (Gcd2_store.Cache.quarantine_path entry);
+      r
+    end
+  in
+  let r =
+    Serve.serve_one ~resolve:resolve_tiny ~compile (policy ~cache_dir:dir ())
+      ~cold:true (Serve.request "tiny")
+  in
+  (match r.Serve.diag with
+  | Some d -> Alcotest.failf "request failed: %a" Diag.pp d
+  | None -> ());
+  check_bool "outcome is retried" true (r.Serve.outcome = Serve.Retried);
+  check_int "two attempts" 2 r.Serve.attempts
+
 let tests =
   [
     Alcotest.test_case "parse: well-formed lines" `Quick test_parse_ok;
@@ -342,4 +369,6 @@ let tests =
     Alcotest.test_case "expired deadline is a timeout" `Quick test_deadline_timeout;
     Alcotest.test_case "report excludes failed requests" `Quick
       test_report_excludes_failures;
+    Alcotest.test_case "retry with a vanished entry is served" `Quick
+      test_retry_with_vanished_entry_is_served;
   ]
