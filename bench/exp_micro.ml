@@ -60,18 +60,29 @@ let mobilenet_cost =
      let g = Gcd2_graph.Passes.optimize g in
      Graphcost.build Gcd2_cost.Opcost.gcd2 g)
 
+(* The packer and [Matmul.cycles] are memoized, so after its first run a
+   row would time a hash lookup.  These rows empty every memo table at the
+   start of each run, so each run does the work its label names; the
+   clear itself costs about a microsecond. *)
+let cold f () =
+  Gcd2_util.Memo.clear_all ();
+  f ()
+
 let test_sda_packing =
   Test.make ~name:"sda packing (vmpy inner block)"
-    (Staged.stage (fun () -> ignore (Packer.pack ~desc Packer.sda (Lazy.force kernel_block))))
+    (Staged.stage
+       (cold (fun () -> ignore (Packer.pack ~desc Packer.sda (Lazy.force kernel_block)))))
 
 let test_list_packing =
   Test.make ~name:"list packing (same block)"
-    (Staged.stage (fun () ->
-         ignore (Packer.pack ~desc Packer.List_topdown (Lazy.force kernel_block))))
+    (Staged.stage
+       (cold (fun () ->
+            ignore (Packer.pack ~desc Packer.List_topdown (Lazy.force kernel_block)))))
 
 let test_codegen =
   Test.make ~name:"matmul codegen + packing (128x64x8)"
-    (Staged.stage (fun () ->
+    (Staged.stage
+       (cold @@ fun () ->
          ignore
            (Matmul.cycles
               {
@@ -146,6 +157,8 @@ let time_pack pack block =
   let reps = max 3 (2000 / max 1 (Array.length block)) in
   let samples =
     List.init reps (fun _ ->
+        (* untimed: a memo hit would time a lookup, not a pack *)
+        Gcd2_util.Memo.clear_all ();
         let t0 = Gcd2_util.Trace.now () in
         ignore (pack Packer.sda block);
         Gcd2_util.Trace.now () -. t0)

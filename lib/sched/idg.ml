@@ -35,18 +35,79 @@ let decode = function
   | 1 -> Some Dep.Hard
   | c -> Some (Dep.Soft (c - 2))
 
+(* The storage units a register operand names: [R k] is one unit, [V k]
+   another, and [P k] the two units of [V 2k] and [V 2k+1], so two operands
+   overlap ({!Reg.overlap}) iff their unit lists intersect. *)
+let units = function
+  | Reg.R k -> [ 2 * k ]
+  | r -> List.map (fun v -> (2 * v) + 1) (Reg.vector_parts r)
+
+let units_of regs = List.sort_uniq Int.compare (List.concat_map units regs)
+
+(* Def-use construction.  {!Dep.classify_info} is [None] unless the pair
+   shares a register unit that one of them defines, or accesses memory
+   through one base register with a store among the two.  So instruction
+   [j] is classified only against those candidates: the earlier definers
+   of every unit it reads, the earlier definers and readers of every unit
+   it writes, and the earlier same-base stores (or, for a store, every
+   earlier same-base access).  Every other pair would classify to [None],
+   so the edges are exactly the all-pairs ones.  [pred] and [succ] list
+   them latest first, as the all-pairs build did: {!critical_path} breaks
+   ties in that order. *)
 let build ~desc instrs =
   let n = Array.length instrs in
   let infos = Array.map Dep.info instrs in
-  let succ = Array.make n [] and pred = Array.make n [] in
+  let pred = Array.make n [] in
   let kinds = Bytes.make (n * n) '\000' in
+  (* earlier instructions, latest first, by register unit or memory base *)
+  let definers = Hashtbl.create 64 and readers = Hashtbl.create 64 in
+  let stores = Hashtbl.create 8 and accesses = Hashtbl.create 8 in
+  let earlier tbl k = Option.value ~default:[] (Hashtbl.find_opt tbl k) in
+  let record tbl j k = Hashtbl.replace tbl k (j :: earlier tbl k) in
+  let seen = Array.make n (-1) in
+  for j = 0 to n - 1 do
+    let defs = units_of (Instr.defs instrs.(j)) and uses = units_of (Instr.uses instrs.(j)) in
+    let mem = Instr.mem_access instrs.(j) in
+    let cands = ref [] in
+    let add =
+      List.iter (fun i ->
+          if seen.(i) <> j then begin
+            seen.(i) <- j;
+            cands := i :: !cands
+          end)
+    in
+    List.iter (fun u -> add (earlier definers u)) uses;
+    List.iter (fun u -> add (earlier definers u); add (earlier readers u)) defs;
+    (match mem with
+    | Some (Instr.Mem_load (a, _)) -> add (earlier stores a.Instr.base)
+    | Some (Instr.Mem_store (a, _)) -> add (earlier accesses a.Instr.base)
+    | None -> ());
+    List.iter
+      (fun i ->
+        match Dep.classify_info infos.(i) infos.(j) with
+        | Some kind ->
+          pred.(j) <- (i, kind) :: pred.(j);
+          Bytes.unsafe_set kinds ((i * n) + j) (Char.chr (encode (Some kind)))
+        | None -> ())
+      (List.sort Int.compare !cands);
+    List.iter (record definers j) defs;
+    List.iter (record readers j) uses;
+    match mem with
+    | Some (Instr.Mem_load (a, _)) -> record accesses j a.Instr.base
+    | Some (Instr.Mem_store (a, _)) ->
+      record accesses j a.Instr.base;
+      record stores j a.Instr.base
+    | None -> ()
+  done;
+  (* [succ] from the matrix rows, one row at a time, so each list's cells
+     sit together in memory: the packer walks [succ] every round, and
+     lists grown across the whole build make it several times slower on
+     large blocks. *)
+  let succ = Array.make n [] in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      match Dep.classify_info infos.(i) infos.(j) with
-      | Some kind ->
-        succ.(i) <- (j, kind) :: succ.(i);
-        pred.(j) <- (i, kind) :: pred.(j);
-        Bytes.unsafe_set kinds ((i * n) + j) (Char.chr (encode (Some kind)))
+      match decode (Char.code (Bytes.unsafe_get kinds ((i * n) + j))) with
+      | Some kind -> succ.(i) <- (j, kind) :: succ.(i)
       | None -> ()
     done
   done;

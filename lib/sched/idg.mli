@@ -20,7 +20,11 @@ type t = {
 }
 
 (** Build the IDG, baking the device's latencies and slot masks into
-    [lat]/[slot_mask]. *)
+    [lat]/[slot_mask].  Only pairs that share a register one of them
+    defines, or a memory base register with a store among them, are
+    classified; every other pair has no dependency, so the edges (and
+    their order in [succ]/[pred], latest first) are those of classifying
+    all pairs. *)
 val build : desc:Gcd2_devices.Desc.t -> Instr.t array -> t
 val size : t -> int
 

@@ -328,27 +328,72 @@ let pack_indices_idg ~desc strategy idg =
   | List_topdown -> pack_list_topdown ~desc idg
   | In_order -> pack_in_order ~desc idg
 
+(* A packed block as bytes: its stall count, then per packet the member
+   count and the members, each a LEB128 varint — one or two bytes per
+   instruction where the [int list list] takes six words. *)
+let encode ~stalls packets =
+  let b = Buffer.create 64 in
+  let rec varint x =
+    if x < 0x80 then Buffer.add_char b (Char.chr x)
+    else begin
+      Buffer.add_char b (Char.chr (0x80 lor (x land 0x7f)));
+      varint (x lsr 7)
+    end
+  in
+  varint stalls;
+  List.iter
+    (fun members ->
+      varint (List.length members);
+      List.iter varint members)
+    packets;
+  Buffer.contents b
+
+let decode s =
+  let pos = ref 0 in
+  let rec varint shift acc =
+    let c = Char.code s.[!pos] in
+    incr pos;
+    let acc = acc lor ((c land 0x7f) lsl shift) in
+    if c < 0x80 then acc else varint (shift + 7) acc
+  in
+  let rec members k = if k = 0 then [] else let m = varint 0 0 in m :: members (k - 1) in
+  let rec packets acc =
+    if !pos = String.length s then List.rev acc
+    else packets (members (varint 0 0) :: acc)
+  in
+  let stalls = varint 0 0 in
+  (stalls, packets [])
+
+(* Packing is deterministic in (device, strategy, block), and a cold
+   compile packs the same block many times over: kernels of different
+   specs share inner blocks, and a kernel repeats its own.  So each
+   distinct block is packed once per process.  The key holds the block as
+   its marshaled bytes ([No_sharing]: a pure function of its structure)
+   rather than the [Instr.t] array, and the value is {!encode}d, so an
+   entry retains a few bytes per instruction. *)
+let memo : (Gcd2_devices.Desc.t * strategy * string, string) Gcd2_util.Memo.t =
+  Gcd2_util.Memo.create "pack"
+
 (** [pack_indices strategy instrs] packs one basic block (given in program
     order) and returns packets as ascending instruction-index lists. *)
 let pack_indices ~desc strategy instrs =
   if Array.length instrs = 0 then []
   else begin
-    let idg = ref None in
-    let packets =
-      Trace.in_span "pack" @@ fun () ->
-      let g = Idg.build ~desc instrs in
-      idg := Some g;
-      pack_indices_idg ~desc strategy g
+    let key = (desc, strategy, Marshal.to_string instrs [ Marshal.No_sharing ]) in
+    let stalls, packets =
+      decode
+      @@ Gcd2_util.Memo.find_or_add memo key (fun () ->
+             Trace.in_span "pack" @@ fun () ->
+             let g = Idg.build ~desc instrs in
+             let packets = pack_indices_idg ~desc strategy g in
+             encode
+               ~stalls:(List.fold_left (fun acc members -> acc + stall_of g members) 0 packets)
+               packets)
     in
     (* Observability: how many packets this schedule issues and how many
-       stall cycles its soft co-packings pay (ambient trace only — the
-       stall recount is not worth paying when nobody is listening). *)
-    if Trace.enabled () then begin
-      let g = Option.get !idg in
-      Trace.count "packets" (List.length packets);
-      Trace.count "stalls"
-        (List.fold_left (fun acc members -> acc + stall_of g members) 0 packets)
-    end;
+       stall cycles its soft co-packings pay, on a hit as on a miss. *)
+    Trace.count "packets" (List.length packets);
+    Trace.count "stalls" stalls;
     packets
   end
 

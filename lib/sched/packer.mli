@@ -26,7 +26,9 @@ val pp_strategy : Format.formatter -> strategy -> unit
 
 (** Pack one basic block (program order); packets as ascending
     instruction-index lists.  [desc] selects the device (slot masks,
-    capacity, latencies). *)
+    capacity, latencies).  Memoized per process on (device, strategy,
+    block content): a repeated block opens no [pack] span but records
+    the same [packets] and [stalls] counts as its first packing. *)
 val pack_indices : desc:Gcd2_devices.Desc.t -> strategy -> Instr.t array -> int list list
 
 (** Pack one basic block into a legal packet sequence. *)

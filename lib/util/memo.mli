@@ -13,7 +13,11 @@
     the heuristics and the autotuner visit retain no program), while
     materializing a kernel ({!Gcd2_codegen.Matmul.generate},
     [Eltwise.binary]/[unary], the [Rowops] passes) memoizes the program,
-    so every use of it shares one physical value.
+    so every use of it shares one physical value.  Beneath both sits the
+    packer: {!Gcd2_sched.Packer.pack_indices} is keyed by (device,
+    strategy, the block's marshaled bytes), so a basic block that many
+    kernels share is packed once; it keeps the packet index lists and
+    the stall count as a compact string, never the instructions.
 
     {b Key discipline}: always key by the full spec value (a pure-data
     record), never by a hand-picked subset of its fields — a new spec

@@ -330,24 +330,30 @@ let test_single_flight_coalesces_requests () =
   in
   check_int "one cache entry" 1 (List.length entries)
 
+(* A request that holds a worker for about a second when the memo
+   tables are empty: a cold compile with a budget-8 tune.  An untuned
+   cold compile of any zoo model now takes well under 0.15 s, too short
+   to anchor the windows below. *)
+let slow_request = "MobileNet-V3 tune=8"
+
 (* Backpressure: one worker, queue depth one.  While the worker is
    inside a cold compile and the queue already holds a connection, the
    next connection is shed with a retryable rejection.  The memo tables
-   start empty, so the compile is fully cold and long enough (~0.6 s) to
-   hold the worker while the other two connections arrive. *)
+   start empty, so the tuned compile is fully cold and long enough
+   (~1 s) to hold the worker while the other two connections arrive. *)
 let test_backpressure_rejects_retryable () =
   Gcd2_util.Memo.clear_all ();
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   with_daemon (config ~workers:1 ~queue_depth:1 dir) @@ fun d ->
   let addr = Daemon.address d in
-  let a = Domain.spawn (fun () -> Client.batch addr [ "MobileNet-V3" ]) in
+  let a = Domain.spawn (fun () -> Client.batch addr [ slow_request ]) in
   Unix.sleepf 0.1;
   (* worker is compiling A; this one parks in the queue *)
-  let b = Domain.spawn (fun () -> Client.batch addr [ "MobileNet-V3" ]) in
+  let b = Domain.spawn (fun () -> Client.batch addr [ slow_request ]) in
   Unix.sleepf 0.05;
   (* queue full: shed *)
-  let rejected = Client.batch addr [ "MobileNet-V3" ] in
+  let rejected = Client.batch addr [ slow_request ] in
   (match rejected with
   | [ Ok r ] ->
     Alcotest.(check string) "shed connection is rejected" "rejected"
@@ -371,13 +377,14 @@ let test_backpressure_rejects_retryable () =
 (* Graceful shutdown: stop while one request is mid-compile and another
    connection is still queued; both must be served to EOF. *)
 let test_graceful_shutdown_drains () =
+  Gcd2_util.Memo.clear_all ();
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let d = Daemon.start (config ~workers:1 ~queue_depth:4 dir) in
   let addr = Daemon.address d in
-  let a = Domain.spawn (fun () -> Client.batch addr [ "MobileNet-V3" ]) in
+  let a = Domain.spawn (fun () -> Client.batch addr [ slow_request ]) in
   Unix.sleepf 0.1;
-  let b = Domain.spawn (fun () -> Client.batch addr [ "MobileNet-V3" ]) in
+  let b = Domain.spawn (fun () -> Client.batch addr [ slow_request ]) in
   Unix.sleepf 0.05;
   let s = Daemon.stop d in
   List.iter

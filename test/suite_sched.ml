@@ -156,6 +156,13 @@ let gen_instr =
       (1, map3 (fun d s t -> Instr.Vrmpy (d, s, t)) vec vec reg);
       (1, map2 (fun d s -> Instr.Vpack (d, s, Instr.W16)) vec pair);
       (1, map2 (fun d s -> Instr.Vshuff (d, s, Instr.W16)) pair pair);
+      (* pointer bumps of the memory bases, so RAW and WAR edges on a base
+         register occur; small and positive, so the four regions stay
+         disjoint and in bounds in [execute_block] *)
+      ( 1,
+        map2
+          (fun b i -> Instr.Salu (Instr.Add, r (8 + b), r (8 + b), Instr.Imm (4 * i)))
+          (int_range 0 3) (int_range 1 4) );
     ]
 
 let gen_block = QCheck.Gen.(map Array.of_list (list_size (int_range 1 40) gen_instr))
@@ -204,9 +211,127 @@ let prop_packing_never_slower_than_sequential =
         (fun (_, strategy) -> Packer.block_cycles ~desc (Packer.pack ~desc strategy instrs) <= sequential)
         all_strategies)
 
+(* The IDG, built straight from the definition: every program-order pair
+   classified by [Dep.classify], edges collected latest first, [order] and
+   [ancestors] from those edges.  [Idg.build] only classifies the pairs
+   that share a register or a memory base, so this is what it must equal,
+   adjacency-list order included ([critical_path] breaks ties by it). *)
+let check_idg_all_pairs instrs =
+  let n = Array.length instrs in
+  let g = Idg.build ~desc instrs in
+  let succ = Array.make n [] and pred = Array.make n [] in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      let kind = Dep.classify instrs.(i) instrs.(j) in
+      if Idg.edge g i j <> kind then
+        QCheck.Test.fail_reportf "edge %d -> %d: idg %s, classify %s" i j
+          (Option.fold ~none:"none" ~some:(Fmt.str "%a" Dep.pp_kind) (Idg.edge g i j))
+          (Option.fold ~none:"none" ~some:(Fmt.str "%a" Dep.pp_kind) kind);
+      Option.iter
+        (fun k ->
+          succ.(i) <- (j, k) :: succ.(i);
+          pred.(j) <- (i, k) :: pred.(j))
+        kind
+    done
+  done;
+  let order = Array.make n 0 and anc = Array.make_matrix n n false in
+  for j = 0 to n - 1 do
+    List.iter
+      (fun (i, _) ->
+        order.(j) <- max order.(j) (order.(i) + 1);
+        anc.(j).(i) <- true;
+        Array.iteri (fun a x -> if x then anc.(j).(a) <- true) anc.(i))
+      pred.(j)
+  done;
+  let ancestors =
+    Array.map (Array.fold_left (fun c x -> if x then c + 1 else c) 0) anc
+  in
+  g.Idg.succ = succ && g.Idg.pred = pred && g.Idg.order = order
+  && g.Idg.ancestors = ancestors
+
+let prop_idg_matches_all_pairs =
+  QCheck.Test.make ~name:"def-use IDG = all-pairs classification" ~count:300
+    arbitrary_block check_idg_all_pairs
+
+(* The same check on real code: every block of every kernel program the
+   MobileNet-V3 and TinyBERT (seq 64) artifacts store, in packed order. *)
+let test_idg_on_zoo_blocks () =
+  let module Compiler = Gcd2.Compiler in
+  let blocks = Hashtbl.create 256 in
+  let rec collect = function
+    | Program.Block ps -> Hashtbl.replace blocks (Array.of_list (List.concat ps)) ()
+    | Program.Loop { body; _ } -> List.iter collect body
+  in
+  List.iter
+    (fun (name, seq) ->
+      let config = Compiler.with_device desc Compiler.default in
+      let c = Compiler.compile ~config (Gcd2_models.Zoo.build ?seq name) in
+      Gcd2_store.Artifact.programs_of ~options:c.Compiler.config.Compiler.opcost
+        c.Compiler.graph c.Compiler.cost.Gcd2_cost.Graphcost.plans c.Compiler.assignment
+      |> Array.iter (Option.iter (fun prog -> List.iter collect prog.Program.nodes)))
+    [ ("MobileNet-V3", None); ("TinyBERT", Some 64) ];
+  Alcotest.(check bool) "some blocks" true (Hashtbl.length blocks > 0);
+  Hashtbl.iter
+    (fun instrs () ->
+      if not (check_idg_all_pairs instrs) then
+        Alcotest.failf "IDG differs on a %d-instruction block" (Array.length instrs))
+    blocks
+
+(* A block the same process already packed is answered from the pack
+   memo: no second [pack] span, the same packets, and the same [packets]
+   and [stalls] counts as the first call.  The device and the strategy are
+   part of the key, [Memo.clear_all] makes it cold again, and a
+   [memo-lookup] fault forces a repack. *)
+let test_repeated_block_packed_once () =
+  let module Memo = Gcd2_util.Memo in
+  let module Trace = Gcd2_util.Trace in
+  let module Fault = Gcd2_util.Fault in
+  let block = fig5_block () in
+  let traced f =
+    let t = Trace.create "packs" in
+    let v = Trace.with_ambient t f in
+    let spans = match Trace.find t "pack" with Some s -> s.Trace.calls | None -> 0 in
+    (v, spans, Trace.counter t "packets", Trace.counter t "stalls")
+  in
+  let pack ?(desc = desc) strategy () = Packer.pack ~desc strategy block in
+  Memo.clear_all ();
+  let once, spans1, packets1, stalls1 = traced (pack Packer.sda) in
+  Alcotest.(check int) "a cold pack opens a span" 1 spans1;
+  Alcotest.(check bool) "some packets" true (packets1 > 0);
+  Memo.clear_all ();
+  let twice, spans2, packets2, stalls2 =
+    traced (fun () ->
+        let a = pack Packer.sda () in
+        let b = pack Packer.sda () in
+        Alcotest.(check bool) "same packets" true (a = b);
+        a)
+  in
+  Alcotest.(check bool) "same packets as a cold pack" true (once = twice);
+  Alcotest.(check int) "one pack span for two packs" 1 spans2;
+  Alcotest.(check int) "packets counted twice" (2 * packets1) packets2;
+  Alcotest.(check int) "stalls counted twice" (2 * stalls1) stalls2;
+  let _, spans, _, _ = traced (pack Packer.Soft_to_hard) in
+  Alcotest.(check int) "another strategy misses" 1 spans;
+  let _, spans, _, _ = traced (pack ~desc:Gcd2_devices.Desc.hexagon_g2 Packer.sda) in
+  Alcotest.(check int) "another device misses" 1 spans;
+  Memo.clear_all ();
+  let _, spans, _, _ = traced (pack Packer.sda) in
+  Alcotest.(check int) "clear_all makes it cold" 1 spans;
+  Fault.with_spec (Fault.parse_exn "seed=1,memo-lookup=1") (fun () ->
+      let packets, spans, _, _ =
+        traced (fun () -> List.init 3 (fun _ -> pack Packer.sda ()))
+      in
+      Alcotest.(check int) "a lookup fault repacks every time" 3 spans;
+      List.iter
+        (fun p -> Alcotest.(check bool) "faulted packs agree" true (p = once))
+        packets)
+
 let tests =
   [
     Alcotest.test_case "idg structure" `Quick test_idg_structure;
+    Alcotest.test_case "def-use IDG = all pairs on zoo blocks" `Quick test_idg_on_zoo_blocks;
+    Alcotest.test_case "a repeated block is packed once" `Quick
+      test_repeated_block_packed_once;
     Alcotest.test_case "critical path" `Quick test_critical_path;
     Alcotest.test_case "all strategies produce valid schedules" `Quick test_all_strategies_valid;
     Alcotest.test_case "sda no worse than soft_to_hard" `Quick test_sda_beats_soft_to_hard;
@@ -219,6 +344,7 @@ let tests =
     QCheck_alcotest.to_alcotest (prop_schedules_valid Packer.Soft_to_none "soft_to_none");
     QCheck_alcotest.to_alcotest (prop_schedules_valid Packer.List_topdown "list_topdown");
     QCheck_alcotest.to_alcotest (prop_schedules_valid Packer.In_order "in_order");
+    QCheck_alcotest.to_alcotest prop_idg_matches_all_pairs;
     QCheck_alcotest.to_alcotest prop_incremental_matches_reference;
     QCheck_alcotest.to_alcotest prop_packing_never_slower_than_sequential;
   ]
