@@ -203,29 +203,35 @@ let post_opt_fingerprint ~disable (config : config) (g : Graph.t) =
 let fingerprint ?(disable = []) (config : config) (g : Graph.t) =
   post_opt_fingerprint ~disable config (optimized ~disable config g)
 
-(* Consult the on-disk cache for the request's digest.  On a verified
-   hit the whole downstream pipeline is satisfied from the entry: the
-   cost tables are rebuilt from the stored plans (cheap — plan
-   enumeration is what the cache exists to skip) under the live config's
-   options.  Any corrupt, stale or mismatching entry is a miss, never an
-   error. *)
+(* The one digest-keyed cache lookup, shared by the [cache-lookup] pass
+   and {!lookup}.  {!Cache.lookup} checks the entry's magic, version
+   word, stored digest, length and payload MD5; a verified hit then
+   satisfies the whole downstream pipeline: the cost tables are rebuilt
+   from the stored plans (cheap — plan enumeration is what the cache
+   exists to skip) under the live config's options.  Any corrupt, stale
+   or mismatching entry is a miss, never an error. *)
+let cached_artifact (config : config) ~dir digest =
+  Cache.lookup ~dir digest
+  |> Option.map (fun (art, bytes) ->
+         Trace.count "cache-hits" 1;
+         Trace.count "cache-bytes" bytes;
+         {
+           art_graph = art.Artifact.graph;
+           art_cost = Some (Graphcost.of_plans config.opcost art.Artifact.graph art.Artifact.plans);
+           art_solved =
+             Some { Solver.plans = art.Artifact.assignment; cost = art.Artifact.objective };
+           art_report = Some art.Artifact.report;
+           art_digest = Some digest;
+           art_cached = true;
+           art_selection_seconds = Some art.Artifact.selection_seconds;
+         })
+
+(* Consult the on-disk cache for the digest of the rewritten graph. *)
 let cache_lookup_pass ~disable dir =
   Pipeline.pass "cache-lookup" (fun (config : config) a ->
       let digest = post_opt_fingerprint ~disable config a.art_graph in
-      match Cache.lookup ~dir digest with
-      | Some (art, bytes) ->
-        Trace.count "cache-hits" 1;
-        Trace.count "cache-bytes" bytes;
-        {
-          art_graph = art.Artifact.graph;
-          art_cost = Some (Graphcost.of_plans config.opcost art.Artifact.graph art.Artifact.plans);
-          art_solved =
-            Some { Solver.plans = art.Artifact.assignment; cost = art.Artifact.objective };
-          art_report = Some art.Artifact.report;
-          art_digest = Some digest;
-          art_cached = true;
-          art_selection_seconds = Some art.Artifact.selection_seconds;
-        }
+      match cached_artifact config ~dir digest with
+      | Some hit -> hit
       | None ->
         Trace.count "cache-misses" 1;
         { a with art_digest = Some digest })
@@ -252,8 +258,9 @@ let cache_store_pass ~disable dir =
           objective = solved.Solver.cost;
           report;
           programs =
-            Artifact.programs_of ~options:config.opcost a.art_graph cost.Graphcost.plans
-              solved.Solver.plans;
+            Lazy.from_val
+              (Artifact.programs_of ~options:config.opcost a.art_graph cost.Graphcost.plans
+                 solved.Solver.plans);
           selection_seconds = Trace.ambient_span_seconds (select_pass_name config);
         }
       in
@@ -290,6 +297,24 @@ let passes ?cache_dir ?(disable = []) ?(jobs = 1) config =
 (** Pass names of a configuration, in execution order. *)
 let pass_names ?cache_dir config = Pipeline.names (passes ?cache_dir config)
 
+(* The compile a finished pipeline artifact describes. *)
+let compiled_of config trace art =
+  let cost = require "build-costs" art.art_cost in
+  let solved = require "select" art.art_solved in
+  let report = require "report" art.art_report in
+  {
+    config;
+    graph = art.art_graph;
+    cost;
+    assignment = solved.Solver.plans;
+    report;
+    selection_seconds =
+      (match art.art_selection_seconds with
+      | Some s -> s  (* a cache hit reports the original compile's selection time *)
+      | None -> Trace.span_seconds trace (select_pass_name config));
+    trace;
+  }
+
 let compile_exn ?(config = default) ?(sink = Trace.Silent) ?(disable = []) ?(dump_after = [])
     ?dump_ppf ?cache_dir ?jobs ?deadline_ms (g : Graph.t) =
   let jobs = match jobs with Some j -> j | None -> Gcd2_util.Pool.default_jobs () in
@@ -313,21 +338,7 @@ let compile_exn ?(config = default) ?(sink = Trace.Silent) ?(disable = []) ?(dum
     | Some _ -> Gcd2_util.Deadline.with_deadline deadline run_passes
     | None -> run_passes ()
   in
-  let cost = require "build-costs" art.art_cost in
-  let solved = require "select" art.art_solved in
-  let report = require "report" art.art_report in
-  {
-    config;
-    graph = art.art_graph;
-    cost;
-    assignment = solved.Solver.plans;
-    report;
-    selection_seconds =
-      (match art.art_selection_seconds with
-      | Some s -> s  (* a cache hit reports the original compile's selection time *)
-      | None -> Trace.span_seconds trace (select_pass_name config));
-    trace;
-  }
+  compiled_of config trace art
 
 (** Result-typed compile: every failure — malformed request, cache I/O,
     injected fault, expired deadline, plain bug — comes back as a typed
@@ -344,6 +355,22 @@ let compile ?config ?sink ?disable ?dump_after ?dump_ppf ?cache_dir ?jobs ?deadl
   match compile_result ?config ?sink ?disable ?dump_after ?dump_ppf ?cache_dir ?jobs ?deadline_ms g with
   | Ok c -> c
   | Error d -> raise (Diag.Error d)
+
+(** A request whose digest is already known, answered straight from its
+    cache entry: no graph, no rewrites, no fingerprint.  The trace holds
+    one [cache-lookup] span with the counters the pass records.  A miss
+    for any reason, an injected [cache-read] fault included, is
+    [Error quarantined], counting the entries it moved aside. *)
+let lookup ~config ~dir digest =
+  let trace = Trace.create "compile" in
+  match
+    Trace.with_ambient trace @@ fun () ->
+    Trace.run_root trace @@ fun () ->
+    Trace.with_span trace "cache-lookup" (fun () -> cached_artifact config ~dir digest)
+  with
+  | Some hit -> Ok (compiled_of config trace hit)
+  | None -> Error (Trace.counter trace "cache-quarantined")
+  | exception _ -> Error 0
 
 (** Was this compile answered from the on-disk cache? *)
 let from_cache c = Trace.counter c.trace "cache-hits" > 0

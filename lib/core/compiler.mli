@@ -129,6 +129,18 @@ val compile :
   Graph.t ->
   compiled
 
+(** [lookup ~config ~dir digest] answers a request whose digest
+    ({!fingerprint}) is already known straight from its cache entry under
+    [dir]: no graph is resolved, rewritten or fingerprinted.  It is the
+    lookup the [cache-lookup] pass makes, with the same checks (magic,
+    version word, stored digest, length, payload MD5), the same result
+    and the same [cache-hits] / [cache-bytes] counters, in a trace of
+    one [cache-lookup] span.  [Error quarantined] on a miss for any
+    reason — absent, corrupt or stale entry, or an injected [cache-read]
+    fault — with the number of corrupt entries it moved aside (0 or 1).
+    Never raises. *)
+val lookup : config:config -> dir:string -> string -> (compiled, int) result
+
 (** Was this compile answered from the on-disk cache? *)
 val from_cache : compiled -> bool
 

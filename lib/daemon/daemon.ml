@@ -56,8 +56,8 @@ type stats = { counts : Counters.t; cold : Hist.t; warm : Hist.t }
 (* The stats line's counters, in its order; each renders even at 0.  A
    new counter is its name here plus the line that bumps it. *)
 let stats_keys =
-  [ "served"; "failed"; "hits"; "compiles"; "coalesced"; "adopted"; "accepted"; "rejected";
-    "retried"; "degraded"; "cache_misses"; "cache_bytes"; "respawns"; "sweeps" ]
+  [ "served"; "failed"; "hits"; "compiles"; "resolves"; "coalesced"; "adopted"; "accepted";
+    "rejected"; "retried"; "degraded"; "cache_misses"; "cache_bytes"; "respawns"; "sweeps" ]
 
 let empty () =
   { counts = Counters.create stats_keys; cold = Hist.create (); warm = Hist.create () }
@@ -77,9 +77,10 @@ type t = {
   seen_mu : Mutex.t;
   seen : (string, unit) Hashtbl.t;
   (* request text -> fingerprint digest: resolving the model and
-     fingerprinting the graph cost low milliseconds of CPU, and the
-     mapping is deterministic — computing it once per distinct request
-     keeps the warm path cheap under load *)
+     fingerprinting the graph cost milliseconds of CPU, and the mapping
+     is deterministic — computing it once per distinct request lets a
+     warm request go straight to its cache entry ([Serve.serve_one
+     ~digest]).  Only digests are kept, never the resolved graphs. *)
   digests : (string, string option) Hashtbl.t;
   (* daemon-wide counters (accept loop, compiles, watchdog, janitor) and
      one tally per worker, touched only under [stats_mu] so a reader
@@ -138,6 +139,13 @@ let health_payload t =
 
 let default_resolve ?seq model = Gcd2_models.Zoo.build ?seq model
 
+(* Every model the daemon resolves goes through here and is counted in
+   [resolves=]: a request resolves its model at first sight (for its
+   digest) and on a cache miss, so warm traffic resolves nothing. *)
+let resolve t ?seq model =
+  bump t "resolves";
+  (Option.value t.cfg.resolve ~default:default_resolve) ?seq model
+
 (* Every field that reaches the compiler configuration must be in the
    key, or two requests differing only in that field would coalesce on
    one compile (tuned and untuned compiles have distinct fingerprints).
@@ -169,8 +177,7 @@ let digest_of t (req : Serve.request) =
       with
       | Error _ -> None
       | Ok config -> (
-        let resolve = Option.value t.cfg.resolve ~default:default_resolve in
-        match resolve ?seq:req.seq req.model with
+        match resolve t ?seq:req.seq req.model with
         | exception _ -> None
         | graph -> Some (Compiler.fingerprint config graph))
     in
@@ -199,10 +206,12 @@ let classify_cold t digest =
     in
     not (seen || on_disk)
 
-(* The single-flight compile hook handed to [Serve.serve_one]: warm
-   cache entries bypass the flight entirely (lookups are read-only, so
-   concurrent warm hits must not serialize), cold compiles coalesce on
-   the request fingerprint. *)
+(* The single-flight compile hook handed to [Serve.serve_one], which
+   calls it only after its early lookup missed.  An entry on disk by now
+   (stored since, or unreadable to that lookup under a fault) bypasses
+   the flight entirely (lookups are read-only, so concurrent warm hits
+   must not serialize); cold compiles coalesce on the request
+   fingerprint. *)
 let compile_sf t ~digest role ~config ~cache_dir ~jobs ~deadline_ms graph =
   match cache_dir with
   | None ->
@@ -285,8 +294,7 @@ let serve_request t widx oc (req : Serve.request) =
   let cold = classify_cold t digest in
   let role = ref Protocol.No_flight in
   let served =
-    Serve.serve_one ?resolve:t.cfg.resolve
-      ~compile:(compile_sf t ~digest role)
+    Serve.serve_one ~resolve:(resolve t) ~compile:(compile_sf t ~digest role) ?digest
       t.cfg.policy ~cold req
   in
   record t widx served !role;

@@ -14,6 +14,13 @@
       {!Gcd2_serve.Serve.serve_one} — so the whole PR-5 policy machinery
       (deadline, bounded retries, degradation, verification) applies
       per-request, per-worker, unchanged;
+    - each distinct request's fingerprint digest is computed once (the
+      model resolved and fingerprinted at first sight) and memoized;
+      later requests hand it to {!Gcd2_serve.Serve.serve_one}, which
+      answers a warm hit straight from the cache entry
+      ({!Gcd2.Compiler.lookup}) and resolves the model only on a miss —
+      [resolves=] in the stats counts every resolution, so warm traffic
+      shows none;
     - the compile step is wrapped in single-flight deduplication
       ({!Flight}) keyed by the request fingerprint: K identical cold
       requests arriving concurrently perform {e one} compile, with K-1
@@ -84,7 +91,9 @@ type stats = {
       (** every counter of the stats line, in its order, zeros included:
           [served] (answered successfully, incl. retried/degraded),
           [failed], [hits] (served from the artifact cache), [compiles]
-          (after single-flight coalescing), [coalesced] (waited on
+          (after single-flight coalescing), [resolves] (models resolved:
+          once at a request's first sight, again on each cache miss),
+          [coalesced] (waited on
           another request's compile), [adopted] (took the artifact a
           lease-holding leader of another process published),
           [accepted] / [rejected] (connections admitted to / shed by

@@ -270,10 +270,12 @@ type compile_fn =
 let default_compile ~config ~cache_dir ~jobs ~deadline_ms g =
   Compiler.compile_result ~config ?cache_dir ?jobs ?deadline_ms g
 
-let serve_one ?(resolve = default_resolve) ?(compile = default_compile) policy ~cold
-    (request : request) =
+let serve_one ?(resolve = default_resolve) ?(compile = default_compile) ?digest policy
+    ~cold (request : request) =
   let t0 = Trace.now () in
   let elapsed_ms () = 1000.0 *. (Trace.now () -. t0) in
+  let deadline = Option.map (fun ms -> t0 +. (ms /. 1000.0)) policy.deadline_ms in
+  let remaining_ms () = Option.map (fun d -> 1000.0 *. (d -. Trace.now ())) deadline in
   let fail ?(attempts = 1) d =
     let d = Diag.with_model request.model d in
     {
@@ -289,83 +291,96 @@ let serve_one ?(resolve = default_resolve) ?(compile = default_compile) policy ~
       uncached = false;
     }
   in
+  let served ~attempts ~quarantined ~uncached c =
+    let degraded = uncached || quarantined > 0 in
+    {
+      request;
+      outcome = (if degraded then Degraded else if attempts > 1 then Retried else Ok_);
+      diag = None;
+      compiled = Some c;
+      hit = Compiler.from_cache c;
+      cold;
+      ms = elapsed_ms ();
+      attempts;
+      quarantined;
+      uncached;
+    }
+  in
   match
-    match
-      config_of ~device:request.device ?tune:request.tune ~framework:request.framework
-        ~selection:request.selection ()
-    with
-    | Error d -> Error d
-    | Ok config -> (
-      match resolve ?seq:request.seq request.model with
-      | g -> Ok (config, g)
-      | exception Invalid_argument msg -> Error (Diag.make Diag.Invalid_request msg)
-      | exception exn -> Error (Diag.of_exn exn))
+    config_of ~device:request.device ?tune:request.tune ~framework:request.framework
+      ~selection:request.selection ()
   with
   | Error d -> fail d
-  | Ok (config, graph) ->
-    let deadline = Option.map (fun ms -> t0 +. (ms /. 1000.0)) policy.deadline_ms in
-    let remaining_ms () =
-      Option.map (fun d -> 1000.0 *. (d -. Trace.now ())) deadline
+  | Ok config -> (
+    (* A request whose digest is known is looked up before anything
+       else: a verified hit is the whole answer, and the model is
+       resolved only on a miss.  A miss for any reason (absent, corrupt
+       or stale entry, an injected fault, no time left) falls through to
+       the full path below with its retries, quarantine and
+       verification; an entry the lookup quarantined degrades the
+       answer exactly as a quarantine inside the compile does. *)
+    let early =
+      match (digest, policy.cache_dir, remaining_ms ()) with
+      | _, _, Some r when r <= 0.0 -> Error 0
+      | Some digest, Some dir, _ -> Compiler.lookup ~config ~dir digest
+      | _ -> Error 0
     in
-    let backoff k =
-      let ms = policy.backoff_ms *. (2.0 ** float_of_int k) in
-      let ms =
-        match remaining_ms () with
-        | Some r -> Float.min ms (Float.max 0.0 r)
-        | None -> ms
-      in
-      if ms > 0.0 then Unix.sleepf (ms /. 1000.0)
-    in
-    let attempts = ref 0 in
-    let rec attempt ~cache_dir k =
-      incr attempts;
-      match remaining_ms () with
-      | Some r when r <= 0.0 ->
-        Error (Diag.make Diag.Deadline_exceeded "deadline expired before the attempt")
-      | rem -> (
-        match compile ~config ~cache_dir ~jobs:policy.jobs ~deadline_ms:rem graph with
-        | Ok c -> Ok (c, cache_dir)
-        | Error d when d.Diag.retryable && k < policy.retries ->
-          backoff k;
-          attempt ~cache_dir (k + 1)
-        | Error d when d.Diag.code = Diag.Cache_io && cache_dir <> None ->
-          (* retries exhausted on a cache failure: the cache is unusable
-             for this request, so degrade to an uncached compile rather
-             than failing it *)
-          log_degradation d;
-          attempt ~cache_dir:None 0
-        | Error d -> Error d)
-    in
-    (match attempt ~cache_dir:policy.cache_dir 0 with
-    | Error d -> fail ~attempts:!attempts d
-    | Ok (c, used_cache_dir) ->
-      let quarantined = Trace.counter c.Compiler.trace "cache-quarantined" in
-      let uncached = used_cache_dir = None && policy.cache_dir <> None in
-      let retried = !attempts > 1 in
-      let degraded = uncached || quarantined > 0 in
-      let store_suppressed = Trace.counter c.Compiler.trace "cache-store-suppressed" > 0 in
-      let verified =
-        match used_cache_dir with
-        | Some dir when (degraded || retried) && not store_suppressed ->
-          verify_against_store ~dir config graph c
-        | _ -> true  (* nothing stored out-of-band to check against *)
-      in
-      if not verified then
-        fail ~attempts:!attempts
-          (Diag.make Diag.Internal "stored artifact does not match the served compile")
-      else
-        {
-          request;
-          outcome = (if degraded then Degraded else if retried then Retried else Ok_);
-          diag = None;
-          compiled = Some c;
-          hit = Compiler.from_cache c;
-          cold;
-          ms = elapsed_ms ();
-          attempts = !attempts;
-          quarantined;
-          uncached;
-        })
+    match early with
+    | Ok c -> served ~attempts:1 ~quarantined:0 ~uncached:false c
+    | Error early_quarantined -> (
+      match resolve ?seq:request.seq request.model with
+      | exception Invalid_argument msg -> fail (Diag.make Diag.Invalid_request msg)
+      | exception exn -> fail (Diag.of_exn exn)
+      | graph -> (
+        let backoff k =
+          let ms = policy.backoff_ms *. (2.0 ** float_of_int k) in
+          let ms =
+            match remaining_ms () with
+            | Some r -> Float.min ms (Float.max 0.0 r)
+            | None -> ms
+          in
+          if ms > 0.0 then Unix.sleepf (ms /. 1000.0)
+        in
+        let attempts = ref 0 in
+        let rec attempt ~cache_dir k =
+          incr attempts;
+          match remaining_ms () with
+          | Some r when r <= 0.0 ->
+            Error (Diag.make Diag.Deadline_exceeded "deadline expired before the attempt")
+          | rem -> (
+            match compile ~config ~cache_dir ~jobs:policy.jobs ~deadline_ms:rem graph with
+            | Ok c -> Ok (c, cache_dir)
+            | Error d when d.Diag.retryable && k < policy.retries ->
+              backoff k;
+              attempt ~cache_dir (k + 1)
+            | Error d when d.Diag.code = Diag.Cache_io && cache_dir <> None ->
+              (* retries exhausted on a cache failure: the cache is
+                 unusable for this request, so degrade to an uncached
+                 compile rather than failing it *)
+              log_degradation d;
+              attempt ~cache_dir:None 0
+            | Error d -> Error d)
+        in
+        match attempt ~cache_dir:policy.cache_dir 0 with
+        | Error d -> fail ~attempts:!attempts d
+        | Ok (c, used_cache_dir) -> (
+          let quarantined =
+            early_quarantined + Trace.counter c.Compiler.trace "cache-quarantined"
+          in
+          let uncached = used_cache_dir = None && policy.cache_dir <> None in
+          let store_suppressed =
+            Trace.counter c.Compiler.trace "cache-store-suppressed" > 0
+          in
+          let verified =
+            match used_cache_dir with
+            | Some dir when (quarantined > 0 || !attempts > 1) && not store_suppressed ->
+              verify_against_store ~dir config graph c
+            | _ -> true  (* nothing stored out-of-band to check against *)
+          in
+          if verified then served ~attempts:!attempts ~quarantined ~uncached c
+          else
+            fail ~attempts:!attempts
+              (Diag.make Diag.Internal "stored artifact does not match the served compile")))))
 
 (* ------------------------------------------------------------------ *)
 (* Batches                                                             *)

@@ -154,11 +154,22 @@ val default_compile : compile_fn
     default resolver {!Gcd2_models.Zoo.build} pads it to its bucket) to
     its graph; [compile] is the compile step (default
     {!default_compile}); [cold] marks the first compile of this request
-    in the process (latency bookkeeping only).  Never raises: every
-    failure is a {!served} with a diagnostic. *)
+    in the process (latency bookkeeping only).
+
+    [digest] is the request's {!Gcd2.Compiler.fingerprint}, when the
+    caller already knows it (the daemon memoizes it per distinct
+    request).  With a cache directory, the entry is then looked up
+    first ({!Gcd2.Compiler.lookup}) and a verified hit is the answer:
+    [resolve] is not called and no graph is rewritten or fingerprinted.
+    Any miss falls through to the full path — resolve, then [compile]
+    under the policy — and an entry the early lookup quarantined makes
+    the answer [Degraded], as a quarantine inside the compile does.
+
+    Never raises: every failure is a {!served} with a diagnostic. *)
 val serve_one :
   ?resolve:(?seq:int -> string -> Gcd2_graph.Graph.t) ->
   ?compile:compile_fn ->
+  ?digest:string ->
   policy ->
   cold:bool ->
   request ->

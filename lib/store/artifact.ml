@@ -20,13 +20,17 @@
       12      32    request digest, lowercase hex (Fingerprint.request)
       44      16    raw MD5 of the payload
       60      8     payload length in bytes
-      68      n     payload: Marshal of the artifact record
+      68      n     payload: two Marshal sections back to back — the
+                    artifact record without its programs, then the
+                    programs array
     v}
 
     Readers reject (and the cache treats as a miss) anything whose magic,
     version word, digest, length or checksum does not match — a truncated
     or bit-flipped file can never surface as a wrong answer, only as a
-    recompile. *)
+    recompile.  The checksum covers both sections, but a reader decodes
+    only the first: nothing on a cache hit reads the programs, so they
+    stay a lazy value decoded the first time something forces it. *)
 
 module Graph = Gcd2_graph.Graph
 module Plan = Gcd2_cost.Plan
@@ -42,22 +46,24 @@ type t = {
   assignment : int array;  (** chosen plan index per node *)
   objective : float;  (** solver objective of the assignment *)
   report : Graphcost.report;
-  programs : Program.t option array;
+  programs : Program.t option array Lazy.t;
       (** packed VLIW program of each node's chosen plan, for the nodes
-          lowered to the SIMD unit *)
+          lowered to the SIMD unit; a loaded artifact decodes its
+          programs section only when this is forced *)
   selection_seconds : float;  (** wall time the original global selection took *)
 }
 
-let version = 2
+let version = 3
 let magic = "GCD2ART\n"
 
-(* The payload is decoded with [Marshal.from_bytes], which is not
+(* The payload is decoded with [Marshal.from_string], which is not
    type-safe: an entry whose marshaled type layout changed since it was
    written would pass every structural check and decode into garbage (or
    segfault).  [layout] names every type the payload transitively
-   marshals; each of those definitions carries a comment pointing back
-   here, and ANY change to one of them must be accompanied by an edit to
-   this string (or a [version] bump).  The 4-byte version word written to
+   marshals, section by section ([|] ends the first); each of those
+   definitions carries a comment pointing back here, and ANY change to
+   one of them must be accompanied by an edit to this string (or a
+   [version] bump).  The 4-byte version word written to
    disk is derived from the digest of both, so stale-layout entries are
    rejected as a version mismatch instead of being decoded. *)
 let layout =
@@ -65,8 +71,8 @@ let layout =
    plans=Gcd2_cost.Plan.t(Layout.t,Simd.t,Unroll.t{un,ug,abuf,wbuf}) array array;\
    assignment=int array;objective=float;\
    report=Gcd2_cost.Graphcost.report;\
-   programs=Gcd2_isa.Program.t(Packet.t,Instr.t) option array;\
-   selection_seconds=float"
+   selection_seconds=float|\
+   programs=Gcd2_isa.Program.t(Packet.t,Instr.t) option array"
 
 let version_word =
   Bytes.get_int32_be
@@ -98,26 +104,23 @@ let programs_of ~options (g : Graph.t) plans assignment =
 (* Encoding                                                            *)
 
 let to_bytes t =
-  let payload =
-    Marshal.to_bytes
-      ( t.graph,
-        t.plans,
-        t.assignment,
-        t.objective,
-        t.report,
-        t.programs,
-        t.selection_seconds )
-      []
-  in
   if String.length t.digest <> digest_hex_len then
     invalid_arg "Artifact.to_bytes: digest must be 32 hex chars";
-  let b = Bytes.create (header_len + Bytes.length payload) in
+  let record =
+    Marshal.to_string
+      (t.graph, t.plans, t.assignment, t.objective, t.report, t.selection_seconds)
+      []
+  in
+  let programs = Marshal.to_string (Lazy.force t.programs) [] in
+  let len = String.length record + String.length programs in
+  let b = Bytes.create (header_len + len) in
   Bytes.blit_string magic 0 b 0 8;
   Bytes.set_int32_be b 8 version_word;
   Bytes.blit_string t.digest 0 b 12 digest_hex_len;
-  Bytes.blit_string (Stdlib.Digest.bytes payload) 0 b 44 16;
-  Bytes.set_int64_be b 60 (Int64.of_int (Bytes.length payload));
-  Bytes.blit payload 0 b header_len (Bytes.length payload);
+  Bytes.set_int64_be b 60 (Int64.of_int len);
+  Bytes.blit_string record 0 b header_len (String.length record);
+  Bytes.blit_string programs 0 b (header_len + String.length record) (String.length programs);
+  Bytes.blit_string (Stdlib.Digest.subbytes b header_len len) 0 b 44 16;
   b
 
 (* ------------------------------------------------------------------ *)
@@ -127,36 +130,48 @@ let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
 let check cond reason = if cond then Ok () else Error reason
 
-let of_bytes ?expect_digest b =
-  let* () = check (Bytes.length b >= header_len) "too short for header" in
-  let* () = check (Bytes.sub_string b 0 8 = magic) "bad magic" in
-  let* () = check (Bytes.get_int32_be b 8 = version_word) "format version mismatch" in
-  let digest = Bytes.sub_string b 12 digest_hex_len in
+(* Decode from an immutable string: the lazy programs section reads [s]
+   long after the checks, so nothing may write to it in between. *)
+let of_string ?expect_digest s =
+  let* () = check (String.length s >= header_len) "too short for header" in
+  let* () = check (String.sub s 0 8 = magic) "bad magic" in
+  let* () = check (String.get_int32_be s 8 = version_word) "format version mismatch" in
+  let digest = String.sub s 12 digest_hex_len in
   let* () =
     match expect_digest with
     | Some d -> check (d = digest) "request digest mismatch"
     | None -> Ok ()
   in
-  let len = Int64.to_int (Bytes.get_int64_be b 60) in
-  let* () = check (len >= 0 && Bytes.length b = header_len + len) "length mismatch" in
-  let payload = Bytes.sub b header_len len in
+  let len = Int64.to_int (String.get_int64_be s 60) in
+  let* () = check (len >= 0 && String.length s = header_len + len) "length mismatch" in
   let* () =
-    check (Stdlib.Digest.bytes payload = Bytes.sub_string b 44 16) "payload checksum mismatch"
+    check
+      (Stdlib.Digest.substring s header_len len = String.sub s 44 16)
+      "payload checksum mismatch"
   in
-  match Marshal.from_bytes payload 0 with
-  | graph, plans, assignment, objective, report, programs, selection_seconds ->
-    let t =
-      { digest; graph; plans; assignment; objective; report; programs; selection_seconds }
-    in
+  let size at = Marshal.total_size (Bytes.unsafe_of_string s) at in
+  match
+    let record = Marshal.from_string s header_len in
+    let programs_at = header_len + size header_len in
+    (record, programs_at, programs_at + size programs_at)
+  with
+  | (graph, plans, assignment, objective, report, selection_seconds), programs_at, stop ->
+    let n = Graph.size graph in
     let* () =
       check
-        (Graph.size graph = Array.length plans
-        && Graph.size graph = Array.length assignment
-        && Graph.size graph = Array.length programs)
+        (n = Array.length plans && n = Array.length assignment && stop = String.length s)
         "inconsistent artifact shape"
     in
-    Ok t
+    let programs =
+      lazy
+        (let programs : Program.t option array = Marshal.from_string s programs_at in
+         if Array.length programs <> n then failwith "Artifact: programs do not match the graph";
+         programs)
+    in
+    Ok { digest; graph; plans; assignment; objective; report; programs; selection_seconds }
   | exception _ -> Error "undecodable payload"
+
+let of_bytes ?expect_digest b = of_string ?expect_digest (Bytes.to_string b)
 
 (* ------------------------------------------------------------------ *)
 (* Files                                                               *)
@@ -200,8 +215,8 @@ let load ?expect_digest ~path () =
   | b ->
     (* [artifact-decode] fault: one flipped bit in the bytes just read,
        as silent media corruption would leave them.  The structural
-       checks of [of_bytes] must turn it into an [Error] — never a
+       checks of [of_string] must turn it into an [Error] — never a
        wrong artifact — and the cache then quarantines the entry. *)
-    let bytes = Gcd2_util.Fault.corrupt "artifact-decode" (Bytes.unsafe_of_string b) in
-    let* t = of_bytes ?expect_digest bytes in
+    let read = Gcd2_util.Fault.corrupt "artifact-decode" (Bytes.unsafe_of_string b) in
+    let* t = of_string ?expect_digest (Bytes.unsafe_to_string read) in
     Ok (t, String.length b)

@@ -54,6 +54,7 @@ let tiny_cnn ~channels seed =
 let resolve_tiny ?seq:_ = function
   | "tinyA" -> tiny_cnn ~channels:4 1
   | "tinyB" -> tiny_cnn ~channels:8 2
+  | "tinyC" -> tiny_cnn ~channels:12 3
   | m -> invalid_arg ("unknown test model " ^ m)
 
 (* A daemon config over a unix socket in [dir], with a cache in [dir]
@@ -247,6 +248,89 @@ let test_daemon_serves () =
   check_int "failed" 1 (Counters.get s.Daemon.counts "failed");
   check_int "hits" 1 (Counters.get s.Daemon.counts "hits");
   check_int "one compile" 1 (Counters.get s.Daemon.counts "compiles")
+
+(* A warm daemon hit is a read of its cache entry: the model is resolved
+   at a request's first sight (for its digest) and on its cold miss, and
+   never again.  Every warm answer is the one the full path — resolve,
+   rewrite, fingerprint, cached compile — gives, but for its [ms=]. *)
+let test_warm_hits_resolve_nothing () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let resolves = Atomic.make 0 in
+  let counting ?seq model =
+    Atomic.incr resolves;
+    resolve_tiny ?seq model
+  in
+  let cfg = config ~resolve:counting dir in
+  with_daemon cfg @@ fun d ->
+  let addr = Daemon.address d in
+  let keys = [ "tinyA"; "tinyB"; "tinyC" ] in
+  List.iter
+    (fun r -> Alcotest.(check string) "primed" "ok" (ok_response r).Protocol.outcome)
+    (Client.batch addr keys);
+  let first_sight = Atomic.get resolves in
+  check_int "two resolves per key at first sight" (2 * List.length keys) first_sight;
+  let warm = List.init 20 (fun i -> List.nth keys (i mod List.length keys)) in
+  let answers = List.map ok_response (Client.batch addr warm) in
+  check_int "20 answers" 20 (List.length answers);
+  check_int "warm requests resolve nothing" first_sight (Atomic.get resolves);
+  check_int "resolves= in stats" first_sight
+    (Counters.get (Daemon.stats d).Daemon.counts "resolves");
+  let full key =
+    let served =
+      Serve.serve_one ~resolve:resolve_tiny cfg.Daemon.policy ~cold:false (Serve.request key)
+    in
+    Protocol.render { (Protocol.of_served ~flight:Protocol.No_flight served) with ms = 0. }
+  in
+  List.iter2
+    (fun key (r : Protocol.response) ->
+      Alcotest.(check string) ("answer of " ^ key) (full key) (Protocol.render { r with ms = 0. }))
+    warm answers
+
+(* A damaged or vanished entry found by the early lookup falls through
+   to the full path exactly as a miss inside the compile does: a corrupt
+   entry is quarantined and recompiled, and the answer is [degraded]
+   with the same [lat=]; a deleted one is recompiled and served [ok]. *)
+let test_bad_entry_degrades_on_early_lookup () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  with_daemon (config ~resolve:resolve_tiny dir) @@ fun d ->
+  let addr = Daemon.address d in
+  let one line =
+    match Client.batch addr [ line ] with
+    | [ r ] -> ok_response r
+    | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs)
+  in
+  let primed = one "tinyA" in
+  let entry =
+    let cache = Filename.concat dir "cache" in
+    match
+      Sys.readdir cache |> Array.to_list
+      |> List.filter (fun f -> Filename.check_suffix f ".gcd2art")
+    with
+    | [ f ] -> Filename.concat cache f
+    | fs -> Alcotest.failf "expected one entry, found %d" (List.length fs)
+  in
+  let raw = In_channel.with_open_bin entry In_channel.input_all |> Bytes.of_string in
+  let i = Bytes.length raw - 1 in
+  Bytes.set raw i (Char.chr (Char.code (Bytes.get raw i) lxor 1));
+  Out_channel.with_open_bin entry (fun oc -> Out_channel.output_bytes oc raw);
+  let r = one "tinyA" in
+  Alcotest.(check string) "flipped byte: degraded" "degraded" r.Protocol.outcome;
+  check_bool "flipped byte: recompiled" false r.Protocol.hit;
+  check_bool "flipped byte: quarantined aside" true (Sys.file_exists (entry ^ ".bad"));
+  Alcotest.(check (option (float 0.0))) "flipped byte: same lat" primed.Protocol.lat
+    r.Protocol.lat;
+  check_int "degraded= counts it" 1 (Counters.get (Daemon.stats d).Daemon.counts "degraded");
+  let r = one "tinyA" in
+  check_bool "the recompile stored a healthy entry" true (r.Protocol.outcome = "ok" && r.Protocol.hit);
+  Sys.remove entry;
+  let r = one "tinyA" in
+  Alcotest.(check string) "deleted entry: ok" "ok" r.Protocol.outcome;
+  check_bool "deleted entry: recompiled" false r.Protocol.hit;
+  Alcotest.(check (option (float 0.0))) "deleted entry: same lat" primed.Protocol.lat
+    r.Protocol.lat;
+  check_bool "deleted entry: stored again" true (Sys.file_exists entry)
 
 (* Tune verification runs kernels on the simulator, which executes
    hexagon698 only.  On hexagon-g2, compile, serve and the daemon must
@@ -504,8 +588,8 @@ let fields line =
     (String.split_on_char ' ' line)
 
 let stats_counters =
-  [ "served"; "failed"; "hits"; "compiles"; "coalesced"; "adopted"; "accepted"; "rejected";
-    "retried"; "degraded"; "cache_misses"; "cache_bytes"; "respawns"; "sweeps" ]
+  [ "served"; "failed"; "hits"; "compiles"; "resolves"; "coalesced"; "adopted"; "accepted";
+    "rejected"; "retried"; "degraded"; "cache_misses"; "cache_bytes"; "respawns"; "sweeps" ]
 
 let check_stats_wire d =
   let stats, health =
@@ -657,6 +741,9 @@ let tests =
       test_protocol_roundtrip;
     Alcotest.test_case "daemon serves cold, warm and invalid" `Quick
       test_daemon_serves;
+    Alcotest.test_case "warm hits resolve nothing" `Quick test_warm_hits_resolve_nothing;
+    Alcotest.test_case "a bad entry degrades on the early lookup" `Quick
+      test_bad_entry_degrades_on_early_lookup;
     Alcotest.test_case "tune-verify on a device the VM cannot run" `Quick
       test_tune_verify_unexecutable_device;
     Alcotest.test_case "single-flight: K requests, one compile" `Quick

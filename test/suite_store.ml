@@ -179,7 +179,7 @@ let test_roundtrip_bytes () =
   Alcotest.(check (array int)) "stored assignment matches the compile"
     c.Compiler.assignment art.Artifact.assignment;
   Alcotest.(check bool) "some packed programs are stored" true
-    (Array.exists Option.is_some art.Artifact.programs);
+    (Array.exists Option.is_some (Lazy.force art.Artifact.programs));
   Alcotest.(check string) "save -> load -> to_bytes is bit-identical"
     (Stdlib.Digest.to_hex (Stdlib.Digest.string raw))
     (Stdlib.Digest.to_hex (Stdlib.Digest.bytes (Artifact.to_bytes art)))
@@ -198,6 +198,7 @@ let test_artifact_stores_each_kernel_once () =
   in
   let options = c.Compiler.config.Compiler.opcost in
   let g = art.Artifact.graph in
+  let programs = Lazy.force art.Artifact.programs in
   let specs =
     Array.init (Graph.size g) (fun v ->
         Opcost.plan_spec options g (Graph.node g v)
@@ -211,7 +212,7 @@ let test_artifact_stores_each_kernel_once () =
           if i < j && si <> None && si = sj then begin
             incr shared;
             check_bool "equal specs hold one program" true
-              (Option.get art.Artifact.programs.(i) == Option.get art.Artifact.programs.(j))
+              (Option.get programs.(i) == Option.get programs.(j))
           end)
         specs)
     specs;
@@ -223,7 +224,8 @@ let test_artifact_stores_each_kernel_once () =
          {
            art with
            Artifact.programs =
-             Artifact.programs_of ~options g art.Artifact.plans art.Artifact.assignment;
+             Lazy.from_val
+               (Artifact.programs_of ~options g art.Artifact.plans art.Artifact.assignment);
          })
   in
   check_bool "warm memo: same bytes" true (encode () = stored);
@@ -271,6 +273,7 @@ let test_stored_program_is_executed () =
         | Error e -> Alcotest.failf "load: %s" e
       in
       let g = c.Compiler.graph in
+      let programs = Lazy.force art.Artifact.programs in
       let rng = Rng.create 5 in
       let inputs =
         Graph.fold
@@ -289,7 +292,7 @@ let test_stored_program_is_executed () =
             c.Compiler.cost.Gcd2_cost.Graphcost.plans.(id).(c.Compiler.assignment.(id))
           in
           let options = c.Compiler.config.Compiler.opcost in
-          match (art.Artifact.programs.(id), Opcost.plan_spec options g node plan) with
+          match (programs.(id), Opcost.plan_spec options g node plan) with
           | None, None -> ()
           | Some stored, Some spec ->
             (* the runtime's spec, rebuilt as [Runtime] builds it *)
@@ -332,6 +335,119 @@ let test_of_bytes_rejects_garbage () =
     (err (Bytes.of_string "short"));
   Alcotest.(check string) "wrong magic" "bad magic"
     (err (Bytes.make Artifact.header_len 'x'))
+
+(* The programs are a payload section of their own, decoded only when
+   forced: a load leaves them undecoded, forcing gives exactly what
+   [programs_of] builds (equal specs still sharing one program), and
+   re-encoding the loaded artifact gives back the file. *)
+let test_programs_decode_on_demand () =
+  let dir = temp_dir () in
+  let c = Compiler.compile ~cache_dir:dir (Zoo.build ~seq:16 "TinyBERT") in
+  let path = only_entry dir in
+  let art =
+    match Artifact.load ~path () with Ok (a, _) -> a | Error e -> Alcotest.failf "load: %s" e
+  in
+  check_bool "a loaded artifact has not decoded its programs" false
+    (Lazy.is_val art.Artifact.programs);
+  check_bool "to_bytes of the loaded artifact is the file" true
+    (Bytes.to_string (Artifact.to_bytes art) = read_file path);
+  let forced = Lazy.force art.Artifact.programs in
+  let built =
+    Artifact.programs_of ~options:c.Compiler.config.Compiler.opcost art.Artifact.graph
+      art.Artifact.plans art.Artifact.assignment
+  in
+  check_bool "forced programs are the ones programs_of builds" true (forced = built);
+  let distinct ps =
+    Array.fold_left
+      (fun acc p -> match p with Some p when not (List.memq p acc) -> p :: acc | _ -> acc)
+      [] ps
+    |> List.length
+  in
+  check_int "decoded programs keep their sharing" (distinct built) (distinct forced)
+
+(* An entry in the previous format — version 2, the programs inside the
+   one payload section — fails the version-word check: a miss, never a
+   misdecode, and the recompile rewrites it in the current format. *)
+let test_old_version_is_rewritten () =
+  let dir = temp_dir () in
+  let g = weighted_cnn 17 in
+  let c1 = Compiler.compile ~cache_dir:dir g in
+  let path = only_entry dir in
+  let art =
+    match Artifact.load ~path () with Ok (a, _) -> a | Error e -> Alcotest.failf "load: %s" e
+  in
+  let old_layout =
+    "graph=Gcd2_graph.Graph.t(Op.t,Tensor.t,Quant.t);plans=Gcd2_cost.Plan.t(Layout.t,Simd.t,\
+     Unroll.t{un,ug,abuf,wbuf}) array array;assignment=int array;objective=float;\
+     report=Gcd2_cost.Graphcost.report;programs=Gcd2_isa.Program.t(Packet.t,Instr.t) option \
+     array;selection_seconds=float"
+  in
+  let payload =
+    Marshal.to_string
+      ( art.Artifact.graph,
+        art.Artifact.plans,
+        art.Artifact.assignment,
+        art.Artifact.objective,
+        art.Artifact.report,
+        Lazy.force art.Artifact.programs,
+        art.Artifact.selection_seconds )
+      []
+  in
+  let b = Buffer.create (Artifact.header_len + String.length payload) in
+  Buffer.add_string b Artifact.magic;
+  Buffer.add_string b (String.sub (Stdlib.Digest.string ("2:" ^ old_layout)) 0 4);
+  Buffer.add_string b art.Artifact.digest;
+  Buffer.add_string b (Stdlib.Digest.string payload);
+  Buffer.add_int64_be b (Int64.of_int (String.length payload));
+  Buffer.add_string b payload;
+  write_file path (Buffer.contents b);
+  (match Artifact.load ~path () with
+  | Ok _ -> Alcotest.fail "an old-format entry decoded"
+  | Error e -> Alcotest.(check string) "old entry rejected" "format version mismatch" e);
+  let c2 = Compiler.compile ~cache_dir:dir g in
+  check_bool "old entry is a miss" false (Compiler.from_cache c2);
+  (match Artifact.load ~path () with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "old entry not rewritten: %s" e);
+  let c3 = Compiler.compile ~cache_dir:dir g in
+  check_bool "rewritten entry hits" true (Compiler.from_cache c3);
+  Alcotest.(check (float 0.0)) "same latency" (Compiler.latency_ms c1) (Compiler.latency_ms c3)
+
+(* [Compiler.lookup] is the [cache-lookup] pass on its own: a known
+   digest answered from the entry with the pass's result and counters,
+   and any miss an [Error] counting what it quarantined. *)
+let test_digest_lookup () =
+  let dir = temp_dir () in
+  let g = weighted_cnn 19 in
+  let config = Compiler.default in
+  let digest = Compiler.fingerprint config g in
+  (match Compiler.lookup ~config ~dir digest with
+  | Error 0 -> ()
+  | _ -> Alcotest.fail "lookup of an absent entry");
+  let cold = Compiler.compile ~config ~cache_dir:dir g in
+  let warm = Compiler.compile ~config ~cache_dir:dir g in
+  (match Compiler.lookup ~config ~dir digest with
+  | Ok c ->
+    check_bool "from cache" true (Compiler.from_cache c);
+    List.iter
+      (fun k ->
+        check_int k (Trace.counter warm.Compiler.trace k) (Trace.counter c.Compiler.trace k))
+      [ "cache-hits"; "cache-bytes"; "cache-misses" ];
+    Alcotest.(check (array int)) "assignment" cold.Compiler.assignment c.Compiler.assignment;
+    Alcotest.(check (float 0.0)) "latency" (Compiler.latency_ms cold) (Compiler.latency_ms c);
+    check_bool "report" true (warm.Compiler.report = c.Compiler.report);
+    Alcotest.(check (float 0.0)) "selection seconds" warm.Compiler.selection_seconds
+      c.Compiler.selection_seconds;
+    check_bool "plan tables" true
+      (warm.Compiler.cost.Gcd2_cost.Graphcost.plans = c.Compiler.cost.Gcd2_cost.Graphcost.plans);
+    check_int "graph" (Graph.size warm.Compiler.graph) (Graph.size c.Compiler.graph);
+    check_bool "no graph pass ran" true (Trace.find c.Compiler.trace "fuse-activations" = None)
+  | Error _ -> Alcotest.fail "lookup of a stored entry missed");
+  let path = only_entry dir in
+  write_file path "not an artifact";
+  match Compiler.lookup ~config ~dir digest with
+  | Error 1 -> check_bool "quarantined aside" true (Sys.file_exists (path ^ ".bad"))
+  | _ -> Alcotest.fail "lookup of a corrupt entry"
 
 (* ------------------------------------------------------------------ *)
 (* Cache hits are bit-identical to the compile that stored them *)
@@ -845,6 +961,11 @@ let tests =
     Alcotest.test_case "stored program is the executed program" `Quick
       test_stored_program_is_executed;
     Alcotest.test_case "of_bytes rejects garbage" `Quick test_of_bytes_rejects_garbage;
+    Alcotest.test_case "stored programs are decoded on demand" `Quick
+      test_programs_decode_on_demand;
+    Alcotest.test_case "an old-version entry is a miss and is rewritten" `Quick
+      test_old_version_is_rewritten;
+    Alcotest.test_case "digest lookup is the cache-lookup pass" `Quick test_digest_lookup;
     Alcotest.test_case "cache hit equals cold compile" `Quick test_cache_hit_equivalence;
     Alcotest.test_case "corrupt entries are misses" `Quick test_corrupt_entries_are_misses;
     Alcotest.test_case "quarantine preserves and self-heals" `Quick
