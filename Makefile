@@ -34,15 +34,20 @@ fmt:
 		echo "ocamlformat not installed; cannot format"; \
 	fi
 
-# Chaos gate: the fault-injection suite under a fixed GCD2_FAULTS spec
-# (fixed seed, so every CI failure replays locally with this exact
-# command).  The suite also runs fault-free as part of `test`; this
-# pass re-runs it with every injection point firing at a meaningful
-# rate, asserting the service never crashes, never serves wrong bits,
-# and always converges back to fault-free behaviour.
+# Chaos gate: the fault-injection suite under a fixed GCD2_FAULTS spec,
+# once per fixed seed (each pass prints its spec, so every CI failure
+# replays locally).  The suite also runs fault-free as part of `test`;
+# these passes re-run it with every injection point firing at a
+# meaningful rate, asserting the service never crashes, never serves
+# wrong bits, and always converges back to fault-free behaviour.  More
+# than one seed, so a check that holds only at one seed's draws fails
+# here rather than passing by luck.
 chaos: build
-	GCD2_FAULTS="seed=20260807,cache-read=0.3,cache-write=0.3,artifact-decode=0.5,memo-lookup=0.3,pool-worker=0.2,flight-lease=0.3,janitor-unlink=0.3" \
-		./_build/default/test/test_main.exe test chaos
+	@for seed in 20260807 2 5; do \
+		spec="seed=$$seed,cache-read=0.3,cache-write=0.3,artifact-decode=0.5,memo-lookup=0.3,pool-worker=0.2,flight-lease=0.3,janitor-unlink=0.3"; \
+		echo "GCD2_FAULTS=$$spec"; \
+		GCD2_FAULTS="$$spec" ./_build/default/test/test_main.exe test chaos || exit 1; \
+	done
 
 # Bench smoke: small runs of the vm, devices, tune, attn, serve-load and
 # crash experiments in one process, writing no file.  It fails if the translated VM and the

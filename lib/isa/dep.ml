@@ -28,15 +28,6 @@ let pp_kind ppf = function
   | Hard -> Fmt.string ppf "hard"
   | Soft p -> Fmt.pf ppf "soft(%d)" p
 
-(* Strongest-first combination: Hard beats Soft, larger penalty beats
-   smaller. *)
-let combine a b =
-  match (a, b) with
-  | Some Hard, _ | _, Some Hard -> Some Hard
-  | Some (Soft p), Some (Soft q) -> Some (Soft (max p q))
-  | (Some (Soft _) as s), None | None, (Some (Soft _) as s) -> s
-  | None, None -> None
-
 let regs_intersect xs ys = List.exists (fun x -> List.exists (Reg.overlap x) ys) xs
 
 let raw_kind_classes producer consumer =
@@ -52,27 +43,23 @@ let raw_kind_classes producer consumer =
 (** Per-instruction facts {!classify} derives on every call, precomputed
     once so an O(n²) IDG build does not recompute register sets O(n²)
     times.  {!classify_info} on two [info]s is exactly {!classify} on the
-    underlying instructions. *)
+    underlying instructions, and the packer reads nothing else, so an
+    [info] array is also the pack memo's key. *)
 type info = {
-  inf_defs : Reg.t list;
-  inf_uses : Reg.t list;
-  inf_mem : Instr.mem_access option;
-  inf_class : Iclass.t;
+  defs : Reg.t list;
+  uses : Reg.t list;
+  mem : Instr.mem_access option;
+  iclass : Iclass.t;
 }
 
 let info i =
-  {
-    inf_defs = Instr.defs i;
-    inf_uses = Instr.uses i;
-    inf_mem = Instr.mem_access i;
-    inf_class = Instr.iclass i;
-  }
+  { defs = Instr.defs i; uses = Instr.uses i; mem = Instr.mem_access i; iclass = Instr.iclass i }
 
 (* Conservative memory aliasing: accesses through different base registers
    are assumed disjoint (the code generator gives each buffer its own base
    register); same-base accesses alias iff their byte ranges overlap. *)
-let mem_conflict_info a b =
-  match (a.inf_mem, b.inf_mem) with
+let mem_conflict a b =
+  match (a.mem, b.mem) with
   | Some (Instr.Mem_load _), Some (Instr.Mem_load _) | None, _ | _, None -> false
   | Some x, Some y ->
     let range = function Instr.Mem_load (a, n) | Instr.Mem_store (a, n) -> (a, n) in
@@ -81,18 +68,22 @@ let mem_conflict_info a b =
     && aa.offset < ba.offset + bn
     && ba.offset < aa.offset + an
 
+(** [of_relations a b ~raw ~war ~waw ~mem] — the strongest dependency
+    from [a] to [b] given which relations hold between them: WAW and
+    memory conflicts are hard and beat everything; RAW takes its kind
+    from the two classes (every RAW penalty is at least WAR's 0); WAR
+    alone is soft with zero penalty. *)
+let of_relations a b ~raw ~war ~waw ~mem =
+  if waw || mem then Some Hard
+  else if raw then Some (raw_kind_classes a.iclass b.iclass)
+  else if war then Some (Soft 0)
+  else None
+
 (** [classify_info a b] — {!classify} over precomputed {!info}s ([a]'s
     instruction preceding [b]'s in program order). *)
 let classify_info a b =
-  let raw =
-    if regs_intersect a.inf_defs b.inf_uses then
-      Some (raw_kind_classes a.inf_class b.inf_class)
-    else None
-  in
-  let war = if regs_intersect a.inf_uses b.inf_defs then Some (Soft 0) else None in
-  let waw = if regs_intersect a.inf_defs b.inf_defs then Some Hard else None in
-  let mem = if mem_conflict_info a b then Some Hard else None in
-  combine (combine raw war) (combine waw mem)
+  of_relations a b ~raw:(regs_intersect a.defs b.uses) ~war:(regs_intersect a.uses b.defs)
+    ~waw:(regs_intersect a.defs b.defs) ~mem:(mem_conflict a b)
 
 (** [classify i j] — with [i] preceding [j] in program order — returns the
     dependency from [i] to [j], if any. *)

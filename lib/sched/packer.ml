@@ -18,14 +18,15 @@
     standing in for the LLVM packetizer used by Halide/TVM/RAKE.
 
     Two implementations live here.  The optimized one (the default) keeps
-    freeness as per-instruction blocking-successor counters, checks packet
-    legality on slot bitmasks and the IDG's O(1) kind matrix, and scores
-    stall penalties with a tiny ≤4-member chain DP instead of two
-    from-scratch {!Packet.stall} recomputations.  {!pack_reference} is the
-    original direct transcription of Algorithm 1, kept as the executable
-    specification: both produce {e identical} packet lists (same order,
-    same tie-breaks — the candidate scan is the same ascending index loop
-    with the same replace-on-[score >= best] rule), which the property
+    freeness as per-instruction blocking-successor counters and a ready
+    set, walks the critical path incrementally over the IDG's [cover]
+    edges, checks packet legality on slot bitmasks and the IDG's O(1) kind
+    matrix, and scores stall penalties with a tiny ≤4-member chain DP
+    instead of two from-scratch {!Packet.stall} recomputations.
+    {!pack_reference} is the original direct transcription of Algorithm 1,
+    kept as the executable specification: both produce {e identical}
+    packet lists (same order, same tie-breaks — both pick the highest
+    score and, among equal scores, the highest index), which the property
     tests in the test suite pin across random blocks and every strategy. *)
 
 open Gcd2_isa
@@ -67,8 +68,6 @@ let insert_sorted i members =
   in
   go members
 
-let to_packet idg members = List.map (fun i -> idg.Idg.instrs.(i)) members
-
 (* ------------------------------------------------------------------ *)
 (* Matrix-backed packet queries (members ascending = program order, so
    the pair (i, j) with i < j is exactly the program-order pair the
@@ -104,14 +103,14 @@ let hard_between idg i j = if i < j then Idg.hard idg i j else Idg.hard idg j i
 let soft_between idg i j = if i < j then Idg.soft idg i j else Idg.soft idg j i
 let edge_between idg i j = if i < j then Idg.edge idg i j else Idg.edge idg j i
 
-(* Candidate legality against the open packet: no hard pair with a member
-   (members are pairwise legal by construction) and a slot assignment
-   exists for the member masks plus the candidate's.  The masks in the IDG
-   are already the device's; [desc] only bounds the packet capacity. *)
-let legal_with ~desc idg members i =
-  List.for_all (fun m -> not (hard_between idg m i)) members
-  && Packet.masks_feasible ~desc
-       (idg.Idg.slot_mask.(i) :: List.map (fun m -> idg.Idg.slot_mask.(m)) members)
+(* Has [i] a hard (soft) edge with one of [members]? *)
+let rec hard_with idg i = function
+  | [] -> false
+  | m :: ms -> hard_between idg m i || hard_with idg i ms
+
+let rec soft_with idg i = function
+  | [] -> false
+  | m :: ms -> soft_between idg m i || soft_with idg i ms
 
 (* ------------------------------------------------------------------ *)
 (* The bottom-up packing loop of Algorithm 1 (specialised by soft-edge
@@ -122,92 +121,113 @@ let legal_with ~desc idg members i =
    through a soft edge.  An alive non-member is free iff its count is 0.
    Joining the packet unpins soft predecessors (unless as_hard);
    retiring at the end of the round unpins the rest, so every edge is
-   decremented exactly once over the lifetime of its successor. *)
+   decremented exactly once over the lifetime of its successor.  The free
+   non-members are kept in an unordered ready set: a vertex enters it
+   when its count reaches 0 and leaves it when it joins a packet.
+
+   Per round, the seed comes from one {!Idg.critical_seed} walk over the
+   alive vertices and [cover] edges.  Per slot step, only the ready set is
+   scanned.  The reference scans candidates in ascending index order and
+   replaces the best on [score >= best], so it picks the highest score
+   and, among equal scores, the highest index; comparing (score, index)
+   picks the same candidate in any scan order.  A candidate's legality is
+   its hard edges to the members plus slot feasibility, which depends on
+   the candidate only through its slot mask, so it is decided once per
+   mask.  A candidate with no soft edge to a member adds no stall (its
+   chain term is 0 and it extends no member's chain), so the stall DP
+   runs only for the others. *)
 let pack_bottom_up ~desc ~w ~pscale ~as_hard ~penalize ~gate idg =
   let n = Idg.size idg in
   let alive = Array.make n true in
-  let member = Array.make n false in
-  let blockers = Array.make n 0 in
-  for i = 0 to n - 1 do
-    blockers.(i) <- List.length idg.Idg.succ.(i)
-  done;
+  let blockers = Array.map Array.length idg.Idg.succ in
+  (* the ready set is [ready.(0 .. nready - 1)], and [at.(i)] is [i]'s slot *)
+  let ready = Array.make n 0 and at = Array.make n 0 and nready = ref 0 in
+  let make_ready i =
+    ready.(!nready) <- i;
+    at.(i) <- !nready;
+    incr nready
+  in
+  let unpin p =
+    blockers.(p) <- blockers.(p) - 1;
+    if blockers.(p) = 0 then make_ready p
+  in
+  Array.iteri (fun i b -> if b = 0 then make_ready i) blockers;
+  (* [i] (ready) joins the open packet *)
+  let join i =
+    decr nready;
+    let last = ready.(!nready) in
+    ready.(at.(i)) <- last;
+    at.(last) <- at.(i);
+    if not as_hard then
+      Array.iter (fun p -> if Idg.soft idg p i then unpin p) idg.Idg.pred.(i)
+  in
+  let paths = Idg.paths idg in
+  (* [fits.(mask)] is valid for the slot step numbered [fits_step.(mask)] *)
+  let masks = Array.fold_left max 0 idg.Idg.slot_mask + 1 in
+  let fits = Array.make masks false and fits_step = Array.make masks (-1) in
+  let step = ref 0 in
   let remaining = ref n in
   let packets = ref [] in
   while !remaining > 0 do
-    let path = Idg.critical_path idg alive in
-    let seed =
-      match List.rev path with
-      | s :: _ -> s
-      | [] -> assert false
-    in
+    let seed = Idg.critical_seed idg paths alive in
     let members = ref [ seed ] in
     let mcount = ref 1 in
     let hi_lat = ref idg.Idg.lat.(seed) in
     let cur_stall = ref 0 in
-    let join i =
-      member.(i) <- true;
-      if not as_hard then
-        List.iter
-          (fun (p, kind) ->
-            match kind with
-            | Dep.Soft _ -> blockers.(p) <- blockers.(p) - 1
-            | Dep.Hard -> ())
-          idg.Idg.pred.(i)
-    in
     join seed;
     let full = ref false in
     while (not !full) && !mcount < Packet.capacity desc do
-      (* select_instruction of Algorithm 1: same ascending scan and same
-         replace-on-ties rule as the reference, so the chosen index is
-         identical — only the per-candidate work is cheaper. *)
-      let best = ref None in
-      for i = 0 to n - 1 do
-        if alive.(i) && (not member.(i)) && blockers.(i) = 0 && legal_with ~desc idg !members i
-        then begin
+      (* select_instruction of Algorithm 1 *)
+      incr step;
+      let member_masks = List.map (fun m -> idg.Idg.slot_mask.(m)) !members in
+      let slots_fit i =
+        let mask = idg.Idg.slot_mask.(i) in
+        if fits_step.(mask) <> !step then begin
+          fits_step.(mask) <- !step;
+          fits.(mask) <- Packet.masks_feasible ~desc (mask :: member_masks)
+        end;
+        fits.(mask)
+      in
+      let best = ref (-1) and best_score = ref neg_infinity in
+      for k = 0 to !nready - 1 do
+        let i = ready.(k) in
+        if (not (hard_with idg i !members)) && slots_fit i then begin
           let lat = idg.Idg.lat.(i) in
           let score =
             (float_of_int (idg.Idg.order.(i) + idg.Idg.ancestors.(i)) *. w)
             -. (float_of_int (abs (!hi_lat - lat)) *. (1.0 -. w))
           in
+          let soft = penalize && soft_with idg i !members in
           let stall =
-            if penalize then
-              max 0 (stall_of idg (insert_sorted i !members) - !cur_stall)
-            else 0
+            if soft then max 0 (stall_of idg (insert_sorted i !members) - !cur_stall) else 0
           in
-          let score =
-            if penalize && List.exists (fun m -> soft_between idg m i) !members then
-              score -. (pscale *. float_of_int stall)
-            else score
-          in
+          let score = if soft then score -. (pscale *. float_of_int stall) else score in
           (* Economic gate (part of the penalty mechanism): once the packet
              has real contents, refuse candidates whose stall would cost as
              much as issuing them in a later packet's free slot. *)
-          if penalize && gate && stall >= 2 && !mcount >= 2 then ()
-          else
-            match !best with
-            | Some (_, best_score) when score < best_score -> ()
-            | _ -> best := Some (i, score)
+          if
+            (not (gate && stall >= 2 && !mcount >= 2))
+            && (score > !best_score || (score = !best_score && i > !best))
+          then begin
+            best := i;
+            best_score := score
+          end
         end
       done;
-      match Option.map fst !best with
-      | Some i ->
+      if !best < 0 then full := true
+      else begin
+        let i = !best in
         members := insert_sorted i !members;
         incr mcount;
         if idg.Idg.lat.(i) > !hi_lat then hi_lat := idg.Idg.lat.(i);
         join i;
         cur_stall := stall_of idg !members
-      | None -> full := true
+      end
     done;
     List.iter
       (fun i ->
         alive.(i) <- false;
-        member.(i) <- false;
-        List.iter
-          (fun (p, kind) ->
-            match kind with
-            | Dep.Hard -> blockers.(p) <- blockers.(p) - 1
-            | Dep.Soft _ -> if as_hard then blockers.(p) <- blockers.(p) - 1)
-          idg.Idg.pred.(i);
+        Array.iter (fun p -> if as_hard || Idg.hard idg p i then unpin p) idg.Idg.pred.(i);
         decr remaining)
       !members;
     (* Packets are created exit-first; collecting with (::) restores program
@@ -224,12 +244,12 @@ let pack_list_topdown ~desc idg =
   let weight = Array.make n 0 in
   for i = n - 1 downto 0 do
     weight.(i) <- idg.Idg.lat.(i);
-    List.iter
-      (fun (j, _) -> weight.(i) <- max weight.(i) (idg.Idg.lat.(i) + weight.(j)))
+    Array.iter
+      (fun j -> weight.(i) <- max weight.(i) (idg.Idg.lat.(i) + weight.(j)))
       idg.Idg.succ.(i)
   done;
   let scheduled = Array.make n false in
-  let unpreds = Array.map (fun ps -> List.length ps) idg.Idg.pred in
+  let unpreds = Array.map Array.length idg.Idg.pred in
   let done_count = ref 0 in
   let packets = ref [] in
   while !done_count < n do
@@ -268,7 +288,7 @@ let pack_list_topdown ~desc idg =
         (fun i ->
           scheduled.(i) <- true;
           incr done_count;
-          List.iter (fun (j, _) -> unpreds.(j) <- unpreds.(j) - 1) idg.Idg.succ.(i))
+          Array.iter (fun j -> unpreds.(j) <- unpreds.(j) - 1) idg.Idg.succ.(i))
         ms;
       packets := ms :: !packets)
   done;
@@ -364,13 +384,21 @@ let decode s =
   let stalls = varint 0 0 in
   (stalls, packets [])
 
-(* Packing is deterministic in (device, strategy, block), and a cold
-   compile packs the same block many times over: kernels of different
-   specs share inner blocks, and a kernel repeats its own.  So each
-   distinct block is packed once per process.  The key holds the block as
-   its marshaled bytes ([No_sharing]: a pure function of its structure)
-   rather than the [Instr.t] array, and the value is {!encode}d, so an
-   entry retains a few bytes per instruction. *)
+(* Packing is deterministic in (device, strategy, the block's dependence
+   projection): {!Idg.build} reads each instruction only through its
+   {!Dep.info}, and every strategy packs from the IDG alone.  A cold
+   compile packs the same shape many times over — kernels of different
+   specs share inner blocks, a kernel repeats its own, and blocks that
+   differ only in immediates (buffer bases, pointer strides,
+   requantization constants) project to one shape — so each distinct
+   shape is packed once per process.  The key holds the projection as
+   its marshaled bytes ([No_sharing]: a pure function of its structure),
+   and the value is {!encode}d, so an entry retains a few bytes per
+   instruction.  The projection is marshaled as a list, not an array: an
+   array of more than 256 words is allocated in the major heap, and the
+   young records stored into it would all be promoted at the next minor
+   collection, which made a hit on a tuned kernel's block several times
+   dearer than the marshaling itself. *)
 let memo : (Gcd2_devices.Desc.t * strategy * string, string) Gcd2_util.Memo.t =
   Gcd2_util.Memo.create "pack"
 
@@ -379,12 +407,13 @@ let memo : (Gcd2_devices.Desc.t * strategy * string, string) Gcd2_util.Memo.t =
 let pack_indices ~desc strategy instrs =
   if Array.length instrs = 0 then []
   else begin
-    let key = (desc, strategy, Marshal.to_string instrs [ Marshal.No_sharing ]) in
+    let infos = List.init (Array.length instrs) (fun k -> Dep.info instrs.(k)) in
+    let key = (desc, strategy, Marshal.to_string infos [ Marshal.No_sharing ]) in
     let stalls, packets =
       decode
       @@ Gcd2_util.Memo.find_or_add memo key (fun () ->
              Trace.in_span "pack" @@ fun () ->
-             let g = Idg.build ~desc instrs in
+             let g = Idg.build ~desc (Array.of_list infos) in
              let packets = pack_indices_idg ~desc strategy g in
              encode
                ~stalls:(List.fold_left (fun acc members -> acc + stall_of g members) 0 packets)
@@ -424,48 +453,48 @@ module Reference = struct
   let free ~as_hard idg alive members i =
     alive.(i)
     && (not (List.mem i members))
-    && List.for_all
-         (fun (j, kind) ->
+    && Array.for_all
+         (fun j ->
            (not alive.(j))
            || (List.mem j members
-               && (match kind with Dep.Soft _ -> not as_hard | Dep.Hard -> false)))
+               && (match Idg.edge idg i j with Some (Dep.Soft _) -> not as_hard | _ -> false)))
          idg.Idg.succ.(i)
 
   let has_soft_with_members idg members i =
     let touches j =
-      let kind_between a b = List.assoc_opt b idg.Idg.succ.(a) in
+      let kind_between a b = if a < b then Idg.edge idg a b else None in
       match (kind_between i j, kind_between j i) with
       | Some (Dep.Soft _), _ | _, Some (Dep.Soft _) -> true
       | _ -> false
     in
     List.exists touches members
 
+  let to_packet instrs members = List.map (fun i -> instrs.(i)) members
+
   (* Penalty p(i, packet): the additional stall the packet would suffer if i
      joined — the exact quantity the hardware will pay. *)
-  let stall_penalty idg members i =
-    let before = Packet.stall (to_packet idg members) in
-    let after = Packet.stall (to_packet idg (insert_sorted i members)) in
+  let stall_penalty instrs members i =
+    let before = Packet.stall (to_packet instrs members) in
+    let after = Packet.stall (to_packet instrs (insert_sorted i members)) in
     max 0 (after - before)
 
   (* select_instruction of Algorithm 1. *)
-  let select_instruction ~desc ~w ~pscale ~penalize ~gate idg alive ~as_hard members =
+  let select_instruction ~desc ~w ~pscale ~penalize ~gate instrs idg alive ~as_hard members =
     let n = Idg.size idg in
     let hi_lat =
-      List.fold_left
-        (fun m j -> max m (Instr.latency_on desc idg.Idg.instrs.(j)))
-        0 members
+      List.fold_left (fun m j -> max m (Instr.latency_on desc instrs.(j))) 0 members
     in
     let best = ref None in
     for i = 0 to n - 1 do
       if free ~as_hard idg alive members i then begin
         let cand = insert_sorted i members in
-        if Packet.legal ~desc (to_packet idg cand) then begin
-          let lat = Instr.latency_on desc idg.Idg.instrs.(i) in
+        if Packet.legal ~desc (to_packet instrs cand) then begin
+          let lat = Instr.latency_on desc instrs.(i) in
           let score =
             (float_of_int (idg.Idg.order.(i) + idg.Idg.ancestors.(i)) *. w)
             -. (float_of_int (abs (hi_lat - lat)) *. (1.0 -. w))
           in
-          let stall = stall_penalty idg members i in
+          let stall = stall_penalty instrs members i in
           let score =
             if penalize && has_soft_with_members idg members i then
               score -. (pscale *. float_of_int stall)
@@ -481,14 +510,38 @@ module Reference = struct
     done;
     Option.map fst !best
 
+  (* The heaviest alive path, from scratch over every edge: the
+     definition {!Idg.critical_seed} computes incrementally. *)
+  let critical_path idg alive =
+    let n = Idg.size idg in
+    let down = Array.make n 0 and next = Array.make n (-1) in
+    for i = n - 1 downto 0 do
+      if alive.(i) then begin
+        down.(i) <- idg.Idg.lat.(i);
+        Array.iter
+          (fun j ->
+            if alive.(j) && down.(i) < idg.Idg.lat.(i) + down.(j) then begin
+              down.(i) <- idg.Idg.lat.(i) + down.(j);
+              next.(i) <- j
+            end)
+          idg.Idg.succ.(i)
+      end
+    done;
+    let start = ref (-1) in
+    for i = 0 to n - 1 do
+      if alive.(i) && (!start = -1 || down.(i) > down.(!start)) then start := i
+    done;
+    let rec walk i acc = if i = -1 then List.rev acc else walk next.(i) (i :: acc) in
+    walk !start []
+
   let pack_bottom_up ~desc ~w ~pscale ~as_hard ~penalize ~gate instrs =
-    let idg = Idg.build ~desc instrs in
+    let idg = Idg.build ~desc (Array.map Dep.info instrs) in
     let n = Idg.size idg in
     let alive = Array.make n true in
     let remaining = ref n in
     let packets = ref [] in
     while !remaining > 0 do
-      let path = Idg.critical_path idg alive in
+      let path = critical_path idg alive in
       let seed =
         match List.rev path with
         | s :: _ -> s
@@ -498,7 +551,7 @@ module Reference = struct
       let full = ref false in
       while (not !full) && List.length !members < Packet.capacity desc do
         match
-          select_instruction ~desc ~w ~pscale ~penalize ~gate idg alive ~as_hard
+          select_instruction ~desc ~w ~pscale ~penalize ~gate instrs idg alive ~as_hard
             !members
         with
         | Some i -> members := insert_sorted i !members
@@ -514,18 +567,17 @@ module Reference = struct
     !packets
 
   let pack_list_topdown ~desc instrs =
-    let idg = Idg.build ~desc instrs in
+    let idg = Idg.build ~desc (Array.map Dep.info instrs) in
     let n = Idg.size idg in
     let weight = Array.make n 0 in
     for i = n - 1 downto 0 do
       weight.(i) <- Instr.latency_on desc instrs.(i);
-      List.iter
-        (fun (j, _) ->
-          weight.(i) <- max weight.(i) (Instr.latency_on desc instrs.(i) + weight.(j)))
+      Array.iter
+        (fun j -> weight.(i) <- max weight.(i) (Instr.latency_on desc instrs.(i) + weight.(j)))
         idg.Idg.succ.(i)
     done;
     let scheduled = Array.make n false in
-    let unpreds = Array.map (fun ps -> List.length ps) idg.Idg.pred in
+    let unpreds = Array.map Array.length idg.Idg.pred in
     let done_count = ref 0 in
     let packets = ref [] in
     while !done_count < n do
@@ -541,10 +593,10 @@ module Reference = struct
             && unpreds.(i) = 0
             && List.for_all
                  (fun j ->
-                   (not (List.mem_assoc j idg.Idg.succ.(i)))
-                   && not (List.mem_assoc i idg.Idg.succ.(j)))
+                   (not (Array.mem j idg.Idg.succ.(i)))
+                   && not (Array.mem i idg.Idg.succ.(j)))
                  !members
-            && Packet.legal ~desc (to_packet idg (insert_sorted i !members))
+            && Packet.legal ~desc (to_packet instrs (insert_sorted i !members))
           then
             match !best with
             | Some (_, bw) when weight.(i) <= bw -> ()
@@ -563,23 +615,23 @@ module Reference = struct
           (fun i ->
             scheduled.(i) <- true;
             incr done_count;
-            List.iter (fun (j, _) -> unpreds.(j) <- unpreds.(j) - 1) idg.Idg.succ.(i))
+            Array.iter (fun j -> unpreds.(j) <- unpreds.(j) - 1) idg.Idg.succ.(i))
           ms;
         packets := ms :: !packets
     done;
     List.rev !packets
 
   let pack_in_order ~desc instrs =
-    let idg = Idg.build ~desc instrs in
+    let idg = Idg.build ~desc (Array.map Dep.info instrs) in
     let n = Idg.size idg in
     let packets = ref [] and cur = ref [] in
     let depends i j =
-      List.mem_assoc j idg.Idg.succ.(i) || List.mem_assoc i idg.Idg.succ.(j)
+      Array.mem j idg.Idg.succ.(i) || Array.mem i idg.Idg.succ.(j)
     in
     for i = 0 to n - 1 do
       let ok =
         List.for_all (fun j -> not (depends i j)) !cur
-        && Packet.legal ~desc (to_packet idg (insert_sorted i !cur))
+        && Packet.legal ~desc (to_packet instrs (insert_sorted i !cur))
       in
       if ok then cur := insert_sorted i !cur
       else begin

@@ -26,9 +26,14 @@ val pp_strategy : Format.formatter -> strategy -> unit
 
 (** Pack one basic block (program order); packets as ascending
     instruction-index lists.  [desc] selects the device (slot masks,
-    capacity, latencies).  Memoized per process on (device, strategy,
-    block content): a repeated block opens no [pack] span but records
-    the same [packets] and [stalls] counts as its first packing. *)
+    capacity, latencies).  Packing reads each instruction only through
+    its {!Gcd2_isa.Dep.info} (registers, memory access, issue class), so
+    it is memoized per process on (device, strategy, the block's
+    [Dep.info] array): a block with an already-packed projection — a
+    repeat, or one that differs only in immediates, ALU ops, lane widths,
+    requantization constants, table ids or byte selectors — opens no
+    [pack] span but records the same [packets] and [stalls] counts as the
+    first packing. *)
 val pack_indices : desc:Gcd2_devices.Desc.t -> strategy -> Instr.t array -> int list list
 
 (** Pack one basic block into a legal packet sequence. *)

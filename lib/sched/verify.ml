@@ -40,7 +40,7 @@ let check ~desc instrs (packets : int list list) =
   in
   if not ok_partition then Error Not_a_partition
   else begin
-    let idg = Idg.build ~desc instrs in
+    let idg = Idg.build ~desc (Array.map Dep.info instrs) in
     let bad_packet = ref None in
     List.iteri
       (fun k members ->
@@ -55,12 +55,12 @@ let check ~desc instrs (packets : int list list) =
       let violation = ref None in
       Array.iteri
         (fun i succs ->
-          List.iter
-            (fun (j, kind) ->
+          Array.iter
+            (fun j ->
               let bad =
-                match kind with
-                | Dep.Hard -> position.(i) >= position.(j)
-                | Dep.Soft _ -> position.(i) > position.(j)
+                match Idg.edge idg i j with
+                | Some Dep.Hard -> position.(i) >= position.(j)
+                | _ -> position.(i) > position.(j)
               in
               if bad && !violation = None then
                 violation := Some (Ordering_violation { producer = i; consumer = j }))

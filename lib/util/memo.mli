@@ -15,16 +15,22 @@
     [Eltwise.binary]/[unary], the [Rowops] passes) memoizes the program,
     so every use of it shares one physical value.  Beneath both sits the
     packer: {!Gcd2_sched.Packer.pack_indices} is keyed by (device,
-    strategy, the block's marshaled bytes), so a basic block that many
-    kernels share is packed once; it keeps the packet index lists and
-    the stall count as a compact string, never the instructions.
+    strategy, the marshaled {!Gcd2_isa.Dep.info} array of the block), so
+    a basic block that many kernels share — or that differs from one
+    already packed only in immediates — is packed once; it keeps the
+    packet index lists and the stall count as a compact string, never
+    the instructions.
 
-    {b Key discipline}: always key by the full spec value (a pure-data
+    {b Key discipline}: the key is the computation's entire input, and
+    nothing more.  Always key by the full spec value (a pure-data
     record), never by a hand-picked subset of its fields — a new spec
     field then enters the key automatically.  Where a key must be
     assembled by hand (tuples over a function's arguments), every
     argument that can change the result must be a component; the spec
-    types carry bump-reminder comments pointing here.
+    types carry bump-reminder comments pointing here.  The pack memo's
+    input is the dependence projection: the IDG reads each instruction
+    only through its [Dep.info], so that record, not the instruction, is
+    the key, and a field added to [Dep.info] enters it automatically.
 
     Tables are domain-safe: lookups and inserts are serialized by a
     per-table mutex, while the computation itself runs unlocked (two

@@ -414,8 +414,10 @@ let test_daemon_worker_chaos () =
       Array.iteri
         (fun i c -> check_responses (Printf.sprintf "client %d" i) (Domain.join c))
         clients);
-  (* once the faults stop, the same daemon serves clean warm hits *)
-  match Dclient.batch addr [ "tiny" ] with
+  (* once the faults stop, the same daemon serves clean warm hits; the
+     request runs under no spec at all, since [with_spec] restored the
+     ambient one (under [make chaos], the GCD2_FAULTS spec) *)
+  match Fault.with_spec Fault.none (fun () -> Dclient.batch addr [ "tiny" ]) with
   | [ Ok r ] ->
     Alcotest.(check string) "fault-free serve is clean" "ok" r.Protocol.outcome;
     Alcotest.(check (float 0.0))

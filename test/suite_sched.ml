@@ -29,12 +29,14 @@ let fig5_block () =
     Instr.Salu (Instr.Add, r 3, r 3, Instr.Imm 128);
   |]
 
+let idg_of instrs = Idg.build ~desc (Array.map Dep.info instrs)
+
 let test_idg_structure () =
-  let idg = Idg.build ~desc (fig5_block ()) in
+  let idg = idg_of (fig5_block ()) in
   (* the first vadd depends on loads 0 and 1 *)
-  Alcotest.(check bool) "vadd depends on load0" true (List.mem_assoc 0 idg.Idg.pred.(3));
-  Alcotest.(check bool) "vadd depends on load1" true (List.mem_assoc 1 idg.Idg.pred.(3));
-  Alcotest.(check bool) "vadd independent of load2" false (List.mem_assoc 2 idg.Idg.pred.(3));
+  Alcotest.(check bool) "vadd depends on load0" true (Array.mem 0 idg.Idg.pred.(3));
+  Alcotest.(check bool) "vadd depends on load1" true (Array.mem 1 idg.Idg.pred.(3));
+  Alcotest.(check bool) "vadd independent of load2" false (Array.mem 2 idg.Idg.pred.(3));
   (* order: loads at 0, first vadd at 1, second at 2, store at 3 *)
   Alcotest.(check int) "load order" 0 idg.Idg.order.(0);
   Alcotest.(check int) "first vadd order" 1 idg.Idg.order.(3);
@@ -45,7 +47,7 @@ let test_idg_structure () =
 
 let test_critical_path () =
   let instrs = fig5_block () in
-  let idg = Idg.build ~desc instrs in
+  let idg = idg_of instrs in
   let alive = Array.make (Array.length instrs) true in
   let path = Idg.critical_path idg alive in
   (* The heaviest chain is load -> vadd -> vadd -> store -> pointer bump
@@ -138,6 +140,9 @@ let test_packets_bounded () =
 (* ------------------------------------------------------------------ *)
 (* Property tests: random straight-line blocks.                        *)
 
+(* [Vlut] table ids the generator draws; [execute_block] installs them *)
+let lut_ids = [ 0; 1; 2; 3 ]
+
 let gen_instr =
   let open QCheck.Gen in
   let reg = map (fun n -> r n) (int_range 0 7) in
@@ -149,11 +154,21 @@ let gen_instr =
       (3, map2 (fun d a -> Instr.Sload (d, a)) reg ad);
       (2, map2 (fun a s -> Instr.Sstore (a, s)) ad reg);
       (4, map3 (fun d s i -> Instr.Salu (Instr.Add, d, s, Instr.Imm i)) reg reg (int_range 0 100));
+      (1, map2 (fun d i -> Instr.Smovi (d, i)) reg (int_range (-1000) 1000));
+      (1, map3 (fun d s i -> Instr.Smul (d, s, Instr.Imm i)) reg reg (int_range (-100) 100));
       (2, map3 (fun d a b -> Instr.Valu (Instr.Vadd, Instr.W8, d, a, b)) vec vec vec);
+      (1, map2 (fun d b -> Instr.Vmovi (d, b)) (oneof [ vec; pair ]) (int_range 0 255));
       (2, map2 (fun d a -> Instr.Vload (d, a)) vec ad);
       (2, map2 (fun a s -> Instr.Vstore (a, s)) ad vec);
       (2, map3 (fun d s t -> Instr.Vmpy (d, s, t)) pair vec reg);
+      (1, map4 (fun d s t sel -> Instr.Vmpyb (d, s, t, sel)) pair vec reg (int_range 0 3));
       (1, map3 (fun d s t -> Instr.Vrmpy (d, s, t)) vec vec reg);
+      ( 1,
+        map4
+          (fun d s m sh -> Instr.Vscale (d, s, m, sh))
+          vec vec (int_range 1 (1 lsl 20)) (int_range 0 20) );
+      (1, map4 (fun d s m sh -> Instr.Vscalev (d, s, m, sh)) vec vec vec (int_range 0 20));
+      (1, map3 (fun d s id -> Instr.Vlut (d, s, id)) vec vec (oneofl lut_ids));
       (1, map2 (fun d s -> Instr.Vpack (d, s, Instr.W16)) vec pair);
       (1, map2 (fun d s -> Instr.Vshuff (d, s, Instr.W16)) pair pair);
       (* pointer bumps of the memory bases, so RAW and WAR edges on a base
@@ -167,9 +182,50 @@ let gen_instr =
 
 let gen_block = QCheck.Gen.(map Array.of_list (list_size (int_range 1 40) gen_instr))
 
-let arbitrary_block =
-  QCheck.make gen_block ~print:(fun b ->
-      String.concat "\n" (Array.to_list (Array.map Instr.to_string b)))
+let print_block b = String.concat "\n" (Array.to_list (Array.map Instr.to_string b))
+let arbitrary_block = QCheck.make gen_block ~print:print_block
+
+(* The instruction with every field {!Dep.info} drops drawn afresh:
+   immediates, ALU ops and lane widths, requantization constants, table
+   ids and byte selectors.  Registers and memory operands stay. *)
+let redraw_dropped =
+  let open QCheck.Gen in
+  let imm = int_range (-1000) 1000 in
+  let operand = function Instr.Imm _ -> map (fun i -> Instr.Imm i) imm | o -> return o in
+  let salu_op = oneofl Instr.[ Add; Sub; And; Or; Xor; Shl; Shr; Min; Max ] in
+  let valu_op = oneofl Instr.[ Vadd; Vsub; Vmax; Vmin; Vavg; Vand; Vor; Vxor ] in
+  let width = oneofl Instr.[ W8; W16; W32 ] in
+  function
+  | Instr.Smovi (d, _) -> map (fun i -> Instr.Smovi (d, i)) imm
+  | Instr.Salu (_, d, s, o) -> map2 (fun op o -> Instr.Salu (op, d, s, o)) salu_op (operand o)
+  | Instr.Smul (d, s, o) -> map (fun o -> Instr.Smul (d, s, o)) (operand o)
+  | Instr.Vmovi (d, _) -> map (fun b -> Instr.Vmovi (d, b)) (int_range 0 255)
+  | Instr.Valu (_, _, d, a, b) -> map2 (fun op w -> Instr.Valu (op, w, d, a, b)) valu_op width
+  | Instr.Vmpyb (d, s, t, _) -> map (fun sel -> Instr.Vmpyb (d, s, t, sel)) (int_range 0 3)
+  | Instr.Vscale (d, s, _, _) ->
+    map2 (fun m sh -> Instr.Vscale (d, s, m, sh)) (int_range 1 (1 lsl 20)) (int_range 0 20)
+  | Instr.Vscalev (d, s, m, _) -> map (fun sh -> Instr.Vscalev (d, s, m, sh)) (int_range 0 20)
+  | Instr.Vlut (d, s, _) -> map (fun id -> Instr.Vlut (d, s, id)) nat
+  | Instr.Vpack (d, s, _) -> map (fun w -> Instr.Vpack (d, s, w)) width
+  | Instr.Vshuff (d, s, _) -> map (fun w -> Instr.Vshuff (d, s, w)) width
+  | i -> return i
+
+let arbitrary_block_and_redrawn =
+  let gen =
+    QCheck.Gen.(
+      gen_block >>= fun b ->
+      map (fun c -> (b, Array.of_list c)) (flatten_l (List.map redraw_dropped (Array.to_list b))))
+  in
+  QCheck.make gen ~print:(fun (b, c) -> print_block b ^ "\n--- redrawn ---\n" ^ print_block c)
+
+(* [f ()] under a fresh trace: its value, the [pack] spans it opened and
+   the [packets] and [stalls] it counted. *)
+let traced_packs f =
+  let module Trace = Gcd2_util.Trace in
+  let t = Trace.create "packs" in
+  let v = Trace.with_ambient t f in
+  let spans = match Trace.find t "pack" with Some s -> s.Trace.calls | None -> 0 in
+  (v, spans, Trace.counter t "packets", Trace.counter t "stalls")
 
 let prop_schedules_valid strategy name =
   QCheck.Test.make ~name:(Fmt.str "%s schedules are valid" name) ~count:100 arbitrary_block
@@ -201,6 +257,30 @@ let prop_incremental_matches_reference =
             = Packer.block_cycles ~desc (Packer.pack_reference ~desc strategy instrs))
         all_strategies)
 
+(* The pack memo is keyed by the dependence projection, so packing may
+   read nothing else: a block and its copy with every dropped field
+   redrawn get the same packets from the reference packer, and once the
+   first is packed the copy is a memo hit (no [pack] span) that counts
+   the same [packets] and [stalls]. *)
+let prop_packing_reads_projection =
+  QCheck.Test.make ~name:"packing reads only the dependence projection" ~count:100
+    arbitrary_block_and_redrawn (fun (block, copy) ->
+      List.for_all
+        (fun (name, strategy) ->
+          let want = Packer.pack_indices_reference ~desc strategy block in
+          if Packer.pack_indices_reference ~desc strategy copy <> want then
+            QCheck.Test.fail_reportf "%s: the reference packs the copy differently" name;
+          Gcd2_util.Memo.clear_all ();
+          let _, _, packets, stalls =
+            traced_packs (fun () -> Packer.pack_indices ~desc strategy block)
+          in
+          let got, spans, packets', stalls' =
+            traced_packs (fun () -> Packer.pack_indices ~desc strategy copy)
+          in
+          if spans <> 0 then QCheck.Test.fail_reportf "%s: the copy was packed again" name;
+          got = want && packets' = packets && stalls' = stalls)
+        all_strategies)
+
 let prop_packing_never_slower_than_sequential =
   QCheck.Test.make ~name:"packed cycles never exceed fully sequential" ~count:100
     arbitrary_block (fun instrs ->
@@ -213,12 +293,13 @@ let prop_packing_never_slower_than_sequential =
 
 (* The IDG, built straight from the definition: every program-order pair
    classified by [Dep.classify], edges collected latest first, [order] and
-   [ancestors] from those edges.  [Idg.build] only classifies the pairs
-   that share a register or a memory base, so this is what it must equal,
-   adjacency-list order included ([critical_path] breaks ties by it). *)
+   [ancestors] from those edges, and [cover] as the edges no other
+   successor reaches.  [Idg.build] only classifies the pairs that share a
+   register or a memory base, so this is what it must equal, adjacency
+   order included ([critical_path] breaks ties by it). *)
 let check_idg_all_pairs instrs =
   let n = Array.length instrs in
-  let g = Idg.build ~desc instrs in
+  let g = idg_of instrs in
   let succ = Array.make n [] and pred = Array.make n [] in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
@@ -246,8 +327,15 @@ let check_idg_all_pairs instrs =
   let ancestors =
     Array.map (Array.fold_left (fun c x -> if x then c + 1 else c) 0) anc
   in
-  g.Idg.succ = succ && g.Idg.pred = pred && g.Idg.order = order
-  && g.Idg.ancestors = ancestors
+  let cover =
+    Array.map
+      (fun ks -> List.filter (fun k -> not (List.exists (fun j -> anc.(k).(j)) ks)) ks)
+      (Array.map (List.map fst) succ)
+  in
+  let indices = Array.map (fun l -> Array.of_list (List.map fst l)) in
+  g.Idg.succ = indices succ && g.Idg.pred = indices pred
+  && g.Idg.cover = Array.map Array.of_list cover
+  && g.Idg.order = order && g.Idg.ancestors = ancestors
 
 let prop_idg_matches_all_pairs =
   QCheck.Test.make ~name:"def-use IDG = all-pairs classification" ~count:300
@@ -284,15 +372,9 @@ let test_idg_on_zoo_blocks () =
    [memo-lookup] fault forces a repack. *)
 let test_repeated_block_packed_once () =
   let module Memo = Gcd2_util.Memo in
-  let module Trace = Gcd2_util.Trace in
   let module Fault = Gcd2_util.Fault in
   let block = fig5_block () in
-  let traced f =
-    let t = Trace.create "packs" in
-    let v = Trace.with_ambient t f in
-    let spans = match Trace.find t "pack" with Some s -> s.Trace.calls | None -> 0 in
-    (v, spans, Trace.counter t "packets", Trace.counter t "stalls")
-  in
+  let traced = traced_packs in
   let pack ?(desc = desc) strategy () = Packer.pack ~desc strategy block in
   Memo.clear_all ();
   let once, spans1, packets1, stalls1 = traced (pack Packer.sda) in
@@ -346,6 +428,7 @@ let tests =
     QCheck_alcotest.to_alcotest (prop_schedules_valid Packer.In_order "in_order");
     QCheck_alcotest.to_alcotest prop_idg_matches_all_pairs;
     QCheck_alcotest.to_alcotest prop_incremental_matches_reference;
+    QCheck_alcotest.to_alcotest prop_packing_reads_projection;
     QCheck_alcotest.to_alcotest prop_packing_never_slower_than_sequential;
   ]
 
@@ -364,7 +447,10 @@ let execute_block packets =
     (Array.init 8192 (fun _ -> Gcd2_util.Rng.int8 rng));
   (* address bases used by the generator (r8..r11) *)
   List.iteri (fun i b -> Machine.set_sreg m (r (8 + i)) b) [ 2048; 3072; 4096; 5120 ];
-  Machine.run m (Program.make "prop" [ Program.Block packets ]);
+  let tables =
+    List.map (fun id -> (id, Array.init 256 (fun x -> ((x * (id + 3)) + id) land 255))) lut_ids
+  in
+  Machine.run m (Program.make ~tables "prop" [ Program.Block packets ]);
   let scalars = List.init 12 (fun i -> Machine.get_sreg m (r i)) in
   let vectors =
     List.init 8 (fun i ->
