@@ -341,6 +341,11 @@ let layer_norm_cycles ~device ~strategy ~rows ~cols =
 (* ------------------------------------------------------------------ *)
 (* Execution (hexagon698 only, like Testbench) *)
 
+(* Groups are transposed straight into simulator memory and their
+   outputs read straight back out of it.  A group's input region is
+   rewritten whole (the lanes past its last row zeroed), so a machine
+   reused across groups computes what a fresh one would. *)
+
 (** Execute Softmax on the simulated DSP: [x] row-major [rows * cols],
     [scale] the input quantization scale.  Returns the row-major int8
     output (quant 1/128) and the executed cycle count. *)
@@ -353,20 +358,28 @@ let run_softmax ~strategy ~rows ~cols ~scale x =
   let xt_base, _, out_base, sum_base, recip_base, mem_bytes =
     softmax_bases ~vb ~cols
   in
+  if Array.length x <> rows * cols then invalid_arg "Rowops.run_softmax: size mismatch";
   let m = Machine.scratch ~mem_bytes:(max 4096 mem_bytes) () in
+  let xt = Machine.window m ~addr:xt_base ~len:(cols * vb) in
+  let ob = Machine.window m ~addr:out_base ~len:(cols * vb) in
   let out = Array.make (rows * cols) 0 in
-  let xt = Array.make (cols * vb) 0 in
   let wv = Array.make (4 * q) 0 in
   for g = 0 to ceil_div rows vb - 1 do
     let r0 = g * vb in
     let nr = min vb (rows - r0) in
-    Array.fill xt 0 (Array.length xt) 0;
-    for c = 0 to cols - 1 do
-      for l = 0 to nr - 1 do
-        xt.((c * vb) + l) <- x.(((r0 + l) * cols) + c)
+    (* column c of the group is the vector at [c * vb], lane l = row l *)
+    if nr < vb then
+      for c = 0 to cols - 1 do
+        Bytes.fill xt (xt_base + (c * vb) + nr) (vb - nr) '\000'
+      done;
+    for l = 0 to nr - 1 do
+      let src = (r0 + l) * cols in
+      for c = 0 to cols - 1 do
+        Bytes.unsafe_set xt
+          (xt_base + (c * vb) + l)
+          (Char.unsafe_chr (Array.unsafe_get x (src + c) land 0xff))
       done
     done;
-    Machine.write_i8_array m ~addr:xt_base xt;
     Machine.run m p1;
     let sums = Machine.read_i32_array m ~addr:sum_base ~len:vb in
     (* row r's sum: lane r/2 of the first pair (r even) or second (odd) *)
@@ -379,11 +392,12 @@ let run_softmax ~strategy ~rows ~cols ~scale x =
     done;
     Machine.write_i32_array m ~addr:recip_base wv;
     Machine.run m p2;
-    let buf = Machine.read_i8_array m ~addr:out_base ~len:(cols * vb) in
-    for c = 0 to cols - 1 do
-      for l = 0 to nr - 1 do
-        let pos = if l land 1 = 0 then l / 2 else half + (l / 2) in
-        out.(((r0 + l) * cols) + c) <- buf.((c * vb) + pos)
+    (* output lanes are de-interleaved: even rows first, then odd *)
+    for l = 0 to nr - 1 do
+      let pos = out_base + (if l land 1 = 0 then l / 2 else half + (l / 2)) in
+      let dst = (r0 + l) * cols in
+      for c = 0 to cols - 1 do
+        Array.unsafe_set out (dst + c) (Bytes.get_int8 ob (pos + (c * vb)))
       done
     done
   done;
@@ -399,21 +413,31 @@ let run_layer_norm ~strategy ~rows ~cols ~scale ~out_scale x =
   let p1 = layer_norm_p1 ~device ~strategy ~cols in
   let p2 = layer_norm_p2 ~device ~strategy ~cols in
   let xt_base, out_base, sum_base, aff_base, mem_bytes = layer_norm_bases ~vb ~cols in
+  if Array.length x <> rows * cols then invalid_arg "Rowops.run_layer_norm: size mismatch";
   let m = Machine.scratch ~mem_bytes:(max 4096 mem_bytes) () in
+  let xt = Machine.window m ~addr:xt_base ~len:(cols * vb) in
+  let ob = Machine.window m ~addr:out_base ~len:(cols * vb) in
   let out = Array.make (rows * cols) 0 in
-  let xt = Array.make (cols * rows_g) 0 in
   let meanv = Array.make rows_g 0 in
   let nmv = Array.make (2 * q) 0 in
   for g = 0 to ceil_div rows rows_g - 1 do
     let r0 = g * rows_g in
     let nr = min rows_g (rows - r0) in
-    Array.fill xt 0 (Array.length xt) 0;
-    for c = 0 to cols - 1 do
-      for l = 0 to nr - 1 do
-        xt.((c * rows_g) + l) <- x.(((r0 + l) * cols) + c)
+    (* column c is the vector at [c * vb]: 16-bit little-endian lanes,
+       lane l = row l, sign-extended *)
+    if nr < rows_g then
+      for c = 0 to cols - 1 do
+        Bytes.fill xt (xt_base + (c * vb) + (2 * nr)) (2 * (rows_g - nr)) '\000'
+      done;
+    for l = 0 to nr - 1 do
+      let src = (r0 + l) * cols in
+      for c = 0 to cols - 1 do
+        let v = Array.unsafe_get x (src + c) in
+        let o = xt_base + (c * vb) + (2 * l) in
+        Bytes.unsafe_set xt o (Char.unsafe_chr (v land 0xff));
+        Bytes.unsafe_set xt (o + 1) (Char.unsafe_chr ((v asr 8) land 0xff))
       done
     done;
-    Machine.write_i16_array m ~addr:xt_base xt;
     Machine.run m p1;
     let sums = Machine.read_i32_array m ~addr:sum_base ~len:vb in
     Array.fill meanv 0 rows_g 0;
@@ -429,10 +453,10 @@ let run_layer_norm ~strategy ~rows ~cols ~scale ~out_scale x =
     Machine.write_i16_array m ~addr:aff_base meanv;
     Machine.write_i32_array m ~addr:(aff_base + vb) nmv;
     Machine.run m p2;
-    let buf = Machine.read_i8_array m ~addr:out_base ~len:(cols * vb) in
-    for c = 0 to cols - 1 do
-      for l = 0 to nr - 1 do
-        out.(((r0 + l) * cols) + c) <- buf.((c * vb) + l)
+    for l = 0 to nr - 1 do
+      let dst = (r0 + l) * cols in
+      for c = 0 to cols - 1 do
+        Array.unsafe_set out (dst + c) (Bytes.get_int8 ob (out_base + (c * vb) + l))
       done
     done
   done;

@@ -53,22 +53,29 @@ let kernel ?(tables = []) ?per_channel (spec : Matmul.spec) =
 
 let program kn = kn.prog
 
-let exec kn ~a ~w =
+let exec_into kn ~a ~a_off ~w ~w_off ~transposed ~out ~out_off =
   let { Matmul.simd; m; k; n; _ } = kn.spec in
   let mach = Machine.scratch ~mem_bytes:kn.mem_bytes () in
   (* operands are packed straight into simulator memory and the result
      read straight out of it, with no intermediate arrays *)
   let window addr len = Machine.window mach ~addr ~len in
-  Weights.store_activations simd ~m ~k a
+  Weights.store_activations ~src_off:a_off simd ~m ~k a
     (window kn.a_base (Weights.activation_bytes simd ~m ~k))
     kn.a_base;
-  Weights.store_prepacked simd ~k ~n w
+  Weights.store_prepacked ~src_off:w_off ~transposed simd ~k ~n w
     (window kn.w_base (Weights.prepacked_bytes simd ~k ~n))
     kn.w_base;
   if Array.length kn.packed_q > 0 then Machine.write_i8_array mach ~addr:kn.q_base kn.packed_q;
   Machine.run mach kn.prog;
-  let data = Weights.load_output simd ~m ~n (window kn.c_base kn.out_bytes) kn.c_base in
-  let c = Machine.counters mach in
+  Weights.load_output_into simd ~m ~n (window kn.c_base kn.out_bytes) kn.c_base out out_off;
+  Machine.counters mach
+
+let exec kn ~a ~w =
+  let { Matmul.m; k; n; _ } = kn.spec in
+  if Array.length a <> m * k then invalid_arg "Weights.pack_activations: size mismatch";
+  if Array.length w <> k * n then invalid_arg "Weights.prepack: size mismatch";
+  let data = Array.make (m * n) 0 in
+  let c = exec_into kn ~a ~a_off:0 ~w ~w_off:0 ~transposed:false ~out:data ~out_off:0 in
   { data; cycles = c.Machine.cycles; packets = c.Machine.packets; macs = c.Machine.macs }
 
 let run ?tables ?per_channel spec ~a ~w = exec (kernel ?tables ?per_channel spec) ~a ~w

@@ -28,6 +28,23 @@ val program : kernel -> Gcd2_isa.Program.t
     simulator's decode cache), and unstage the result. *)
 val exec : kernel -> a:int array -> w:int array -> result
 
+(** [exec_into kn ~a ~a_off ~w ~w_off ~transposed ~out ~out_off] is
+    {!exec} on the M x K matrix of [a] at index [a_off] and the K x N
+    matrix of [w] at [w_off] (its row-major N x K transpose there when
+    [transposed]), with the result written into [out] from [out_off]:
+    slices of batched tensors staged and unstaged in place.  Returns the
+    simulator's counters for the run. *)
+val exec_into :
+  kernel ->
+  a:int array ->
+  a_off:int ->
+  w:int array ->
+  w_off:int ->
+  transposed:bool ->
+  out:int array ->
+  out_off:int ->
+  Gcd2_vm.Machine.counters
+
 (** [run spec ~a ~w] = [exec (kernel spec) ~a ~w]. *)
 val run :
   ?tables:(int * int array) list ->

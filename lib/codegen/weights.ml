@@ -34,27 +34,42 @@ let prepacked_bytes simd ~k ~n =
   ignore simd;
   4 * np * (kp / 4)
 
+(* Weight (kk, nn) is byte [kk mod 4] of word (kk / 4, nn), at
+   [nn * Kp + kk] within the buffer, except that vmpa's byte order
+   (0, 2, 1, 3), being its own inverse, swaps bytes 1 and 2. *)
+let[@inline] slot ~swap kk = if swap && (kk + 1) land 3 >= 2 then kk lxor 3 else kk
+
 (** [store_prepacked simd ~k ~n w dst off] — [w] is the logical row-major
     K x N weight matrix; writes its 4-byte words as described above into
-    [dst] at [off], padding zeroed. *)
-let store_prepacked simd ~k ~n w dst off =
-  if Array.length w <> k * n then invalid_arg "Weights.prepack: size mismatch";
-  let kp, _ = padded_kn simd ~k ~n in
-  let groups = kp / 4 in
-  (* byte [j] of word (g, n) holds weight [4g + order.(j)] *)
-  let order = match simd with Simd.I_vmpa -> [| 0; 2; 1; 3 |] | _ -> [| 0; 1; 2; 3 |] in
+    [dst] at [off], padding zeroed.  [src_off] reads the matrix from [w]
+    at that index; [transposed] reads it as its row-major N x K
+    transpose. *)
+let store_prepacked ?src_off ?(transposed = false) simd ~k ~n w dst off =
+  (match src_off with
+  | None -> if Array.length w <> k * n then invalid_arg "Weights.prepack: size mismatch"
+  | Some o ->
+    if o < 0 || o + (k * n) > Array.length w then invalid_arg "Weights.prepack: out of bounds");
+  let src_off = Option.value ~default:0 src_off in
+  let stride, _ = padded_kn simd ~k ~n in
   Bytes.fill dst off (prepacked_bytes simd ~k ~n) '\000';
-  for nn = 0 to n - 1 do
-    for g = 0 to groups - 1 do
-      for j = 0 to 3 do
-        let kk = (4 * g) + order.(j) in
-        if kk < k then
-          Bytes.set_uint8 dst
-            (off + (4 * ((nn * groups) + g)) + j)
-            (w.((kk * n) + nn) land 0xff)
+  let swap = simd = Simd.I_vmpa in
+  if transposed then
+    (* row nn of the N x K source is column nn's word stream *)
+    for nn = 0 to n - 1 do
+      let s = src_off + (nn * k) and d = off + (nn * stride) in
+      for kk = 0 to k - 1 do
+        Bytes.unsafe_set dst (d + slot ~swap kk)
+          (Char.unsafe_chr (Array.unsafe_get w (s + kk) land 0xff))
       done
     done
-  done
+  else
+    for kk = 0 to k - 1 do
+      let s = src_off + (kk * n) and d = off + slot ~swap kk in
+      for nn = 0 to n - 1 do
+        Bytes.unsafe_set dst (d + (nn * stride))
+          (Char.unsafe_chr (Array.unsafe_get w (s + nn) land 0xff))
+      done
+    done
 
 (** [prepack simd ~k ~n w]: the bytes {!store_prepacked} writes, as an
     array of unsigned byte values. *)
@@ -75,19 +90,12 @@ let activation_bytes simd ~m ~k =
 
 (** Pack an M x K activation matrix for the kernel (layout of the SIMD
     choice, K padded to the kernel granularity) into [dst] at [off],
-    padding zeroed. *)
-let store_activations simd ~m ~k a dst off =
-  if Array.length a <> m * k then invalid_arg "Weights.pack_activations: size mismatch";
+    padding zeroed; [src_off] reads it from [a] at that index. *)
+let store_activations ?src_off simd ~m ~k a dst off =
   let kp, _ = padded_kn simd ~k ~n:1 in
   let layout = Simd.layout simd in
-  Bytes.fill dst off (activation_bytes simd ~m ~k) '\000';
-  for r = 0 to m - 1 do
-    for c = 0 to k - 1 do
-      Bytes.set_uint8 dst
-        (off + Layout.offset ~desc layout ~rows:m ~cols:kp ~r ~c)
-        (a.((r * k) + c) land 0xff)
-    done
-  done
+  let _, pcols = Layout.padded_dims ~desc layout ~rows:m ~cols:kp in
+  Pack.store ~pcols ?src_off layout ~rows:m ~cols:k a dst off
 
 (** The bytes {!store_activations} writes, as signed int8 values. *)
 let pack_activations simd ~m ~k a =
@@ -105,6 +113,10 @@ let unpack_output simd ~m ~n bytes =
 
 (** The same, read straight from [src] at [off]. *)
 let load_output simd ~m ~n src off = Pack.load (Simd.layout simd) ~rows:m ~cols:n src off
+
+(** The same, written into [out] from index [out_off]. *)
+let load_output_into simd ~m ~n src off out out_off =
+  Pack.load_into (Simd.layout simd) ~rows:m ~cols:n src off out out_off
 
 (* little-endian W32 lanes into a byte array *)
 let blit_w32 bytes off v =

@@ -70,7 +70,7 @@ type compiled = {
   cost : Graphcost.t;
   assignment : int array;  (** chosen plan index per node *)
   report : Graphcost.report;
-  selection_seconds : float;  (** wall time spent in global selection *)
+  selection_seconds : float;  (** wall time spent in global selection; 0 for a hit *)
   trace : Trace.t;  (** per-pass wall time and counters of this compile *)
 }
 
@@ -95,7 +95,6 @@ type artifact = {
   art_report : Graphcost.report option;
   art_digest : string option;  (** request content-address, set by [cache-lookup] *)
   art_cached : bool;  (** filled from a verified cache entry *)
-  art_selection_seconds : float option;  (** selection wall time of the cached compile *)
 }
 
 let empty_artifact g =
@@ -106,7 +105,6 @@ let empty_artifact g =
     art_report = None;
     art_digest = None;
     art_cached = false;
-    art_selection_seconds = None;
   }
 
 let require what = function
@@ -223,7 +221,6 @@ let cached_artifact (config : config) ~dir digest =
            art_report = Some art.Artifact.report;
            art_digest = Some digest;
            art_cached = true;
-           art_selection_seconds = Some art.Artifact.selection_seconds;
          })
 
 (* Consult the on-disk cache for the digest of the rewritten graph. *)
@@ -261,7 +258,6 @@ let cache_store_pass ~disable dir =
             Lazy.from_val
               (Artifact.programs_of ~options:config.opcost a.art_graph cost.Graphcost.plans
                  solved.Solver.plans);
-          selection_seconds = Trace.ambient_span_seconds (select_pass_name config);
         }
       in
       Trace.count "cache-bytes" (Cache.store ~dir artifact);
@@ -308,10 +304,8 @@ let compiled_of config trace art =
     cost;
     assignment = solved.Solver.plans;
     report;
-    selection_seconds =
-      (match art.art_selection_seconds with
-      | Some s -> s  (* a cache hit reports the original compile's selection time *)
-      | None -> Trace.span_seconds trace (select_pass_name config));
+    (* a cache hit ran no selection, so its select span is absent: 0 *)
+    selection_seconds = Trace.span_seconds trace (select_pass_name config);
     trace;
   }
 

@@ -8,7 +8,14 @@
     reshapes) execute host-side with the reference semantics, as DESIGN.md
     documents.  Either way every operator's results are bit-identical to
     {!Gcd2_kernels.Interp} — the test suite runs whole models both ways
-    and compares. *)
+    and compares — with one known exception: a batched matmul whose
+    16-bit accumulator lane receives two (-128)*(-128) products
+    saturates where the reference does not, and is then one step off.
+
+    Operands are staged straight into simulator memory and results read
+    straight out of it; batched-matmul slices and broadcast operands
+    are read in place from their tensors, so an inference allocates
+    little beyond its node outputs. *)
 
 module T = Gcd2_tensor.Tensor
 module Q = Gcd2_tensor.Quant
@@ -126,8 +133,9 @@ let run_matmul ~stats ~options ~plan ~act (x : T.t) (w : T.t) ~m ~k ~n ~out_dims
 (* Batched matmul: the two operands are both dynamic (attention scores
    and values), so every batch slice runs the one tiled matmul kernel
    generated for the node, with the slice's B staged as the weight
-   matrix — host-transposed first when the graph asks for B^T, exactly as
-   the reference indexes it. *)
+   matrix — read transposed when the graph asks for B^T, exactly as the
+   reference indexes it.  Slices are staged straight from the batched
+   tensors and unstaged straight into the node's output. *)
 let run_batch_matmul ~stats ~options ~plan ~transpose_b (a : T.t) (b : T.t) =
   let out_q = Q.default in
   let ra = Array.length a.T.dims in
@@ -139,20 +147,12 @@ let run_batch_matmul ~stats ~options ~plan ~transpose_b (a : T.t) (b : T.t) =
     Testbench.kernel (matmul_spec ~options ~plan ~m ~k ~n ~mult ~shift ~act_table:None)
   in
   let out = Array.make (batch * m * n) 0 in
-  let b_slice = Array.make (k * n) 0 in
   for bt = 0 to batch - 1 do
-    let a_slice = Array.sub a.T.data (bt * m * k) (m * k) in
-    let base = bt * k * n in
-    if transpose_b then
-      for j = 0 to n - 1 do
-        for l = 0 to k - 1 do
-          b_slice.((l * n) + j) <- b.T.data.(base + (j * k) + l)
-        done
-      done
-    else Array.blit b.T.data base b_slice 0 (k * n);
-    let res = Testbench.exec kernel ~a:a_slice ~w:b_slice in
-    Array.blit res.Testbench.data 0 out (bt * m * n) (m * n);
-    stats.vm_cycles <- stats.vm_cycles + res.Testbench.cycles
+    let c =
+      Testbench.exec_into kernel ~a:a.T.data ~a_off:(bt * m * k) ~w:b.T.data
+        ~w_off:(bt * k * n) ~transposed:transpose_b ~out ~out_off:(bt * m * n)
+    in
+    stats.vm_cycles <- stats.vm_cycles + c.Machine.cycles
   done;
   stats.vm_nodes <- stats.vm_nodes + 1;
   let dims = Array.copy a.T.dims in
@@ -187,6 +187,9 @@ let run_layer_norm ~stats ~options (x : T.t) =
 
 (* ---------------- elementwise on the VM ---------------- *)
 
+(* [b_data] is staged by the reference's broadcast rule (element [i]
+   reads [b.(i mod nb)]), which for an operand of A's size is the operand
+   itself. *)
 let stage_eltwise ~stats ~tables ~spec op layout ~rows ~cols a_data b_data =
   let bytes = Gcd2_tensor.Layout.padded_bytes ~desc:device layout ~rows ~cols in
   let align x = Gcd2_util.Stats.round_up x 128 in
@@ -194,11 +197,11 @@ let stage_eltwise ~stats ~tables ~spec op layout ~rows ~cols a_data b_data =
   let b_base = align bytes in
   let out_base = 2 * align bytes in
   let m = Machine.scratch ~mem_bytes:(max 4096 ((3 * align bytes) + 256)) () in
-  let stage addr data =
-    Pack.store layout ~rows ~cols data (Machine.window m ~addr ~len:bytes) addr
-  in
-  stage a_base a_data;
-  Option.iter (stage b_base) b_data;
+  let window addr = Machine.window m ~addr ~len:bytes in
+  Pack.store layout ~rows ~cols a_data (window a_base) a_base;
+  Option.iter
+    (fun b -> Pack.store_broadcast layout ~rows ~cols b (window b_base) b_base)
+    b_data;
   let prog =
     match op with
     | `Binary bop -> Eltwise.binary ~tables bop spec { Eltwise.a_base; b_base; out_base }
@@ -207,7 +210,7 @@ let stage_eltwise ~stats ~tables ~spec op layout ~rows ~cols a_data b_data =
   Machine.run m prog;
   stats.vm_nodes <- stats.vm_nodes + 1;
   stats.vm_cycles <- stats.vm_cycles + (Machine.counters m).Machine.cycles;
-  Pack.load layout ~rows ~cols (Machine.window m ~addr:out_base ~len:bytes) out_base
+  Pack.load layout ~rows ~cols (window out_base) out_base
 
 let run_binary ~stats ~options ~plan op (a : T.t) (b : T.t) =
   let out_q = Q.default in
@@ -364,17 +367,12 @@ let run_with_stats (c : Compiler.compiled) ~inputs =
           let b = value (List.nth node.Graph.inputs 1) in
           let bop = match op with Op.Add -> `Add | Op.Sub -> `Sub | _ -> `Mul in
           let na = T.numel a and nb = T.numel b in
-          if a.T.dims = b.T.dims then run_binary ~stats ~options ~plan bop a b
-          else if options.Gcd2_cost.Opcost.attn_kernels && nb < na && na mod nb = 0
-          then
-            (* broadcast: tile the smaller operand host-side; the
-               reference's [i mod nb] indexing is exactly this
-               expansion, so the vector kernel stays bit-identical *)
-            let tiled =
-              T.of_array ~quant:b.T.quant (Array.copy a.T.dims)
-                (Array.init na (fun i -> b.T.data.(i mod nb)))
-            in
-            run_binary ~stats ~options ~plan bop a tiled
+          (* a broadcast operand is staged tiled by the reference's
+             [i mod nb] indexing, so the vector kernel stays
+             bit-identical *)
+          if a.T.dims = b.T.dims
+             || (options.Gcd2_cost.Opcost.attn_kernels && nb < na && na mod nb = 0)
+          then run_binary ~stats ~options ~plan bop a b
           else host ()
         | (Op.Pow _ | Op.Relu | Op.Relu6 | Op.Hard_swish | Op.Sigmoid | Op.Tanh | Op.Gelu)
           as op -> (

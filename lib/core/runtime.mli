@@ -3,7 +3,9 @@
     generated VLIW programs on the simulated DSP under the exact chosen
     plan; the remaining staging operators run host-side with the
     reference semantics.  Every result is bit-identical to
-    {!Gcd2_kernels.Interp} (the suite runs whole models both ways). *)
+    {!Gcd2_kernels.Interp} (the suite runs whole models both ways),
+    except a batched matmul whose 16-bit accumulator lane receives two
+    (-128)*(-128) products: it saturates there and is one step off. *)
 
 module T = Gcd2_tensor.Tensor
 

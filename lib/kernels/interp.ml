@@ -111,6 +111,24 @@ let conv2d (x : T.t) ~(weight : T.t) ~kh ~kw ~stride ~pad ~cout ~act ~out_q =
   let data = apply_act_opt ~out_q act data in
   T.of_array ~quant:out_q [| x.T.dims.(0); oh; ow; cout |] data
 
+(* [Sat.requantize acc ~mult ~shift ~zero:0], inlined for the host
+   depthwise loop: its 32-bit saturation is subsumed by the final 8-bit
+   clamp (nested monotone clamps). *)
+let[@inline] requantize8 acc ~mult ~shift =
+  let x = acc * mult in
+  let v =
+    if shift = 0 then x
+    else
+      let half = 1 lsl (shift - 1) in
+      if x >= 0 then (x + half) asr shift else -((-x + half) asr shift)
+  in
+  if v < -128 then -128 else if v > 127 then 127 else v
+
+(* Depthwise convolution visits, for each output pixel, only the taps
+   inside the input, adding all channels of a tap at once into one
+   accumulator row; requantization and the activation table apply in
+   the same pass.  Integer sums are exact, so the tap order cannot
+   change a bit of the result. *)
 let depthwise_conv2d (x : T.t) ~(weight : T.t) ~kh ~kw ~stride ~pad ~act ~out_q =
   match x.T.dims with
   | [| n; h; w; c |] ->
@@ -120,29 +138,52 @@ let depthwise_conv2d (x : T.t) ~(weight : T.t) ~kh ~kw ~stride ~pad ~act ~out_q 
     let oh = ((h + (2 * pad_h) - kh) / stride) + 1 in
     let ow = ((w + (2 * pad_w) - kw) / stride) + 1 in
     let mult, shift = Q.requant_multiplier ~in_a:x.T.quant ~in_b:weight.T.quant ~out:out_q in
+    (* the activation table as signed values, indexed by the raw byte *)
+    let table =
+      match act with
+      | None -> None
+      | Some a ->
+        Some (Array.map (fun v -> Sat.sign_extend ~bits:8 v) (Lut.of_act ~in_q:out_q ~out_q a))
+    in
+    let xd = x.T.data and wd = weight.T.data in
+    (* the unchecked accesses below rely on data matching dims *)
+    if Array.length xd <> n * h * w * c || Array.length wd <> kh * kw * c then
+      invalid_arg "dwconv: tensor data does not match its dims";
     let out = Array.make (n * oh * ow * c) 0 in
+    let acc = Array.make c 0 in
     for b = 0 to n - 1 do
       for oy = 0 to oh - 1 do
+        let y0 = (oy * stride) - pad_h in
+        let ky_lo = max 0 (-y0) and ky_hi = min (kh - 1) (h - 1 - y0) in
         for ox = 0 to ow - 1 do
-          for ch = 0 to c - 1 do
-            let acc = ref 0 in
-            for ky = 0 to kh - 1 do
-              for kx = 0 to kw - 1 do
-                let iy = (oy * stride) + ky - pad_h and ix = (ox * stride) + kx - pad_w in
-                if iy >= 0 && iy < h && ix >= 0 && ix < w then
-                  acc :=
-                    !acc
-                    + (x.T.data.((((((b * h) + iy) * w) + ix) * c) + ch)
-                      * weight.T.data.((((ky * kw) + kx) * c) + ch))
+          let x0 = (ox * stride) - pad_w in
+          let kx_lo = max 0 (-x0) and kx_hi = min (kw - 1) (w - 1 - x0) in
+          Array.fill acc 0 c 0;
+          for ky = ky_lo to ky_hi do
+            for kx = kx_lo to kx_hi do
+              let xi = ((((b * h) + y0 + ky) * w) + x0 + kx) * c
+              and wi = ((ky * kw) + kx) * c in
+              for ch = 0 to c - 1 do
+                Array.unsafe_set acc ch
+                  (Array.unsafe_get acc ch
+                  + (Array.unsafe_get xd (xi + ch) * Array.unsafe_get wd (wi + ch)))
               done
-            done;
-            out.((((((b * oh) + oy) * ow) + ox) * c) + ch) <-
-              Sat.requantize !acc ~mult ~shift ~zero:0
-          done
+            done
+          done;
+          let oi = ((((b * oh) + oy) * ow) + ox) * c in
+          match table with
+          | None ->
+            for ch = 0 to c - 1 do
+              Array.unsafe_set out (oi + ch) (requantize8 (Array.unsafe_get acc ch) ~mult ~shift)
+            done
+          | Some t ->
+            for ch = 0 to c - 1 do
+              let q = requantize8 (Array.unsafe_get acc ch) ~mult ~shift in
+              Array.unsafe_set out (oi + ch) (Array.unsafe_get t (q land 0xff))
+            done
         done
       done
     done;
-    let out = apply_act_opt ~out_q act out in
     T.of_array ~quant:out_q [| n; oh; ow; c |] out
   | _ -> invalid_arg "dwconv: NHWC input expected"
 
@@ -436,14 +477,14 @@ let pad_spatial (x : T.t) ~pad =
   | [| n; h; w; c |] ->
     let oh = h + (2 * pad) and ow = w + (2 * pad) in
     let out = Array.make (n * oh * ow * c) 0 in
+    (* each input row lands whole, [pad] pixels in *)
     for b = 0 to n - 1 do
       for y = 0 to h - 1 do
-        for xx = 0 to w - 1 do
-          for ch = 0 to c - 1 do
-            out.((((((b * oh) + y + pad) * ow) + xx + pad) * c) + ch) <-
-              x.T.data.((((((b * h) + y) * w) + xx) * c) + ch)
-          done
-        done
+        Array.blit x.T.data
+          (((b * h) + y) * w * c)
+          out
+          (((((b * oh) + y + pad) * ow) + pad) * c)
+          (w * c)
       done
     done;
     T.of_array ~quant:x.T.quant [| n; oh; ow; c |] out

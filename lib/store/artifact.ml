@@ -50,10 +50,11 @@ type t = {
       (** packed VLIW program of each node's chosen plan, for the nodes
           lowered to the SIMD unit; a loaded artifact decodes its
           programs section only when this is forced *)
-  selection_seconds : float;  (** wall time the original global selection took *)
 }
 
-let version = 3
+(* Version 4 stores no wall time, so two compiles of one request write
+   the same bytes. *)
+let version = 4
 let magic = "GCD2ART\n"
 
 (* The payload is decoded with [Marshal.from_string], which is not
@@ -70,8 +71,7 @@ let layout =
   "graph=Gcd2_graph.Graph.t(Op.t,Tensor.t,Quant.t);\
    plans=Gcd2_cost.Plan.t(Layout.t,Simd.t,Unroll.t{un,ug,abuf,wbuf}) array array;\
    assignment=int array;objective=float;\
-   report=Gcd2_cost.Graphcost.report;\
-   selection_seconds=float|\
+   report=Gcd2_cost.Graphcost.report|\
    programs=Gcd2_isa.Program.t(Packet.t,Instr.t) option array"
 
 let version_word =
@@ -107,9 +107,7 @@ let to_bytes t =
   if String.length t.digest <> digest_hex_len then
     invalid_arg "Artifact.to_bytes: digest must be 32 hex chars";
   let record =
-    Marshal.to_string
-      (t.graph, t.plans, t.assignment, t.objective, t.report, t.selection_seconds)
-      []
+    Marshal.to_string (t.graph, t.plans, t.assignment, t.objective, t.report) []
   in
   let programs = Marshal.to_string (Lazy.force t.programs) [] in
   let len = String.length record + String.length programs in
@@ -155,7 +153,7 @@ let of_string ?expect_digest s =
     let programs_at = header_len + size header_len in
     (record, programs_at, programs_at + size programs_at)
   with
-  | (graph, plans, assignment, objective, report, selection_seconds), programs_at, stop ->
+  | (graph, plans, assignment, objective, report), programs_at, stop ->
     let n = Graph.size graph in
     let* () =
       check
@@ -168,7 +166,7 @@ let of_string ?expect_digest s =
          if Array.length programs <> n then failwith "Artifact: programs do not match the graph";
          programs)
     in
-    Ok { digest; graph; plans; assignment; objective; report; programs; selection_seconds }
+    Ok { digest; graph; plans; assignment; objective; report; programs }
   | exception _ -> Error "undecodable payload"
 
 let of_bytes ?expect_digest b = of_string ?expect_digest (Bytes.to_string b)

@@ -44,8 +44,18 @@ let find_or_add t key f =
     (* Computed outside the lock: a racing domain may duplicate the work,
        but the value is deterministic in the key, so whichever insert wins
        stores the same answer — and costing runs are far too long to
-       serialize behind one global mutex. *)
+       serialize behind one global mutex.  The stored value is returned,
+       not this domain's copy, so equal keys always share one physical
+       value: [Marshal], which keeps sharing, then writes the same bytes
+       whichever domain won. *)
     let v = f () in
-    locked t.lock (fun () -> if not (Hashtbl.mem t.tbl key) then Hashtbl.add t.tbl key v);
+    let stored =
+      locked t.lock (fun () ->
+          match Hashtbl.find_opt t.tbl key with
+          | Some w -> w
+          | None ->
+            Hashtbl.add t.tbl key v;
+            v)
+    in
     Trace.count "memo-misses" 1;
-    v
+    stored

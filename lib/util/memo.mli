@@ -60,7 +60,9 @@ val name : ('a, 'b) t -> string
 val size : ('a, 'b) t -> int
 
 (** [find_or_add t key f] — the memoized value of [key], computing it
-    with [f] on first use.  Records a [memo-hits] or [memo-misses]
+    with [f] on first use.  Equal keys always get the one stored value:
+    when a racing domain stored its own first, that value is returned and
+    this call's copy dropped.  Records a [memo-hits] or [memo-misses]
     ambient trace count. *)
 val find_or_add : ('a, 'b) t -> 'a -> (unit -> 'b) -> 'b
 

@@ -782,13 +782,17 @@ let translate_instr t ~tables (instr : Instr.t) : exec_fn =
         c.macs <- c.macs + 128;
         let rv = Array.unsafe_get s rti in
         let b0 = sbyte rv 0 and b1 = sbyte rv 1 and b2 = sbyte rv 2 and b3 = sbyte rv 3 in
+        (* a lane whose source word is 0 adds 0, and [p32] of the
+           unchanged lane rewrites its own bytes, so it is left as it is:
+           the zero-padded rows of an m = 1 panel skip 31 lanes of 32 *)
         for l = 0 to 31 do
           let i = 4 * l in
-          p32 dst i
-            (g32 dst i + (s8 src i * b0)
-            + (s8 src (i + 1) * b1)
-            + (s8 src (i + 2) * b2)
-            + (s8 src (i + 3) * b3))
+          if g32 src i <> 0 then
+            p32 dst i
+              (g32 dst i + (s8 src i * b0)
+              + (s8 src (i + 1) * b1)
+              + (s8 src (i + 2) * b2)
+              + (s8 src (i + 3) * b3))
         done
     | _ -> fallback)
   | Instr.Vscale (vd, vs, mult, shift) -> (

@@ -157,6 +157,94 @@ let test_graph_run_missing_input () =
   Alcotest.check_raises "missing input" (Invalid_argument "Interp.run: missing input 0")
     (fun () -> ignore (Interp.run g ~inputs:[]))
 
+(* ---- host operators against the per-element loops they replaced ---- *)
+
+(* The oracle depthwise convolution: every tap of every channel tested
+   against the input bounds, [Sat.requantize] and [Lut.apply] per element
+   in a second pass. *)
+let oracle_depthwise (x : T.t) ~(weight : T.t) ~kh ~kw ~stride ~pad ~act ~out_q =
+  let n, h, w, c = match x.T.dims with [| n; h; w; c |] -> (n, h, w, c) | _ -> assert false in
+  let pad_h = if kh = 1 then 0 else pad and pad_w = if kw = 1 then 0 else pad in
+  let oh = ((h + (2 * pad_h) - kh) / stride) + 1 in
+  let ow = ((w + (2 * pad_w) - kw) / stride) + 1 in
+  let mult, shift = Q.requant_multiplier ~in_a:x.T.quant ~in_b:weight.T.quant ~out:out_q in
+  let out = Array.make (n * oh * ow * c) 0 in
+  for b = 0 to n - 1 do
+    for oy = 0 to oh - 1 do
+      for ox = 0 to ow - 1 do
+        for ch = 0 to c - 1 do
+          let acc = ref 0 in
+          for ky = 0 to kh - 1 do
+            for kx = 0 to kw - 1 do
+              let iy = (oy * stride) + ky - pad_h and ix = (ox * stride) + kx - pad_w in
+              if iy >= 0 && iy < h && ix >= 0 && ix < w then
+                acc :=
+                  !acc
+                  + (x.T.data.((((((b * h) + iy) * w) + ix) * c) + ch)
+                    * weight.T.data.((((ky * kw) + kx) * c) + ch))
+            done
+          done;
+          out.((((((b * oh) + oy) * ow) + ox) * c) + ch) <-
+            Sat.requantize !acc ~mult ~shift ~zero:0
+        done
+      done
+    done
+  done;
+  let out =
+    match act with
+    | None -> out
+    | Some a ->
+      let table = Lut.of_act ~in_q:out_q ~out_q a in
+      Array.map (fun q -> Lut.apply table q) out
+  in
+  T.of_array ~quant:out_q [| n; oh; ow; c |] out
+
+let oracle_pad (x : T.t) ~pad =
+  let n, h, w, c = match x.T.dims with [| n; h; w; c |] -> (n, h, w, c) | _ -> assert false in
+  let oh = h + (2 * pad) and ow = w + (2 * pad) in
+  let out = Array.make (n * oh * ow * c) 0 in
+  for b = 0 to n - 1 do
+    for y = 0 to h - 1 do
+      for xx = 0 to w - 1 do
+        for ch = 0 to c - 1 do
+          out.((((((b * oh) + y + pad) * ow) + xx + pad) * c) + ch) <-
+            x.T.data.((((((b * h) + y) * w) + xx) * c) + ch)
+        done
+      done
+    done
+  done;
+  T.of_array ~quant:x.T.quant [| n; oh; ow; c |] out
+
+let qcheck_host_ops_match_oracle =
+  QCheck.Test.make ~name:"depthwise conv and pad equal their per-element loops" ~count:300
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let kh = 1 + Rng.int rng 5 and kw = 1 + Rng.int rng 5 in
+      let stride = 1 + Rng.int rng 2 and pad = Rng.int rng 3 in
+      (* the input covers the kernel once padded *)
+      let h = max 1 (kh - (2 * pad)) + Rng.int rng 7 in
+      let w = max 1 (kw - (2 * pad)) + Rng.int rng 7 in
+      let n = 1 + Rng.int rng 2 and c = 1 + Rng.int rng 19 in
+      (* int8 values, with -128 (the asymmetric extreme) drawn often *)
+      let int8 () = if Rng.int rng 8 = 0 then -128 else Rng.int rng 256 - 128 in
+      let x =
+        T.of_array ~quant:(Q.make (0.01 +. Rng.float rng)) [| n; h; w; c |]
+          (Array.init (n * h * w * c) (fun _ -> int8 ()))
+      in
+      let weight =
+        T.of_array ~quant:(Q.make (0.001 +. (0.1 *. Rng.float rng))) [| kh; kw; c |]
+          (Array.init (kh * kw * c) (fun _ -> int8 ()))
+      in
+      let act = [| None; Some Op.A_relu; Some Op.A_relu6; Some Op.A_hswish |].(Rng.int rng 4) in
+      let out_q = Q.make (0.01 +. (0.2 *. Rng.float rng)) in
+      let got = Interp.depthwise_conv2d x ~weight ~kh ~kw ~stride ~pad ~act ~out_q in
+      let want = oracle_depthwise x ~weight ~kh ~kw ~stride ~pad ~act ~out_q in
+      if not (T.equal_data got want) then
+        QCheck.Test.fail_reportf "dwconv n=%d h=%d w=%d c=%d k=%dx%d s=%d p=%d" n h w c kh kw
+          stride pad;
+      T.equal_data (Interp.pad_spatial x ~pad) (oracle_pad x ~pad))
+
 let tests =
   [
     Alcotest.test_case "matmul hand-computed" `Quick test_matmul_hand_computed;
@@ -175,4 +263,5 @@ let tests =
     Alcotest.test_case "lut consistency" `Quick test_lut_consistency;
     Alcotest.test_case "unary specs" `Quick test_unary_spec_covers_unaries;
     Alcotest.test_case "missing input error" `Quick test_graph_run_missing_input;
+    QCheck_alcotest.to_alcotest qcheck_host_ops_match_oracle;
   ]

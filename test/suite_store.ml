@@ -390,7 +390,8 @@ let test_old_version_is_rewritten () =
         art.Artifact.objective,
         art.Artifact.report,
         Lazy.force art.Artifact.programs,
-        art.Artifact.selection_seconds )
+        (* the old format's stored selection wall time *)
+        0.25 )
       []
   in
   let b = Buffer.create (Artifact.header_len + String.length payload) in
@@ -666,6 +667,24 @@ let test_zoo_roundtrip () =
         (e.Zoo.name ^ ": warm assignment identical")
         cold.Compiler.assignment warm.Compiler.assignment)
     Zoo.all
+
+(* Two cold compiles of one request write the same bytes, whatever the
+   worker count: the entry holds no wall time, and memo values that
+   racing domains both computed are shared, so [Marshal] writes one
+   sharing graph. *)
+let test_cold_compiles_byte_identical () =
+  List.iter
+    (fun name ->
+      let entry jobs =
+        Gcd2_util.Memo.clear_all ();
+        let dir = temp_dir () in
+        ignore (Compiler.compile ~jobs ~cache_dir:dir (Zoo.build name));
+        read_file (only_entry dir)
+      in
+      let one = entry 1 in
+      check_bool (name ^ ": jobs 1 twice") true (String.equal one (entry 1));
+      check_bool (name ^ ": jobs 1 = jobs 2") true (String.equal one (entry 2)))
+    [ "MobileNet-V3"; "EfficientDet-d0"; "Conformer" ]
 
 (* ------------------------------------------------------------------ *)
 (* Shape bucketing: sequence lengths in one bucket build the same padded
@@ -974,6 +993,8 @@ let tests =
       test_save_fault_leaves_no_debris;
     Alcotest.test_case "bucketed sequence lengths share entries" `Quick
       test_bucketed_entries_shared;
+    Alcotest.test_case "cold compiles write identical bytes at any jobs" `Quick
+      test_cold_compiles_byte_identical;
     Alcotest.test_case "janitor sweeps debris, quarantine and stale leases" `Quick
       test_janitor_sweeps_debris;
     Alcotest.test_case "janitor evicts LRU down to the byte budget" `Quick

@@ -6,6 +6,8 @@ module Pack = Gcd2_tensor.Pack
 module Quant = Gcd2_tensor.Quant
 module T = Gcd2_tensor.Tensor
 module Rng = Gcd2_util.Rng
+module Simd = Gcd2_codegen.Simd
+module Weights = Gcd2_codegen.Weights
 
 let desc = Gcd2_devices.Desc.hexagon698
 
@@ -134,6 +136,145 @@ let qcheck_offsets_bijective =
       done;
       !ok)
 
+(* ---- staging = Figure 2, element by element ---- *)
+
+(* The oracle: every element placed by [Layout.offset] (the Figure 2
+   definition), the region zeroed first — the per-element loops the
+   staging walker replaced.  [lcols] is the column count the layout is
+   padded for ([cols], or the kernel's padded K for activations). *)
+let oracle_store layout ~rows ~cols ~lcols get dst off =
+  Bytes.fill dst off (Layout.padded_bytes ~desc layout ~rows ~cols:lcols) '\000';
+  for r = 0 to rows - 1 do
+    for c = 0 to cols - 1 do
+      Bytes.set_uint8 dst
+        (off + Layout.offset ~desc layout ~rows ~cols:lcols ~r ~c)
+        (get ((r * cols) + c) land 0xff)
+    done
+  done
+
+let oracle_load layout ~rows ~cols src off =
+  Array.init (rows * cols) (fun i ->
+      Bytes.get_int8 src (off + Layout.offset ~desc layout ~rows ~cols ~r:(i / cols) ~c:(i mod cols)))
+
+(* The weight prepacking oracle: byte [j] of word (g, n) holds weight
+   [4g + order.(j)], looked up per byte. *)
+let oracle_prepack simd ~k ~n get dst off =
+  let kp, _ = Weights.padded_kn simd ~k ~n in
+  let groups = kp / 4 in
+  let order = match simd with Simd.I_vmpa -> [| 0; 2; 1; 3 |] | _ -> [| 0; 1; 2; 3 |] in
+  Bytes.fill dst off (Weights.prepacked_bytes simd ~k ~n) '\000';
+  for nn = 0 to n - 1 do
+    for g = 0 to groups - 1 do
+      for j = 0 to 3 do
+        let kk = (4 * g) + order.(j) in
+        if kk < k then
+          Bytes.set_uint8 dst (off + (4 * ((nn * groups) + g)) + j) (get kk nn land 0xff)
+      done
+    done
+  done
+
+let qcheck_staging_matches_fig2 =
+  QCheck.Test.make ~name:"staging places every element as Figure 2" ~count:300
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let int8 () = Rng.int rng 256 - 128 in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      (* a dirty buffer with the window at a random offset; [check] then
+         compares it whole against the oracle's, so bytes outside the
+         window must be untouched and padding zero *)
+      let dirty size =
+        let off = Rng.int rng 40 in
+        let b = Bytes.init (off + size + Rng.int rng 40) (fun _ -> Char.chr (Rng.int rng 256)) in
+        (b, off)
+      in
+      let check what (b, off) stage oracle =
+        let want = Bytes.copy b in
+        stage b off;
+        oracle want off;
+        if not (Bytes.equal b want) then fail "%s: bytes differ from the oracle" what
+      in
+      let not_multiple unit = (unit * Rng.int rng 3) + 1 + Rng.int rng (max 1 (unit - 1)) in
+      List.iter
+        (fun layout ->
+          let name = Layout.name layout in
+          let rows = not_multiple (Layout.panel_rows ~desc layout) in
+          let cols = not_multiple (4 * Layout.column_group layout) in
+          let g = Layout.column_group layout in
+          let pcols = Gcd2_util.Stats.round_up (cols + 1) g + (g * Rng.int rng 3) in
+          let data = Array.init (rows * cols) (fun _ -> int8 ()) in
+          let size = Layout.padded_bytes ~desc layout ~rows ~cols in
+          let get i = data.(i) in
+          let ((b, off) as win) = dirty size in
+          check (name ^ " store") win
+            (fun b off -> Pack.store layout ~rows ~cols data b off)
+            (oracle_store layout ~rows ~cols ~lcols:cols get);
+          if Pack.load layout ~rows ~cols b off <> data then fail "%s: load . store" name;
+          if Pack.load layout ~rows ~cols b off <> oracle_load layout ~rows ~cols b off then
+            fail "%s: load" name;
+          let out_off = Rng.int rng 5 in
+          let out = Array.make (out_off + (rows * cols) + 3) 77 in
+          Pack.load_into layout ~rows ~cols b off out out_off;
+          if Array.sub out out_off (rows * cols) <> data
+             || Array.exists (( <> ) 77) (Array.sub out 0 out_off)
+             || Array.exists (( <> ) 77) (Array.sub out (out_off + (rows * cols)) 3)
+          then fail "%s: load_into" name;
+          let buf = Pack.pack layout ~rows ~cols data in
+          let packed = Bytes.make size '\000' in
+          oracle_store layout ~rows ~cols ~lcols:cols get packed 0;
+          if buf.Pack.bytes <> Array.init size (Bytes.get_int8 packed) then fail "%s: pack" name;
+          if Pack.unpack buf <> data then fail "%s: unpack . pack" name;
+          (* padded columns, a source offset, a broadcast source *)
+          let src_off = Rng.int rng 7 in
+          let big = Array.init (src_off + (rows * cols) + 5) (fun _ -> int8 ()) in
+          check (name ^ " store ~pcols ~src_off")
+            (dirty (Layout.padded_bytes ~desc layout ~rows ~cols:pcols))
+            (fun b off -> Pack.store ~pcols ~src_off layout ~rows ~cols big b off)
+            (oracle_store layout ~rows ~cols ~lcols:pcols (fun i -> big.(src_off + i)));
+          let nb = 1 + Rng.int rng (2 * cols) in
+          let small = Array.init nb (fun _ -> int8 ()) in
+          check (name ^ " store_broadcast") (dirty size)
+            (fun b off -> Pack.store_broadcast layout ~rows ~cols small b off)
+            (oracle_store layout ~rows ~cols ~lcols:cols (fun i -> small.(i mod nb))))
+        Layout.all;
+      List.iter
+        (fun simd ->
+          let name = Simd.name simd in
+          let layout = Simd.layout simd in
+          let m = not_multiple (Layout.panel_rows ~desc layout) in
+          let k = not_multiple 4 and n = not_multiple (Layout.column_group layout) in
+          let kp, _ = Weights.padded_kn simd ~k ~n in
+          let src_off = Rng.int rng 7 in
+          let a = Array.init (src_off + (m * k)) (fun _ -> int8 ()) in
+          let act = Array.sub a src_off (m * k) in
+          let oracle_act get = oracle_store layout ~rows:m ~cols:k ~lcols:kp get in
+          check (name ^ " store_activations")
+            (dirty (Weights.activation_bytes simd ~m ~k))
+            (fun b off -> Weights.store_activations simd ~m ~k act b off)
+            (oracle_act (fun i -> act.(i)));
+          check (name ^ " store_activations ~src_off")
+            (dirty (Weights.activation_bytes simd ~m ~k))
+            (fun b off -> Weights.store_activations ~src_off simd ~m ~k a b off)
+            (oracle_act (fun i -> a.(src_off + i)));
+          let w = Array.init (src_off + (k * n)) (fun _ -> int8 ()) in
+          let wbytes = Weights.prepacked_bytes simd ~k ~n in
+          check (name ^ " store_prepacked") (dirty wbytes)
+            (fun b off -> Weights.store_prepacked simd ~k ~n (Array.sub w src_off (k * n)) b off)
+            (oracle_prepack simd ~k ~n (fun kk nn -> w.(src_off + (kk * n) + nn)));
+          (* [w] read as the N x K transpose of the weight matrix *)
+          check (name ^ " store_prepacked ~transposed") (dirty wbytes)
+            (fun b off -> Weights.store_prepacked ~src_off ~transposed:true simd ~k ~n w b off)
+            (oracle_prepack simd ~k ~n (fun kk nn -> w.(src_off + (nn * k) + kk)));
+          let out = Array.init (m * n) (fun _ -> int8 ()) in
+          let b, off = dirty (Weights.output_bytes simd ~m ~n) in
+          oracle_store layout ~rows:m ~cols:n ~lcols:n (fun i -> out.(i)) b off;
+          if Weights.load_output simd ~m ~n b off <> out then fail "%s: load_output" name;
+          let into = Array.make ((m * n) + src_off) 0 in
+          Weights.load_output_into simd ~m ~n b off into src_off;
+          if Array.sub into src_off (m * n) <> out then fail "%s: load_output_into" name)
+        [ Simd.I_vmpy; Simd.I_vmpa; Simd.I_vrmpy ];
+      true)
+
 let tests =
   [
     Alcotest.test_case "1-column offsets (fig 2a)" `Quick test_fig2_offsets_col1;
@@ -148,4 +289,5 @@ let tests =
     Alcotest.test_case "tensor operations" `Quick test_tensor_ops;
     Alcotest.test_case "tensor saturation" `Quick test_tensor_saturates;
     QCheck_alcotest.to_alcotest qcheck_offsets_bijective;
+    QCheck_alcotest.to_alcotest qcheck_staging_matches_fig2;
   ]

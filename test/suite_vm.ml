@@ -666,7 +666,13 @@ let run_under engine seed prog =
   Machine.set_engine engine;
   let m = Machine.create ~mem_bytes () in
   let init = Rng.create (seed * 31) in
-  let data = Array.init mem_bytes (fun _ -> Rng.int8 init) in
+  (* half of the 128-byte lines are zero, so the (unaligned) vector loads
+     mix zero and nonzero 32-bit words: the translated [Vrmpy] skips the
+     lanes whose source word is 0 and must still match the reference *)
+  let zero_line = Array.init (mem_bytes / 128) (fun _ -> Rng.int init 2 = 0) in
+  let data =
+    Array.init mem_bytes (fun i -> if zero_line.(i / 128) then 0 else Rng.int8 init)
+  in
   Machine.write_i8_array m ~addr:0 data;
   let outcome = try (Machine.run m prog; "ok") with e -> Printexc.to_string e in
   Machine.set_engine saved;
@@ -753,6 +759,34 @@ let test_scratch_reuse () =
     "grown-again scratch memory is zeroed" (Array.make 1 0)
     (Machine.read_i8_array m3 ~addr:5000 ~len:1)
 
+(* An m = 1 vrmpy matmul: each 32-row panel holds one real row and 31
+   zero rows, so all but one lane of every [Vrmpy] takes the zero-word
+   path.  Results equal the reference; the counters still count every
+   lane's MACs and every packet. *)
+let test_vrmpy_zero_rows () =
+  let module Matmul = Gcd2_codegen.Matmul in
+  let module Testbench = Gcd2_codegen.Testbench in
+  let desc = Gcd2_devices.Desc.hexagon698 in
+  let mult, shift = Sat.quantize_multiplier 0.05 in
+  let m = 1 and k = 72 and n = 20 in
+  let spec =
+    { Matmul.device = desc; simd = Gcd2_codegen.Simd.I_vrmpy; m; k; n; mult; shift;
+      act_table = None; strategy = Gcd2_sched.Packer.sda; un = 4; ug = 1; abuf = 2;
+      wbuf = 2; addressing = Matmul.Bump }
+  in
+  let rng = Rng.create 11 in
+  let a = Array.init (m * k) (fun _ -> Rng.int8 rng) in
+  let w = Array.init (k * n) (fun _ -> Rng.int8 rng) in
+  let got = Testbench.run spec ~a ~w in
+  Alcotest.(check (array int))
+    "1xKxN vrmpy = Interp.matmul_i8"
+    (Gcd2_kernels.Interp.matmul_i8 ~m ~k ~n a w ~mult ~shift)
+    got.Testbench.data;
+  let prog = Testbench.program (Testbench.kernel spec) in
+  Alcotest.(check int) "macs = Program.macs" (Program.macs prog) got.Testbench.macs;
+  Alcotest.(check int) "cycles = static_cycles" (Program.static_cycles ~desc prog)
+    got.Testbench.cycles
+
 let tests =
   tests
   @ [
@@ -760,4 +794,5 @@ let tests =
       QCheck_alcotest.to_alcotest qcheck_fast_cycles_match_static;
       Alcotest.test_case "decode cache reuse" `Quick test_decode_cache_reuse;
       Alcotest.test_case "scratch machine reuse" `Quick test_scratch_reuse;
+      Alcotest.test_case "m = 1 vrmpy skips zero rows exactly" `Quick test_vrmpy_zero_rows;
     ]
