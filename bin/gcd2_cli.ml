@@ -28,7 +28,6 @@ module Fault = Gcd2_util.Fault
 module Diag = Gcd2.Diag
 module Serve = Gcd2_serve.Serve
 module Desc = Gcd2_devices.Desc
-module Place = Gcd2.Place
 
 (* ---------------- list ---------------- *)
 
@@ -210,8 +209,6 @@ let compile_run model framework selection device tune tune_verify verbose trace 
       exit 1
   in
   Fmt.pr "%a@." Compiler.pp_summary c;
-  Fmt.pr "selection: %a in %.3f s@." Compiler.pp_selection config.Compiler.selection
-    c.Compiler.selection_seconds;
   if trace then Fmt.pr "@.%a@." Compiler.pp_trace c;
   Fmt.pr "paper reports %.1f ms for GCD2 on this model@." entry.Zoo.paper_gcd2_ms;
   if verbose then begin
@@ -580,8 +577,7 @@ let client_cmd =
 let compare_infer_budget_gmacs = 2.0
 
 (* Device comparison: modeled latency of the gcd2 configuration on every
-   requested device, over one model or the whole zoo, then — for a single
-   model — the cross-device placement the joint selection problem picks. *)
+   requested device, over one model or the whole zoo. *)
 let compare_devices_run names model =
   let devices =
     String.split_on_char ',' names
@@ -628,15 +624,7 @@ let compare_devices_run names model =
       if i > 0 then
         Fmt.pr "%s: modeled latency below %s on %d/%d models@." d.Desc.name
           baseline.Desc.name wins.(i) n)
-    devices;
-  (* for a single model the per-device tables are small enough to also
-     solve the joint placement problem and show the split *)
-  match (model, devices) with
-  | Some _, _ :: _ :: _ ->
-    let g = (List.hd entries).Zoo.build () in
-    let p = Place.place ~devices g in
-    Fmt.pr "@.%a@." Place.pp p
-  | _ -> ()
+    devices
 
 let compare_run model devices force_infer =
   match devices with

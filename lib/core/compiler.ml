@@ -70,7 +70,6 @@ type compiled = {
   cost : Graphcost.t;
   assignment : int array;  (** chosen plan index per node *)
   report : Graphcost.report;
-  selection_seconds : float;  (** wall time spent in global selection; 0 for a hit *)
   trace : Trace.t;  (** per-pass wall time and counters of this compile *)
 }
 
@@ -304,8 +303,6 @@ let compiled_of config trace art =
     cost;
     assignment = solved.Solver.plans;
     report;
-    (* a cache hit ran no selection, so its select span is absent: 0 *)
-    selection_seconds = Trace.span_seconds trace (select_pass_name config);
     trace;
   }
 

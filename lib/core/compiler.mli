@@ -60,9 +60,6 @@ type compiled = {
   cost : Graphcost.t;
   assignment : int array;  (** chosen plan index per node *)
   report : Graphcost.report;
-  selection_seconds : float;
-      (** wall time spent in global selection: 0 for a cache hit, which
-          runs none *)
   trace : Trace.t;  (** per-pass wall time and counters of this compile *)
 }
 

@@ -12,12 +12,6 @@ type t = {
   problem : Problem.t;
 }
 
-(** Transformation cost [TC] along an edge, sized by the producer's output
-    tensor and priced at the device's DDR bandwidth. *)
-val edge_tc :
-  Gcd2_devices.Desc.t ->
-  Graph.t -> Plan.t array array -> int -> int -> int -> int -> float
-
 (** [build ?jobs options g] — enumerate every node's plan table and
     assemble the selection problem.  [jobs] (default 1) sets the worker
     count for the per-node enumeration ({!Gcd2_util.Pool}); it changes

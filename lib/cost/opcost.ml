@@ -22,7 +22,7 @@ module Op = Gcd2_graph.Op
 module Desc = Gcd2_devices.Desc
 open Gcd2_graph
 
-type unroll_mode = [ `None | `Out of int | `Mid of int | `Adaptive | `Exhaustive ]
+type unroll_mode = [ `None | `Out of int | `Adaptive ]
 
 type options = {
   device : Desc.t;
@@ -113,9 +113,7 @@ let unroll_for options base_spec ~m ~k ~n =
     match options.unroll_mode with
     | `Adaptive -> Unroll.adaptive simd ~m ~k ~n
     | `None -> Unroll.none simd ~k ~n
-    | `Out f -> Unroll.fixed_out simd ~k ~n ~factor:f
-    | `Mid f -> Unroll.fixed_mid simd ~k ~n ~factor:f
-    | `Exhaustive -> Unroll.exhaustive base_spec)
+    | `Out f -> Unroll.fixed_out simd ~k ~n ~factor:f)
 
 (** One plan per candidate SIMD instruction for a (possibly batched)
     matmul of [m] x [k] x [n], with optional fused activation, extra

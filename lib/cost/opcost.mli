@@ -11,7 +11,7 @@ module Packer = Gcd2_sched.Packer
 module Graph = Gcd2_graph.Graph
 module Op = Gcd2_graph.Op
 
-type unroll_mode = [ `None | `Out of int | `Mid of int | `Adaptive | `Exhaustive ]
+type unroll_mode = [ `None | `Out of int | `Adaptive ]
 
 type options = {
   device : Gcd2_devices.Desc.t;

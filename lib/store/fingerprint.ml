@@ -137,9 +137,7 @@ let add_unroll_mode buf (m : Opcost.unroll_mode) =
   match m with
   | `None -> add buf "none"
   | `Out f -> add buf (Printf.sprintf "out:%d" f)
-  | `Mid f -> add buf (Printf.sprintf "mid:%d" f)
   | `Adaptive -> add buf "adaptive"
-  | `Exhaustive -> add buf "exhaustive"
 
 let add_tune buf = function
   | None -> add buf "-"

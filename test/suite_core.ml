@@ -287,11 +287,6 @@ let test_selection_costs_ordered () =
   Alcotest.(check bool) "optimal <= partitioned" true (ms optimal <= ms partitioned +. 1e-9);
   Alcotest.(check bool) "partitioned <= local" true (ms partitioned <= ms local +. 1e-9)
 
-let test_selection_time_recorded () =
-  let g = weighted_cnn 3 in
-  let c = Compiler.compile g in
-  Alcotest.(check bool) "non-negative" true (c.Compiler.selection_seconds >= 0.0)
-
 let test_latency_positive () =
   let c = Compiler.compile (weighted_cnn 4) in
   Alcotest.(check bool) "latency > 0" true (Compiler.latency_ms c > 0.0)
@@ -345,7 +340,6 @@ let tests =
       test_all_selections_agree_functionally;
     Alcotest.test_case "fusion reduces node count" `Quick test_fusion_reduces_nodes;
     Alcotest.test_case "selection quality ordering" `Quick test_selection_costs_ordered;
-    Alcotest.test_case "selection time recorded" `Quick test_selection_time_recorded;
     Alcotest.test_case "latency positive" `Quick test_latency_positive;
     Alcotest.test_case "jobs is semantically inert" `Quick test_jobs_semantically_inert;
     QCheck_alcotest.to_alcotest qcheck_runtime_equivalence;

@@ -1,13 +1,12 @@
 (* Tests for the machine descriptors (Gcd2_devices.Desc) and everything
    the descriptor threads through: bit-identity of every built-in device
    with its pinned zoo goldens (hexagon698's are the historical
-   constants), cross-device cost ordering, memo-key separation, slot
-   monotonicity, and the cross-device placement pass. *)
+   constants), cross-device cost ordering, memo-key separation and slot
+   monotonicity. *)
 
 module Desc = Gcd2_devices.Desc
 module Zoo = Gcd2_models.Zoo
 module Compiler = Gcd2.Compiler
-module Place = Gcd2.Place
 module Graphcost = Gcd2_cost.Graphcost
 module Streams = Gcd2_cost.Streams
 module Plan = Gcd2_cost.Plan
@@ -274,7 +273,8 @@ let qcheck_bandwidth_monotone =
       Plan.cycles ~desc:Desc.hexagon_g2 plan <= Plan.cycles ~desc:Desc.hexagon698 plan)
 
 (* ------------------------------------------------------------------ *)
-(* The placement pass *)
+(* Every built-in device must behave, whichever one GCD2_DEVICE picks for
+   the CLI. *)
 
 let weight_q = Q.make (1.0 /. 64.0)
 
@@ -289,52 +289,6 @@ let small_cnn seed =
   let c2 = B.conv2d ~weight:w2 b r1 ~kh:1 ~kw:1 ~stride:1 ~pad:0 ~cout:8 in
   let _ = B.add b Op.Add [ r1; c2 ] in
   B.finish b
-
-(* With a single device the joint problem degenerates to the ordinary
-   single-device selection, so the placement must reproduce the
-   compiler's assignment exactly.  (Placement costs the graph as given;
-   compare against a compile with the graph optimizer off.) *)
-let test_place_single_device_degenerates () =
-  let g = small_cnn 1 in
-  let c =
-    Compiler.compile
-      ~config:{ Compiler.default with Compiler.optimize_graph = false }
-      g
-  in
-  let p = Place.place ~devices:[ Desc.hexagon698 ] g in
-  check_bool "every node on the only device" true
-    (Array.for_all
-       (fun (ch : Place.choice) -> ch.Place.device.Desc.name = "hexagon698")
-       p.Place.choices);
-  Alcotest.(check (array int))
-    "plan choices match the single-device compile" c.Compiler.assignment
-    (Array.map (fun (ch : Place.choice) -> ch.Place.plan) p.Place.choices)
-
-let test_place_two_devices () =
-  let g = small_cnn 2 in
-  let p = Place.place ~devices:[ Desc.hexagon698; Desc.hexagon_g2 ] g in
-  let n = Graph.size g in
-  Alcotest.(check int) "one choice per node" n (Array.length p.Place.choices);
-  Alcotest.(check int)
-    "per-device counts sum to the node count" n
-    (List.fold_left (fun acc (_, k) -> acc + k) 0 p.Place.per_device);
-  check_bool "objective is positive and finite" true
-    (p.Place.objective > 0.0 && Float.is_finite p.Place.objective);
-  Array.iter
-    (fun (ch : Place.choice) ->
-      check_bool "chosen device is one of the offered" true
-        (List.mem ch.Place.device.Desc.name [ "hexagon698"; "hexagon-g2" ]);
-      check_bool "node cycles finite" true
-        (Float.is_finite ch.Place.cycles && ch.Place.cycles >= 0.0))
-    p.Place.choices;
-  check_bool "empty device list rejected" true
-    (match Place.place ~devices:[] g with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
-(* ------------------------------------------------------------------ *)
-(* Every built-in device must behave, whichever one GCD2_DEVICE picks for
-   the CLI. *)
 
 let test_builtin_devices_compile () =
   let g = small_cnn 3 in
@@ -365,9 +319,6 @@ let tests =
     QCheck_alcotest.to_alcotest qcheck_slot_monotone;
     QCheck_alcotest.to_alcotest qcheck_wider_vector_streams;
     QCheck_alcotest.to_alcotest qcheck_bandwidth_monotone;
-    Alcotest.test_case "place: single device degenerates to selection" `Quick
-      test_place_single_device_degenerates;
-    Alcotest.test_case "place: two devices" `Quick test_place_two_devices;
     Alcotest.test_case "every built-in device compiles" `Quick
       test_builtin_devices_compile;
   ]

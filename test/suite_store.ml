@@ -155,6 +155,25 @@ let test_fingerprint_disable_and_derived_ops () =
   Alcotest.(check bool) "supported differing only on fused ops changes the digest" false
     (digest = Compiler.fingerprint reject_fused (weighted_cnn 1))
 
+(* Every cache entry is keyed by its request digest, so a change to the
+   rendering re-keys the whole store.  Pin the digests of one zoo model
+   under each live unroll mode ([`Adaptive], [`Out 2], [`None]) and on
+   the second device, so that such a change fails here rather than
+   passing silently; a deliberate one also bumps the request version. *)
+let test_fingerprint_pinned () =
+  let g = Zoo.build "MobileNet-V3" in
+  List.iter
+    (fun (what, config, digest) ->
+      Alcotest.(check string) what digest (Compiler.fingerprint config g))
+    [
+      ("default", Compiler.default, "5ed6b67b4d51f6a72bc2235f26afc5ed");
+      ("tflite", Gcd2_frameworks.Framework.tflite, "9fd3579e7134b5d8bb2b1a1fa068bc6c");
+      ("no_opt", Gcd2_frameworks.Framework.no_opt, "30f36b75cd0bba19716eaa5740fbdedf");
+      ( "hexagon-g2",
+        Compiler.with_device Gcd2_devices.Desc.hexagon_g2 Compiler.default,
+        "00647be2091376d860434486fcd04ea0" );
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Serialization round-trip *)
 
@@ -437,8 +456,6 @@ let test_digest_lookup () =
     Alcotest.(check (array int)) "assignment" cold.Compiler.assignment c.Compiler.assignment;
     Alcotest.(check (float 0.0)) "latency" (Compiler.latency_ms cold) (Compiler.latency_ms c);
     check_bool "report" true (warm.Compiler.report = c.Compiler.report);
-    Alcotest.(check (float 0.0)) "selection seconds" warm.Compiler.selection_seconds
-      c.Compiler.selection_seconds;
     check_bool "plan tables" true
       (warm.Compiler.cost.Gcd2_cost.Graphcost.plans = c.Compiler.cost.Gcd2_cost.Graphcost.plans);
     check_int "graph" (Graph.size warm.Compiler.graph) (Graph.size c.Compiler.graph);
@@ -969,6 +986,7 @@ let tests =
       test_fingerprint_separates_devices;
     Alcotest.test_case "fingerprint: disable list and derived ops" `Quick
       test_fingerprint_disable_and_derived_ops;
+    Alcotest.test_case "request digests are pinned" `Quick test_fingerprint_pinned;
     Alcotest.test_case "job counts share cache entries" `Quick
       test_jobs_share_cache_entries;
     Alcotest.test_case "disabled passes do not share entries" `Quick
