@@ -24,7 +24,10 @@
       ops bounds-checked once per execution, [Vlut] tables resolved at
       decode time) and the closure is replayed on every execution — loop
       bodies are translated once and run [trip] times, and repeated
-      {!run}s of the same program reuse the cached translation.
+      {!run}s of the same program reuse the cached translation.  The
+      lane loops of [Vrmpy], [Vmpy], [Vmpyb], [Vmul], [Vaddw] and [Vpack]
+      are C (lanes.c), in the same read/write order; the others stay
+      OCaml (DESIGN.md §3e says why).
 
     Both engines produce bit-identical registers, memory and counters (a
     qcheck differential property in the suite); any instruction shape the
@@ -560,12 +563,34 @@ let interleave width slo shi dst i0 =
       p32 dst ((8 * i) + 4) (g32 shi si)
     done
 
+(* The lane loops of the multiplies, [Vaddw] and [Vpack] run in C
+   (lanes.c), over the same register windows the other closures use.
+   Arguments are tagged ints and [Bytes.t], read in place: nothing
+   allocates, so the calls are [noalloc]. *)
+external vrmpy_lanes : Bytes.t -> Bytes.t -> int -> unit = "gcd2_vm_vrmpy" [@@noalloc]
+external vmpy_lanes : Bytes.t -> Bytes.t -> Bytes.t -> int -> unit = "gcd2_vm_vmpy" [@@noalloc]
+
+external vmpyb_lanes : Bytes.t -> Bytes.t -> Bytes.t -> int -> int -> unit = "gcd2_vm_vmpyb"
+[@@noalloc]
+
+external vmul_lanes : Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> unit = "gcd2_vm_vmul"
+[@@noalloc]
+
+external vaddw_lanes : Bytes.t -> Bytes.t -> Bytes.t -> unit = "gcd2_vm_vaddw" [@@noalloc]
+
+external vpack_w32_lanes : Bytes.t -> Bytes.t -> Bytes.t -> unit = "gcd2_vm_vpack_w32"
+[@@noalloc]
+
+external vpack_w16_lanes : Bytes.t -> Bytes.t -> Bytes.t -> unit = "gcd2_vm_vpack_w16"
+[@@noalloc]
+
 (* Translate one instruction into a specialized closure.  Counter updates
    are baked in per instruction (not per packet) so that even a program
    aborted mid-packet by a bounds fault leaves counters bit-identical to
-   the reference interpreter.  Lane loops preserve the reference's exact
-   read/write order, which is what makes aliased operands (e.g. a source
-   vector inside the destination pair) behave identically. *)
+   the reference interpreter.  Lane loops, in OCaml here or in C,
+   preserve the reference's exact read/write order, which is what makes
+   aliased operands (e.g. a source vector inside the destination pair)
+   behave identically. *)
 let translate_instr t ~tables (instr : Instr.t) : exec_fn =
   let c = t.counters in
   let s = t.sregs in
@@ -710,12 +735,7 @@ let translate_instr t ~tables (instr : Instr.t) : exec_fn =
     | Some (lo, hi), Some src ->
       fun () ->
         c.instrs <- c.instrs + 1;
-        for l = 0 to 31 do
-          p32 lo (4 * l) (g32 lo (4 * l) + g16 src (2 * l))
-        done;
-        for l = 0 to 31 do
-          p32 hi (4 * l) (g32 hi (4 * l) + g16 src (64 + (2 * l)))
-        done
+        vaddw_lanes lo hi src
     | _ -> fallback)
   | Instr.Vmpy (pd, vs, rt) -> (
     match (pair_windows t pd, low_window t vs, sreg_index rt) with
@@ -723,17 +743,7 @@ let translate_instr t ~tables (instr : Instr.t) : exec_fn =
       fun () ->
         c.instrs <- c.instrs + 1;
         c.macs <- c.macs + 128;
-        let rv = Array.unsafe_get s rti in
-        let b0 = sbyte rv 0 and b1 = sbyte rv 1 and b2 = sbyte rv 2 and b3 = sbyte rv 3 in
-        (* source byte i meets weight byte [i mod 4]: even lanes j take
-           (b0, b1), odd lanes (b2, b3) *)
-        for jj = 0 to 31 do
-          let o = 4 * jj in
-          p16 lo o (clamp16 (g16 lo o + (s8 src o * b0)));
-          p16 hi o (clamp16 (g16 hi o + (s8 src (o + 1) * b1)));
-          p16 lo (o + 2) (clamp16 (g16 lo (o + 2) + (s8 src (o + 2) * b2)));
-          p16 hi (o + 2) (clamp16 (g16 hi (o + 2) + (s8 src (o + 3) * b3)))
-        done
+        vmpy_lanes lo hi src (Array.unsafe_get s rti)
     | _ -> fallback)
   | Instr.Vmpyb (pd, vs, rt, sel) -> (
     match (pair_windows t pd, low_window t vs, sreg_index rt) with
@@ -741,12 +751,7 @@ let translate_instr t ~tables (instr : Instr.t) : exec_fn =
       fun () ->
         c.instrs <- c.instrs + 1;
         c.macs <- c.macs + 128;
-        let w = sbyte (Array.unsafe_get s rti) sel in
-        for j = 0 to 63 do
-          let o = 2 * j in
-          p16 lo o (clamp16 (g16 lo o + (s8 src o * w)));
-          p16 hi o (clamp16 (g16 hi o + (s8 src (o + 1) * w)))
-        done
+        vmpyb_lanes lo hi src (Array.unsafe_get s rti) sel
     | _ -> fallback)
   | Instr.Vmul (pd, va, vbr) -> (
     match (pair_windows t pd, low_window t va, low_window t vbr) with
@@ -754,11 +759,7 @@ let translate_instr t ~tables (instr : Instr.t) : exec_fn =
       fun () ->
         c.instrs <- c.instrs + 1;
         c.macs <- c.macs + 128;
-        for j = 0 to 63 do
-          let o = 2 * j in
-          p16 lo o (clamp16 (g16 lo o + (s8 ab o * s8 bb o)));
-          p16 hi o (clamp16 (g16 hi o + (s8 ab (o + 1) * s8 bb (o + 1))))
-        done
+        vmul_lanes lo hi ab bb
     | _ -> fallback)
   | Instr.Vmpa (pd, ps, rt) -> (
     match (pair_windows t pd, pair_windows t ps, sreg_index rt) with
@@ -780,20 +781,7 @@ let translate_instr t ~tables (instr : Instr.t) : exec_fn =
       fun () ->
         c.instrs <- c.instrs + 1;
         c.macs <- c.macs + 128;
-        let rv = Array.unsafe_get s rti in
-        let b0 = sbyte rv 0 and b1 = sbyte rv 1 and b2 = sbyte rv 2 and b3 = sbyte rv 3 in
-        (* a lane whose source word is 0 adds 0, and [p32] of the
-           unchanged lane rewrites its own bytes, so it is left as it is:
-           the zero-padded rows of an m = 1 panel skip 31 lanes of 32 *)
-        for l = 0 to 31 do
-          let i = 4 * l in
-          if g32 src i <> 0 then
-            p32 dst i
-              (g32 dst i + (s8 src i * b0)
-              + (s8 src (i + 1) * b1)
-              + (s8 src (i + 2) * b2)
-              + (s8 src (i + 3) * b3))
-        done
+        vrmpy_lanes dst src (Array.unsafe_get s rti)
     | _ -> fallback)
   | Instr.Vscale (vd, vs, mult, shift) -> (
     match (low_window t vd, low_window t vs) with
@@ -825,21 +813,11 @@ let translate_instr t ~tables (instr : Instr.t) : exec_fn =
     | Some dst, Some (plo, phi), Instr.W32 ->
       fun () ->
         c.instrs <- c.instrs + 1;
-        for l = 0 to 31 do
-          p16 dst (2 * l) (clamp16 (g32 plo (4 * l)))
-        done;
-        for l = 0 to 31 do
-          p16 dst (64 + (2 * l)) (clamp16 (g32 phi (4 * l)))
-        done
+        vpack_w32_lanes dst plo phi
     | Some dst, Some (plo, phi), Instr.W16 ->
       fun () ->
         c.instrs <- c.instrs + 1;
-        for l = 0 to 63 do
-          p8 dst l (clamp8 (g16 plo (2 * l)))
-        done;
-        for l = 0 to 63 do
-          p8 dst (64 + l) (clamp8 (g16 phi (2 * l)))
-        done
+        vpack_w16_lanes dst plo phi
     | _, _, _ -> fallback)
   | Instr.Vshuff (pd, ps, width) -> (
     match (pair_windows t pd, pair_windows t ps) with

@@ -10,9 +10,12 @@
     Two engines compute these semantics: the {e reference} interpreter
     (one dispatch per executed instruction) and the {e translated} engine
     (each instruction decoded once into a closure over the concrete
-    operand [Bytes] windows, cached per program).  They produce
-    bit-identical registers, memory and counters; {!run} dispatches on the
-    global {!engine} selection, default {!Translated}. *)
+    operand [Bytes] windows, cached per program; the lane loops of
+    [Vrmpy], [Vmpy], [Vmpyb], [Vmul], [Vaddw] and [Vpack] are C, in the
+    reference's read/write order, so aliased operands agree too).  They
+    produce bit-identical registers, memory and counters; {!run}
+    dispatches on the global {!engine} selection, default
+    {!Translated}. *)
 
 open Gcd2_isa
 

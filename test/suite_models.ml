@@ -108,6 +108,53 @@ let test_wdsr_tiny_params () =
       let params = Flops.total_params g in
       Alcotest.(check bool) "small parameter count" true (params < 100_000))
 
+(* Whole-model inference pins.  A compiled zoo model with seeded random
+   weights runs on seeded inputs, and an MD5 over every node's output
+   (dims and values) is pinned, so any change to a simulator lane, a
+   kernel or the runtime that moves one output bit fails here.  One seed
+   feeds both the weights and the inputs. *)
+module T = Gcd2_tensor.Tensor
+
+let infer ?seq name seed =
+  let g = Zoo.with_random_weights ~seed (Zoo.build ?seq name) in
+  let c = Gcd2.Compiler.compile g in
+  let rng = Gcd2_util.Rng.create seed in
+  let inputs = ref [] in
+  Graph.iter
+    (fun n ->
+      match n.Graph.op with
+      | Op.Input { shape } -> inputs := (n.Graph.id, T.random rng shape) :: !inputs
+      | _ -> ())
+    c.Gcd2.Compiler.graph;
+  let inputs = List.rev !inputs in
+  (c, inputs, Gcd2.Runtime.run c ~inputs)
+
+let outputs_digest (outs : T.t array) =
+  let b = Buffer.create 4096 in
+  Array.iter
+    (fun (t : T.t) ->
+      let dims = Array.to_list (Array.map string_of_int t.T.dims) in
+      Buffer.add_string b (String.concat "x" dims);
+      Array.iter (fun v -> Buffer.add_int32_le b (Int32.of_int v)) t.T.data;
+      Buffer.add_char b ';')
+    outs;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* [interp]: the outputs must also equal the reference interpreter node
+   for node, which only models without a batched matmul do until ROADMAP
+   item 1 lands. *)
+let test_pinned_inference ?seq ?(interp = false) name want () =
+  let c, inputs, outs = infer ?seq name 1 in
+  Alcotest.(check string) (name ^ " output digest") want (outputs_digest outs);
+  if interp then begin
+    let host = Gcd2_kernels.Interp.run c.Gcd2.Compiler.graph ~inputs in
+    Array.iteri
+      (fun i t ->
+        if not (T.equal_data t host.(i)) then
+          Alcotest.failf "node %d differs from Interp.run" i)
+      outs
+  end
+
 let tests =
   [
     Alcotest.test_case "all models build + validate" `Quick test_all_build_and_validate;
@@ -121,4 +168,10 @@ let tests =
     Alcotest.test_case "fst is conv-dominated" `Quick test_fst_macs_dominated_by_convs;
     Alcotest.test_case "zoo lookup" `Quick test_find;
     Alcotest.test_case "wdsr has tiny params" `Quick test_wdsr_tiny_params;
+    Alcotest.test_case "mobilenet-v3 inference is pinned, = Interp" `Quick
+      (test_pinned_inference ~interp:true "MobileNet-V3" "4fdd09392b87d588262c733bb705eafc");
+    Alcotest.test_case "tinybert seq 64 inference is pinned" `Quick
+      (test_pinned_inference ~seq:64 "TinyBERT" "d2193271b78825beb9cc46bfd0846dc6");
+    Alcotest.test_case "conformer seq 64 inference is pinned" `Quick
+      (test_pinned_inference ~seq:64 "Conformer" "77a361507afc750bcecfde9acf6a921c");
   ]

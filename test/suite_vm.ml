@@ -659,6 +659,21 @@ let gen_program seed =
   in
   Program.make ~tables "qcheck" (List.init (2 + Rng.int rng 3) node)
 
+(* The full observable state of a machine. *)
+let snapshot m =
+  let sregs = Array.init 32 (fun i -> Machine.get_sreg m (r i)) in
+  let vbytes =
+    Array.init 32 (fun n ->
+        Array.init 128 (fun i -> Machine.get_lane m (v n) ~width:Instr.W8 i))
+  in
+  let mem = Machine.read_i8_array m ~addr:0 ~len:(Machine.memory_size m) in
+  let c = Machine.counters m in
+  let counters =
+    (c.Machine.cycles, c.Machine.packets, c.Machine.instrs, c.Machine.macs,
+     c.Machine.loaded_bytes, c.Machine.stored_bytes)
+  in
+  (sregs, vbytes, mem, counters)
+
 (* Run [prog] on a fresh, deterministically initialized machine under
    [engine]; capture the full observable state. *)
 let run_under engine seed prog =
@@ -667,8 +682,7 @@ let run_under engine seed prog =
   let m = Machine.create ~mem_bytes () in
   let init = Rng.create (seed * 31) in
   (* half of the 128-byte lines are zero, so the (unaligned) vector loads
-     mix zero and nonzero 32-bit words: the translated [Vrmpy] skips the
-     lanes whose source word is 0 and must still match the reference *)
+     mix zero and nonzero 32-bit words *)
   let zero_line = Array.init (mem_bytes / 128) (fun _ -> Rng.int init 2 = 0) in
   let data =
     Array.init mem_bytes (fun i -> if zero_line.(i / 128) then 0 else Rng.int8 init)
@@ -676,17 +690,7 @@ let run_under engine seed prog =
   Machine.write_i8_array m ~addr:0 data;
   let outcome = try (Machine.run m prog; "ok") with e -> Printexc.to_string e in
   Machine.set_engine saved;
-  let sregs = Array.init 32 (fun i -> Machine.get_sreg m (r i)) in
-  let vbytes =
-    Array.init 32 (fun n ->
-        Array.init 128 (fun i -> Machine.get_lane m (v n) ~width:Instr.W8 i))
-  in
-  let mem = Machine.read_i8_array m ~addr:0 ~len:mem_bytes in
-  let c = Machine.counters m in
-  let counters =
-    (c.Machine.cycles, c.Machine.packets, c.Machine.instrs, c.Machine.macs,
-     c.Machine.loaded_bytes, c.Machine.stored_bytes)
-  in
+  let sregs, vbytes, mem, counters = snapshot m in
   (outcome, sregs, vbytes, mem, counters)
 
 let qcheck_translated_equals_reference =
@@ -760,10 +764,9 @@ let test_scratch_reuse () =
     (Machine.read_i8_array m3 ~addr:5000 ~len:1)
 
 (* An m = 1 vrmpy matmul: each 32-row panel holds one real row and 31
-   zero rows, so all but one lane of every [Vrmpy] takes the zero-word
-   path.  Results equal the reference; the counters still count every
+   zero rows.  Results equal the reference; the counters count every
    lane's MACs and every packet. *)
-let test_vrmpy_zero_rows () =
+let test_vrmpy_single_row () =
   let module Matmul = Gcd2_codegen.Matmul in
   let module Testbench = Gcd2_codegen.Testbench in
   let desc = Gcd2_devices.Desc.hexagon698 in
@@ -787,6 +790,97 @@ let test_vrmpy_zero_rows () =
   Alcotest.(check int) "cycles = static_cycles" (Program.static_cycles ~desc prog)
     got.Testbench.cycles
 
+(* ------------------------------------------------------------------ *)
+(* Native lanes at the edges                                           *)
+
+(* Register contents random programs reach only by chance: 16-bit lanes
+   at the saturation bounds, 32-bit lanes at the wrap, bytes of -128 and
+   127.  Each register is filled at one lane width, so a register read
+   at another width (an aliased source is read as bytes and written as
+   wider lanes) still meets edge values. *)
+let edge8 = [| -128; 127; -127; 126; -1; 0; 1 |]
+let edge16 = [| -32768; 32767; -32767; 32766; -16384; 16384; -1; 0 |]
+let edge32 = [| -0x8000_0000; 0x7fff_ffff; -0x7fff_ff00; 0x7fff_ff00; -1; 0 |]
+
+(* A machine whose registers are drawn from the edges by [seed]: equal
+   seeds give equal copies. *)
+let edge_machine seed =
+  let m = Machine.create ~mem_bytes:256 () in
+  let rng = Rng.create seed in
+  let pick a = a.(Rng.int rng (Array.length a)) in
+  for n = 0 to 31 do
+    let width, lanes, values =
+      match Rng.int rng 4 with
+      | 0 -> (Instr.W8, 128, fun () -> pick edge8)
+      | 1 -> (Instr.W16, 64, fun () -> pick edge16)
+      | 2 -> (Instr.W32, 32, fun () -> pick edge32)
+      | _ -> (Instr.W8, 128, fun () -> Rng.int rng 256 - 128)
+    in
+    for l = 0 to lanes - 1 do
+      Machine.set_lane m (v n) ~width l (values ())
+    done
+  done;
+  for n = 0 to 3 do
+    let b k = (pick edge8 land 0xff) lsl (8 * k) in
+    Machine.set_sreg m (r n) (b 0 lor b 1 lor b 2 lor b 3)
+  done;
+  m
+
+(* Each case draws a destination pair [P k] (halves [lo], [hi]), a vector
+   [other] outside it and a scalar operand, and [shapes] lists the
+   opcode's instructions over them: every alias shape.  Each instruction
+   runs twice (two packets, so accumulators go past their bounds) on two
+   copies of one edge machine, one through the translated engine and one
+   through the reference interpreter. *)
+let edge_property opcode shapes =
+  QCheck.Test.make ~name:("lanes: " ^ opcode ^ " = reference at the edges") ~count:100
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let k = Rng.int rng 16 in
+      let rec outside () =
+        let n = Rng.int rng 32 in
+        if n / 2 = k then outside () else n
+      in
+      let other = v (outside ()) and rt = r (Rng.int rng 4) in
+      List.for_all
+        (fun instr ->
+          let prog = Program.make "edges" [ Program.Block [ [ instr ]; [ instr ] ] ] in
+          let final exec =
+            let m = edge_machine seed in
+            let outcome = try (exec m prog; "ok") with e -> Printexc.to_string e in
+            (outcome, snapshot m)
+          in
+          let saved = Machine.engine () in
+          Machine.set_engine Machine.Translated;
+          let translated = final Machine.run in
+          Machine.set_engine saved;
+          translated = final Machine.run_reference
+          || QCheck.Test.fail_reportf "%a differs from the reference" Instr.pp instr)
+        (shapes ~pd:(p k) ~lo:(v (2 * k)) ~hi:(v ((2 * k) + 1)) ~other ~rt))
+
+let edge_properties =
+  [
+    edge_property "vrmpy" (fun ~pd:_ ~lo ~hi:_ ~other ~rt ->
+        [ Instr.Vrmpy (lo, lo, rt); Instr.Vrmpy (lo, other, rt) ]);
+    edge_property "vmpy" (fun ~pd ~lo ~hi ~other ~rt ->
+        List.map (fun vs -> Instr.Vmpy (pd, vs, rt)) [ lo; hi; other ]);
+    edge_property "vmpyb" (fun ~pd ~lo ~hi ~other ~rt ->
+        (* selector 4 is out of range: it takes the reference fallback *)
+        List.concat_map
+          (fun sel -> List.map (fun vs -> Instr.Vmpyb (pd, vs, rt, sel)) [ lo; hi; other ])
+          [ 0; 1; 2; 3; 4 ]);
+    edge_property "vmul" (fun ~pd ~lo ~hi ~other ~rt:_ ->
+        let srcs = [ lo; hi; other ] in
+        List.concat_map (fun a -> List.map (fun b -> Instr.Vmul (pd, a, b)) srcs) srcs);
+    edge_property "vaddw" (fun ~pd ~lo ~hi ~other ~rt:_ ->
+        List.map (fun vs -> Instr.Vaddw (pd, vs)) [ lo; hi; other ]);
+    edge_property "vpack" (fun ~pd ~lo ~hi ~other ~rt:_ ->
+        List.concat_map
+          (fun w -> List.map (fun vd -> Instr.Vpack (vd, pd, w)) [ lo; hi; other ])
+          [ Instr.W32; Instr.W16 ]);
+  ]
+
 let tests =
   tests
   @ [
@@ -794,5 +888,7 @@ let tests =
       QCheck_alcotest.to_alcotest qcheck_fast_cycles_match_static;
       Alcotest.test_case "decode cache reuse" `Quick test_decode_cache_reuse;
       Alcotest.test_case "scratch machine reuse" `Quick test_scratch_reuse;
-      Alcotest.test_case "m = 1 vrmpy skips zero rows exactly" `Quick test_vrmpy_zero_rows;
+      Alcotest.test_case "single-row vrmpy matmul: Interp, macs, cycles" `Quick
+        test_vrmpy_single_row;
     ]
+  @ List.map QCheck_alcotest.to_alcotest edge_properties
