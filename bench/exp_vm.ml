@@ -27,10 +27,23 @@ module B = Graph.Builder
 
 (* One instruction per packet, replayed by a hardware loop: the loop body
    is translated once and executed [trip] times, so the measured rate is
-   the steady-state per-instruction cost of each engine. *)
+   the steady-state per-instruction cost of each engine.  Every Valu op
+   at every width, on vectors and on a pair, and the aliased shapes of
+   [Vscalev], [Vshuff] and [Vlut] have a row (a [Vshuff] with pd = ps
+   copies its source first), so the smoke runs every C path of the lane
+   functions in the clone the host picks. *)
 let opcodes : (string * Instr.t) list =
   let r n = Reg.R n and v n = Reg.V n and p n = Reg.P n in
   let at n off = { Instr.base = r n; offset = off } in
+  let valu =
+    List.concat_map
+      (fun (name, op) ->
+        List.map
+          (fun (suffix, w) -> ("Valu." ^ name ^ suffix, Instr.Valu (op, w, v 1, v 0, v 1)))
+          [ (".b", Instr.W8); (".h", Instr.W16); (".w", Instr.W32) ])
+      [ ("add", Instr.Vadd); ("sub", Instr.Vsub); ("max", Instr.Vmax); ("min", Instr.Vmin);
+        ("avg", Instr.Vavg); ("and", Instr.Vand); ("or", Instr.Vor); ("xor", Instr.Vxor) ]
+  in
   [
     ("Salu.add", Instr.Salu (Instr.Add, r 1, r 1, Instr.Imm 1));
     ("Smul", Instr.Smul (r 1, r 1, Instr.Imm 3));
@@ -39,24 +52,29 @@ let opcodes : (string * Instr.t) list =
     ("Vload", Instr.Vload (v 0, at 0 128));
     ("Vstore", Instr.Vstore (at 0 256, v 0));
     ("Vmovi.pair", Instr.Vmovi (p 2, 0));
-    ("Valu.add.b", Instr.Valu (Instr.Vadd, Instr.W8, v 1, v 0, v 1));
-    ("Valu.max.h", Instr.Valu (Instr.Vmax, Instr.W16, v 1, v 0, v 1));
-    ("Valu.add.w", Instr.Valu (Instr.Vadd, Instr.W32, v 1, v 0, v 1));
-    ("Vaddw", Instr.Vaddw (p 1, v 0));
-    ("Vmpy", Instr.Vmpy (p 2, v 0, r 2));
-    ("Vmpyb", Instr.Vmpyb (p 2, v 0, r 2, 1));
-    ("Vmul", Instr.Vmul (p 2, v 0, v 1));
-    ("Vmpa", Instr.Vmpa (p 2, p 3, r 2));
-    ("Vrmpy", Instr.Vrmpy (v 1, v 0, r 2));
-    ("Vscale", Instr.Vscale (v 1, v 0, 1 lsl 20, 21));
-    ("Vscalev", Instr.Vscalev (v 1, v 0, v 8, 21));
-    ("Vpack.w", Instr.Vpack (v 1, p 2, Instr.W32));
-    ("Vpack.h", Instr.Vpack (v 1, p 2, Instr.W16));
-    ("Vshuff.h", Instr.Vshuff (p 2, p 3, Instr.W16));
-    ("Vshuff.w", Instr.Vshuff (p 2, p 3, Instr.W32));
-    ("Vlut", Instr.Vlut (v 1, v 0, 1));
-    ("Vdup", Instr.Vdup (v 1, r 2));
   ]
+  @ valu
+  @ [
+      ("Valu.add.w.pair", Instr.Valu (Instr.Vadd, Instr.W32, p 2, p 3, p 2));
+      ("Vaddw", Instr.Vaddw (p 1, v 0));
+      ("Vmpy", Instr.Vmpy (p 2, v 0, r 2));
+      ("Vmpyb", Instr.Vmpyb (p 2, v 0, r 2, 1));
+      ("Vmul", Instr.Vmul (p 2, v 0, v 1));
+      ("Vmpa", Instr.Vmpa (p 2, p 3, r 2));
+      ("Vrmpy", Instr.Vrmpy (v 1, v 0, r 2));
+      ("Vscale", Instr.Vscale (v 1, v 0, 1 lsl 20, 21));
+      ("Vscalev", Instr.Vscalev (v 1, v 0, v 8, 21));
+      ("Vscalev.vd=vs=vm", Instr.Vscalev (v 1, v 1, v 1, 21));
+      ("Vpack.w", Instr.Vpack (v 1, p 2, Instr.W32));
+      ("Vpack.h", Instr.Vpack (v 1, p 2, Instr.W16));
+      ("Vshuff.b", Instr.Vshuff (p 2, p 3, Instr.W8));
+      ("Vshuff.h", Instr.Vshuff (p 2, p 3, Instr.W16));
+      ("Vshuff.w", Instr.Vshuff (p 2, p 3, Instr.W32));
+      ("Vshuff.h.pd=ps", Instr.Vshuff (p 2, p 2, Instr.W16));
+      ("Vlut", Instr.Vlut (v 1, v 0, 1));
+      ("Vlut.vd=vs", Instr.Vlut (v 1, v 1, 1));
+      ("Vdup", Instr.Vdup (v 1, r 2));
+    ]
 
 type op_row = {
   op : string;
@@ -206,11 +224,11 @@ let smoke_model () =
 (* ---------------- reporting ---------------- *)
 
 let print_opcodes op_rows =
-  Printf.printf "   %-12s %14s %14s %14s %9s\n" "opcode" "fast (i/s)" "ref (i/s)"
+  Printf.printf "   %-16s %14s %14s %14s %9s\n" "opcode" "fast (i/s)" "ref (i/s)"
     "fast MAC/s" "speedup";
   List.iter
     (fun r ->
-      Printf.printf "   %-12s %14.2e %14.2e %14.2e %8.1fx\n" r.op r.fast_ips r.ref_ips
+      Printf.printf "   %-16s %14.2e %14.2e %14.2e %8.1fx\n" r.op r.fast_ips r.ref_ips
         r.fast_macs_s r.op_speedup)
     op_rows
 
@@ -227,6 +245,7 @@ let print_models model_rows geomean =
 let run_with ~trip ~reps ~models ~label =
   Report.header
     (label ^ ": translated engine vs reference interpreter (outputs bit-identical)");
+  Printf.printf "   native lanes: %s clone\n" (Machine.lanes_clone ());
   let op_rows = List.map (measure_opcode ~trip ~reps) opcodes in
   print_opcodes op_rows;
   let model_rows = List.map (fun (name, g) -> measure_model name g) models in

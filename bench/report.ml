@@ -145,6 +145,7 @@ let provenance () =
           <> Some "") );
       ("ocaml", Str Sys.ocaml_version);
       ("domains", Int (Domain.recommended_domain_count ()));
+      ("lanes_clone", Str (Gcd2_vm.Machine.lanes_clone ()));
       ( "utc",
         Str
           (Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (t.Unix.tm_year + 1900)

@@ -24,10 +24,10 @@
       ops bounds-checked once per execution, [Vlut] tables resolved at
       decode time) and the closure is replayed on every execution — loop
       bodies are translated once and run [trip] times, and repeated
-      {!run}s of the same program reuse the cached translation.  The
-      lane loops of [Vrmpy], [Vmpy], [Vmpyb], [Vmul], [Vaddw] and [Vpack]
-      are C (lanes.c), in the same read/write order; the others stay
-      OCaml (DESIGN.md §3e says why).
+      {!run}s of the same program reuse the cached translation.  Every
+      lane loop but [Vmpa]'s is C (lanes.c), in the same read/write
+      order, built for the running CPU's vector unit ({!lanes_clone});
+      [Vmpa]'s stays OCaml (DESIGN.md §3e says why).
 
     Both engines produce bit-identical registers, memory and counters (a
     qcheck differential property in the suite); any instruction shape the
@@ -168,18 +168,13 @@ let () =
    like [set_lane], so a [p32] of an unwrapped sum is exactly
    [Sat.wrap32]. *)
 let[@inline] sx8 v = (v lxor 0x80) - 0x80
-let[@inline] g8 b i = Char.code (Bytes.unsafe_get b i)
 let[@inline] s8 b i = sx8 (Char.code (Bytes.unsafe_get b i))
 let[@inline] p8 b i v = Bytes.unsafe_set b i (Char.unsafe_chr (v land 0xff))
 let[@inline] g16 b o = (get16u b o lxor 0x8000) - 0x8000
 let[@inline] p16 b o v = set16u b o v
 let[@inline] g32 b o = Int32.to_int (get32u b o)
 let[@inline] p32 b o v = set32u b o (Int32.of_int v)
-let[@inline] clamp8 v = if v < -128 then -128 else if v > 127 then 127 else v
 let[@inline] clamp16 v = if v < -32768 then -32768 else if v > 32767 then 32767 else v
-
-let[@inline] clamp32 v =
-  if v < -0x8000_0000 then -0x8000_0000 else if v > 0x7fff_ffff then 0x7fff_ffff else v
 
 (* ------------------------------------------------------------------ *)
 (* Memory access                                                       *)
@@ -465,26 +460,10 @@ let run_reference t (prog : Program.t) =
 (* ------------------------------------------------------------------ *)
 (* Translated execution engine                                         *)
 
-(* Decode-time specialization of the ALU lane function: the reference's
-   [exec_valu] matches on op and width (and builds the saturator) on
-   every lane; here the closure is built once per decoded instruction. *)
-let valu_fn op width : int -> int -> int =
-  match (op, width) with
-  | Instr.Vadd, Instr.W8 -> fun a b -> clamp8 (a + b)
-  | Instr.Vadd, Instr.W16 -> fun a b -> clamp16 (a + b)
-  | Instr.Vadd, Instr.W32 -> fun a b -> clamp32 (a + b)
-  | Instr.Vsub, Instr.W8 -> fun a b -> clamp8 (a - b)
-  | Instr.Vsub, Instr.W16 -> fun a b -> clamp16 (a - b)
-  | Instr.Vsub, Instr.W32 -> fun a b -> clamp32 (a - b)
-  | Instr.Vmax, _ -> fun a b -> if a > b then a else b
-  | Instr.Vmin, _ -> fun a b -> if a < b then a else b
-  | Instr.Vavg, _ -> fun a b -> (a + b + 1) asr 1
-  | Instr.Vand, _ -> ( land )
-  | Instr.Vor, _ -> ( lor )
-  | Instr.Vxor, _ -> ( lxor )
-
-(* Same move for the scalar ALU: the binary function is resolved once at
-   decode; the 32-bit wrap stays at the write like [set_sreg] does. *)
+(* Decode-time specialization of the scalar ALU: the reference's
+   [exec_salu] matches on the op every execution; here the binary
+   function is resolved once per decoded instruction.  The 32-bit wrap
+   stays at the write like [set_sreg] does. *)
 let salu_fn op : int -> int -> int =
   match op with
   | Instr.Add -> ( + )
@@ -531,42 +510,10 @@ let all_segments t = function
 (* The four sign-extended bytes of a scalar operand. *)
 let[@inline] sbyte rv m = sx8 ((rv asr (8 * m)) land 0xff)
 
-(* Round-to-nearest (ties away from zero) right shift, branch-free:
-   [sgn] is 0 or -1 (bit 62 is an OCaml int's sign bit), and
-   [(x lxor sgn) - sgn] is [|x|] with the same wraparound as the
-   reference's [-x], so this equals [Sat.rounding_shift_right x shift]
-   for every [x] when [half] is its rounding constant. *)
-let[@inline] round_shift x ~half ~shift =
-  let sgn = x asr 62 in
-  ((((x lxor sgn) - sgn + half) asr shift) lxor sgn) - sgn
-
-(* [Vshuff] into one destination register: lane 2i of the result is lane
-   i of the source pair's low half, lane 2i+1 lane i of its high half;
-   source lanes [i0, i0 + lanes/2) land in [dst]. *)
-let interleave width slo shi dst i0 =
-  match width with
-  | Instr.W8 ->
-    for i = 0 to 63 do
-      p8 dst (2 * i) (g8 slo (i0 + i));
-      p8 dst ((2 * i) + 1) (g8 shi (i0 + i))
-    done
-  | Instr.W16 ->
-    for i = 0 to 31 do
-      let si = 2 * (i0 + i) in
-      p16 dst (4 * i) (g16 slo si);
-      p16 dst ((4 * i) + 2) (g16 shi si)
-    done
-  | Instr.W32 ->
-    for i = 0 to 15 do
-      let si = 4 * (i0 + i) in
-      p32 dst (8 * i) (g32 slo si);
-      p32 dst ((8 * i) + 4) (g32 shi si)
-    done
-
-(* The lane loops of the multiplies, [Vaddw] and [Vpack] run in C
-   (lanes.c), over the same register windows the other closures use.
-   Arguments are tagged ints and [Bytes.t], read in place: nothing
-   allocates, so the calls are [noalloc]. *)
+(* Every lane loop but [Vmpa]'s runs in C (lanes.c), over the same
+   register windows the other closures use.  Arguments are tagged ints,
+   [Bytes.t] and, for [Vlut], the table's [int array], read in place:
+   nothing allocates, so the calls are [noalloc]. *)
 external vrmpy_lanes : Bytes.t -> Bytes.t -> int -> unit = "gcd2_vm_vrmpy" [@@noalloc]
 external vmpy_lanes : Bytes.t -> Bytes.t -> Bytes.t -> int -> unit = "gcd2_vm_vmpy" [@@noalloc]
 
@@ -584,10 +531,39 @@ external vpack_w32_lanes : Bytes.t -> Bytes.t -> Bytes.t -> unit = "gcd2_vm_vpac
 external vpack_w16_lanes : Bytes.t -> Bytes.t -> Bytes.t -> unit = "gcd2_vm_vpack_w16"
 [@@noalloc]
 
+external vscale_lanes : Bytes.t -> Bytes.t -> int -> int -> unit = "gcd2_vm_vscale" [@@noalloc]
+
+external vscalev_lanes : Bytes.t -> Bytes.t -> Bytes.t -> int -> unit = "gcd2_vm_vscalev"
+[@@noalloc]
+
+(* One 128-byte segment of a [Valu]: destination, sources, op, width. *)
+external valu_lanes : Bytes.t -> Bytes.t -> Bytes.t -> int -> int -> unit = "gcd2_vm_valu"
+[@@noalloc]
+
+external vshuff_lanes : Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> int -> unit
+  = "gcd2_vm_vshuff"
+[@@noalloc]
+
+external vlut_lanes : Bytes.t -> Bytes.t -> int array -> unit = "gcd2_vm_vlut" [@@noalloc]
+external lanes_clone : unit -> string = "gcd2_vm_lanes_clone"
+
+(* The C side's op and width numbering. *)
+let valu_index = function
+  | Instr.Vadd -> 0
+  | Instr.Vsub -> 1
+  | Instr.Vmax -> 2
+  | Instr.Vmin -> 3
+  | Instr.Vavg -> 4
+  | Instr.Vand -> 5
+  | Instr.Vor -> 6
+  | Instr.Vxor -> 7
+
+let width_index = function Instr.W8 -> 0 | Instr.W16 -> 1 | Instr.W32 -> 2
+
 (* Translate one instruction into a specialized closure.  Counter updates
    are baked in per instruction (not per packet) so that even a program
    aborted mid-packet by a bounds fault leaves counters bit-identical to
-   the reference interpreter.  Lane loops, in OCaml here or in C,
+   the reference interpreter.  Lane loops, in C or [Vmpa]'s here,
    preserve the reference's exact read/write order, which is what makes
    aliased operands (e.g. a source vector inside the destination pair)
    behave identically. *)
@@ -690,45 +666,17 @@ let translate_instr t ~tables (instr : Instr.t) : exec_fn =
         done
     | None -> fallback)
   | Instr.Valu (op, width, vd, va, vb') -> (
+    let op = valu_index op and w = width_index width in
     match (all_segments t vd, all_segments t va, all_segments t vb') with
-    | Some d, Some a, Some b
-      when Array.length d = Array.length a && Array.length d = Array.length b -> (
-      let nseg = Array.length d in
-      let f = valu_fn op width in
-      match width with
-      | Instr.W8 ->
-        fun () ->
-          c.instrs <- c.instrs + 1;
-          for sg = 0 to nseg - 1 do
-            let db = Array.unsafe_get d sg
-            and ab = Array.unsafe_get a sg
-            and bb = Array.unsafe_get b sg in
-            for i = 0 to vb - 1 do
-              p8 db i (f (s8 ab i) (s8 bb i))
-            done
-          done
-      | Instr.W16 ->
-        fun () ->
-          c.instrs <- c.instrs + 1;
-          for sg = 0 to nseg - 1 do
-            let db = Array.unsafe_get d sg
-            and ab = Array.unsafe_get a sg
-            and bb = Array.unsafe_get b sg in
-            for i = 0 to (vb / 2) - 1 do
-              p16 db (2 * i) (f (g16 ab (2 * i)) (g16 bb (2 * i)))
-            done
-          done
-      | Instr.W32 ->
-        fun () ->
-          c.instrs <- c.instrs + 1;
-          for sg = 0 to nseg - 1 do
-            let db = Array.unsafe_get d sg
-            and ab = Array.unsafe_get a sg
-            and bb = Array.unsafe_get b sg in
-            for i = 0 to (vb / 4) - 1 do
-              p32 db (4 * i) (f (g32 ab (4 * i)) (g32 bb (4 * i)))
-            done
-          done)
+    | Some [| d |], Some [| a |], Some [| b |] ->
+      fun () ->
+        c.instrs <- c.instrs + 1;
+        valu_lanes d a b op w
+    | Some [| d0; d1 |], Some [| a0; a1 |], Some [| b0; b1 |] ->
+      fun () ->
+        c.instrs <- c.instrs + 1;
+        valu_lanes d0 a0 b0 op w;
+        valu_lanes d1 a1 b1 op w
     | _ -> fallback)
   | Instr.Vaddw (pd, vs) -> (
     match (pair_windows t pd, low_window t vs) with
@@ -784,29 +732,20 @@ let translate_instr t ~tables (instr : Instr.t) : exec_fn =
         vrmpy_lanes dst src (Array.unsafe_get s rti)
     | _ -> fallback)
   | Instr.Vscale (vd, vs, mult, shift) -> (
+    (* C emulates the reference's 63-bit arithmetic for shifts 0..62;
+       OCaml leaves larger shifts unspecified. *)
     match (low_window t vd, low_window t vs) with
-    | Some dst, Some src when shift >= 0 ->
-      (* [Sat.rounding_shift_right x 0 = x], which the general formula with
-         [half = 0] also yields, so one decode-time [half] covers all
-         non-negative shifts. *)
-      let half = if shift = 0 then 0 else 1 lsl (shift - 1) in
+    | Some dst, Some src when shift >= 0 && shift <= 62 ->
       fun () ->
         c.instrs <- c.instrs + 1;
-        for l = 0 to 31 do
-          let o = 4 * l in
-          p32 dst o (clamp32 (round_shift (g32 src o * mult) ~half ~shift))
-        done
+        vscale_lanes dst src mult shift
     | _ -> fallback)
   | Instr.Vscalev (vd, vs, vm, shift) -> (
     match (low_window t vd, low_window t vs, low_window t vm) with
-    | Some dst, Some src, Some mb when shift >= 0 ->
-      let half = if shift = 0 then 0 else 1 lsl (shift - 1) in
+    | Some dst, Some src, Some mb when shift >= 0 && shift <= 62 ->
       fun () ->
         c.instrs <- c.instrs + 1;
-        for l = 0 to 31 do
-          let o = 4 * l in
-          p32 dst o (clamp32 (round_shift (g32 src o * g32 mb o) ~half ~shift))
-        done
+        vscalev_lanes dst src mb shift
     | _ -> fallback)
   | Instr.Vpack (vd, ps, w) -> (
     match (low_window t vd, pair_windows t ps, w) with
@@ -822,35 +761,17 @@ let translate_instr t ~tables (instr : Instr.t) : exec_fn =
   | Instr.Vshuff (pd, ps, width) -> (
     match (pair_windows t pd, pair_windows t ps) with
     | Some (dlo, dhi), Some (slo, shi) ->
-      (* Pairs are aligned, so they alias only when [pd = ps]; then the
-         source is snapshot first, exactly where the reference does. *)
-      let copy = dlo == slo in
-      let rlo = if copy then Bytes.create vb else slo in
-      let rhi = if copy then Bytes.create vb else shi in
-      let half = (vb / lane_bytes width) / 2 in
+      let w = width_index width in
       fun () ->
         c.instrs <- c.instrs + 1;
-        if copy then begin
-          Bytes.blit slo 0 rlo 0 vb;
-          Bytes.blit shi 0 rhi 0 vb
-        end;
-        interleave width rlo rhi dlo 0;
-        interleave width rlo rhi dhi half
+        vshuff_lanes dlo dhi slo shi w
     | _ -> fallback)
   | Instr.Vlut (vd, vs, id) -> (
     match (low_window t vd, low_window t vs, List.assoc_opt id tables) with
     | Some dst, Some src, Some table when Array.length table >= 256 ->
-      (* The reference snapshots all 128 source bytes before writing; only
-         an aliased destination can observe the difference, so the copy is
-         paid only in that case. *)
-      let copy = dst == src in
-      let sb = if copy then Bytes.create vb else src in
       fun () ->
         c.instrs <- c.instrs + 1;
-        if copy then Bytes.blit src 0 sb 0 vb;
-        for i = 0 to vb - 1 do
-          p8 dst i (Array.unsafe_get table (g8 sb i))
-        done
+        vlut_lanes dst src table
     | _ -> fallback)
   | Instr.Vdup (vd, rs) -> (
     match (all_segments t vd, sreg_index rs) with

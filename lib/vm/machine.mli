@@ -10,9 +10,9 @@
     Two engines compute these semantics: the {e reference} interpreter
     (one dispatch per executed instruction) and the {e translated} engine
     (each instruction decoded once into a closure over the concrete
-    operand [Bytes] windows, cached per program; the lane loops of
-    [Vrmpy], [Vmpy], [Vmpyb], [Vmul], [Vaddw] and [Vpack] are C, in the
-    reference's read/write order, so aliased operands agree too).  They
+    operand [Bytes] windows, cached per program; every lane loop but
+    [Vmpa]'s is C, in the reference's read/write order, so aliased
+    operands agree too).  They
     produce bit-identical registers, memory and counters; {!run}
     dispatches on the global {!engine} selection, default
     {!Translated}. *)
@@ -84,6 +84,12 @@ val run_reference : t -> Program.t -> unit
     into specialized closures (cached on the machine, keyed by
     {!Gcd2_isa.Program.same} identity) and replayed on every call. *)
 val run : t -> Program.t -> unit
+
+(** Which build of the native lane loops the dynamic loader bound for
+    this CPU: ["avx2"] on an x86-64 CPU with AVX2, else ["default"].
+    The translated engine's wall time depends on it; its results do
+    not. *)
+val lanes_clone : unit -> string
 
 (** {2 Engine selection}
 

@@ -826,14 +826,21 @@ let edge_machine seed =
   done;
   m
 
+(* [Vlut] tables: 0 has entries outside a byte, negative ones included,
+   1 is too short for a byte index (the reference fallback, which raises
+   at the first byte past its end); any other id is unknown. *)
+let edge_tables =
+  [ (0, Array.init 256 (fun i -> (i * 37) - 4000)); (1, Array.init 100 (fun i -> 255 - i)) ]
+
 (* Each case draws a destination pair [P k] (halves [lo], [hi]), a vector
    [other] outside it and a scalar operand, and [shapes] lists the
    opcode's instructions over them: every alias shape.  Each instruction
    runs twice (two packets, so accumulators go past their bounds) on two
    copies of one edge machine, one through the translated engine and one
-   through the reference interpreter. *)
-let edge_property opcode shapes =
-  QCheck.Test.make ~name:("lanes: " ^ opcode ^ " = reference at the edges") ~count:100
+   through the reference interpreter.  An opcode with many shapes runs
+   fewer cases. *)
+let edge_property ?(count = 100) opcode shapes =
+  QCheck.Test.make ~name:("lanes: " ^ opcode ^ " = reference at the edges") ~count
     QCheck.(int_range 1 1_000_000)
     (fun seed ->
       let rng = Rng.create seed in
@@ -845,7 +852,9 @@ let edge_property opcode shapes =
       let other = v (outside ()) and rt = r (Rng.int rng 4) in
       List.for_all
         (fun instr ->
-          let prog = Program.make "edges" [ Program.Block [ [ instr ]; [ instr ] ] ] in
+          let prog =
+            Program.make ~tables:edge_tables "edges" [ Program.Block [ [ instr ]; [ instr ] ] ]
+          in
           let final exec =
             let m = edge_machine seed in
             let outcome = try (exec m prog; "ok") with e -> Printexc.to_string e in
@@ -858,6 +867,12 @@ let edge_property opcode shapes =
           translated = final Machine.run_reference
           || QCheck.Test.fail_reportf "%a differs from the reference" Instr.pp instr)
         (shapes ~pd:(p k) ~lo:(v (2 * k)) ~hi:(v ((2 * k) + 1)) ~other ~rt))
+
+(* 0..62 run in C; 63 and -1 fall back to the reference. *)
+let edge_shifts = [ 0; 1; 31; 62; 63; -1 ]
+
+(* The pair that holds vector [other], which is outside [pd]. *)
+let pair_holding = function Reg.V n -> p (n / 2) | r -> r
 
 let edge_properties =
   [
@@ -879,6 +894,48 @@ let edge_properties =
         List.concat_map
           (fun w -> List.map (fun vd -> Instr.Vpack (vd, pd, w)) [ lo; hi; other ])
           [ Instr.W32; Instr.W16 ]);
+    (* multipliers at the 32-bit edges and the 63-bit ones, so products
+       wrap as OCaml's do; shifts 63 and -1 take the reference fallback *)
+    edge_property ~count:40 "vscale" (fun ~pd:_ ~lo ~hi:_ ~other ~rt:_ ->
+        List.concat_map
+          (fun shift ->
+            List.concat_map
+              (fun mult ->
+                List.map (fun vs -> Instr.Vscale (lo, vs, mult, shift)) [ lo; other ])
+              [ 1 lsl 31; -(1 lsl 31); 0x4000_0001; max_int; min_int ])
+          edge_shifts);
+    (* vs = vm squares each lane: -2^31 * -2^31 = 2^62 wraps to -2^62 *)
+    edge_property "vscalev" (fun ~pd:_ ~lo ~hi:_ ~other ~rt:_ ->
+        List.concat_map
+          (fun shift ->
+            List.map
+              (fun (vs, vm) -> Instr.Vscalev (lo, vs, vm, shift))
+              [ (lo, lo); (lo, other); (other, lo); (other, other) ])
+          edge_shifts);
+    (* every op and width, on vectors and on pairs, with d = a, d = b and
+       a = b *)
+    edge_property ~count:20 "valu" (fun ~pd ~lo ~hi ~other ~rt:_ ->
+        let q = pair_holding other in
+        let shapes =
+          [ (lo, lo, other); (lo, other, lo); (lo, other, other); (lo, hi, other); (pd, pd, q);
+            (pd, q, pd); (pd, q, q) ]
+        in
+        List.concat_map
+          (fun op ->
+            List.concat_map
+              (fun w -> List.map (fun (d, a, b) -> Instr.Valu (op, w, d, a, b)) shapes)
+              [ Instr.W8; Instr.W16; Instr.W32 ])
+          [ Instr.Vadd; Instr.Vsub; Instr.Vmax; Instr.Vmin; Instr.Vavg; Instr.Vand; Instr.Vor;
+            Instr.Vxor ]);
+    edge_property "vshuff" (fun ~pd ~lo:_ ~hi:_ ~other ~rt:_ ->
+        let q = pair_holding other in
+        List.concat_map
+          (fun w -> [ Instr.Vshuff (pd, pd, w); Instr.Vshuff (pd, q, w) ])
+          [ Instr.W8; Instr.W16; Instr.W32 ]);
+    edge_property "vlut" (fun ~pd:_ ~lo ~hi:_ ~other ~rt:_ ->
+        List.concat_map
+          (fun id -> [ Instr.Vlut (lo, lo, id); Instr.Vlut (lo, other, id) ])
+          [ 0; 1; 2 ]);
   ]
 
 let tests =
