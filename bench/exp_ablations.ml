@@ -56,16 +56,16 @@ let run () =
   let p = cost.Graphcost.problem in
   let eval plans = (Graphcost.report cost plans).Graphcost.ms in
   let optimal = eval (Solver.optimal p).Solver.plans in
-  Report.row "%6s | %10s | %12s | %10s\n" "k" "ms" "vs optimal" "solve (s)";
+  Report.row "%6s | %10s | %12s | %s\n" "k" "ms" "vs optimal" "solve ms, median [q1, q3]";
   List.iter
     (fun k ->
-      let t0 = Gcd2_util.Trace.now () in
-      let r = Solver.partitioned ~max_size:k p in
-      let dt = Gcd2_util.Trace.now () -. t0 in
-      let ms = eval r.Solver.plans in
-      Report.row "%6d | %10.3f | %11.2f%% | %10.4f\n" k ms
+      let r, t =
+        Report.sample ~n:Report.record_n (fun () -> Solver.partitioned ~max_size:k p)
+      in
+      let ms = eval (List.hd r).Solver.plans in
+      Report.row "%6d | %10.3f | %11.2f%% | %s\n" k ms
         (100.0 *. ((ms /. optimal) -. 1.0))
-        dt)
+        (Report.show 3 (Report.scale 1e3 t)))
     [ 3; 5; 9; 13; 17; 25; 40 ];
   Report.note "the paper's k=13 already sits on the optimum; tiny parts lose the cross-edge context";
 

@@ -4,10 +4,10 @@
    the host interpreter) and on (the default GCD2 configuration:
    row-operator and batched-MatMul kernels costed from generated
    programs and executed on the simulated DSP), then run end-to-end on
-   the translated engine under both assignments.  The table reports the host-vs-VM node flip, the
-   simulated DSP cycles, the cost model's end-to-end latency for both
-   configurations, and the measured inference wall time.  Writes
-   BENCH_attn.json.
+   the translated engine under both assignments.  The table reports the
+   host-vs-VM node flip, the simulated DSP cycles, the cost model's
+   end-to-end latency for both configurations, and the measured
+   inference wall time.  Writes BENCH_attn.json.
 
    The smoke runs TinyBERT at a small bucketed sequence length (seq=32
    exercises the shape-bucket padding path), asserting the majority-DSP
@@ -17,7 +17,6 @@ module Zoo = Gcd2_models.Zoo
 module Compiler = Gcd2.Compiler
 module Runtime = Gcd2.Runtime
 module Opcost = Gcd2_cost.Opcost
-module Machine = Gcd2_vm.Machine
 module Graph = Gcd2_graph.Graph
 
 (* The comparison baseline is the default configuration with only the
@@ -35,7 +34,7 @@ type leg = {
   host_nodes : int;
   vm_cycles : int;
   latency_ms : float;  (** cost model's end-to-end estimate *)
-  wall_s : float;  (** measured steady-state inference wall time *)
+  wall_s : Report.spread;  (** measured steady-state inference wall time *)
 }
 
 type row = {
@@ -46,14 +45,18 @@ type row = {
   kinds : (string * Runtime.kind_stat) list;  (** per-kind split, kernels on *)
 }
 
-let measure_leg config g ~inputs =
+(* A sequence model's inference peaks at gigabytes of node outputs:
+   each inference starts from a collected heap, and a sample drops its
+   outputs at once. *)
+let measure_leg ~n config g ~inputs =
   let c = Compiler.compile ~config g in
-  let saved = Machine.engine () in
-  Machine.set_engine Machine.Translated;
+  Gc.full_major ();
   (* untimed warm-up pays decode+translation outside the clock *)
-  ignore (Runtime.run_with_stats c ~inputs);
-  let (_, stats), wall_s = Report.timed (fun () -> Runtime.run_with_stats c ~inputs) in
-  Machine.set_engine saved;
+  let _, stats = Runtime.run_with_stats c ~inputs in
+  let _, wall_s =
+    Report.sample ~n ~before:Gc.full_major (fun () ->
+        ignore (Runtime.run_with_stats c ~inputs))
+  in
   ( {
       vm_nodes = stats.Runtime.vm_nodes;
       host_nodes = stats.Runtime.host_nodes;
@@ -63,10 +66,10 @@ let measure_leg config g ~inputs =
     },
     stats )
 
-let measure name g =
+let measure ~n name g =
   let inputs = Report.inputs_of g in
-  let off, _ = measure_leg config_off g ~inputs in
-  let on_, stats = measure_leg Compiler.default g ~inputs in
+  let off, _ = measure_leg ~n config_off g ~inputs in
+  let on_, stats = measure_leg ~n Compiler.default g ~inputs in
   {
     name;
     nodes = Graph.size g;
@@ -85,17 +88,20 @@ let seq_models () =
 
 (* ---------------- reporting ---------------- *)
 
+(* kernels off / kernels on, at the medians *)
+let speedup r = r.off.wall_s.Report.median /. r.on_.wall_s.Report.median
+
 let print_rows rows =
-  Printf.printf "   %-12s %7s  %11s %11s %14s %12s %9s\n" "model" "kernels" "vm/host"
+  Printf.printf "   %-12s %7s  %11s %11s %14s %26s %9s\n" "model" "kernels" "vm/host"
     "vm-cycles" "latency (ms)" "wall (s)" "speedup";
   List.iter
     (fun r ->
       let line label (l : leg) speedup =
-        Printf.printf "   %-12s %7s  %5d/%-5d %11d %14.4f %12.4f %s\n" r.name label
-          l.vm_nodes l.host_nodes l.vm_cycles l.latency_ms l.wall_s speedup
+        Printf.printf "   %-12s %7s  %5d/%-5d %11d %14.4f %26s %s\n" r.name label
+          l.vm_nodes l.host_nodes l.vm_cycles l.latency_ms (Report.show 4 l.wall_s) speedup
       in
       line "off" r.off "";
-      line "on" r.on_ (Printf.sprintf "%8.2fx" (r.off.wall_s /. r.on_.wall_s)))
+      line "on" r.on_ (Printf.sprintf "%8.2fx" (speedup r)))
     rows;
   print_newline ();
   List.iter
@@ -115,13 +121,17 @@ let print_rows rows =
 let run () =
   Report.header
     "attn: transformer kernels off vs on (batched MatMul / Softmax / LayerNorm)";
-  let rows = List.map (fun (name, g) -> measure name g) (seq_models ()) in
+  let rows =
+    List.map (fun (name, g) -> measure ~n:Report.record_n name g) (seq_models ())
+  in
   print_rows rows;
   Printf.printf
-    "   (speedup: measured inference wall time, kernels off / kernels on — the off\n\
-    \    leg runs the attention ops on the host interpreter, the on leg on the\n\
-    \    simulated DSP; the latency column is each leg's own cost-model estimate,\n\
-    \    not comparable across legs since the kernels re-price the row operators)\n";
+    "   (wall: median [q1, q3] of %d inferences after an untimed warm-up; speedup:\n\
+    \    kernels off / kernels on at the medians — the off leg runs the attention ops\n\
+    \    on the host interpreter, the on leg on the simulated DSP; the latency column\n\
+    \    is each leg's own cost-model estimate, not comparable across legs since the\n\
+    \    kernels re-price the row operators)\n"
+    Report.record_n;
   let leg (l : leg) =
     Report.Obj
       [
@@ -129,7 +139,7 @@ let run () =
         ("host_nodes", Int l.host_nodes);
         ("vm_cycles", Int l.vm_cycles);
         ("latency_ms", Float l.latency_ms);
-        ("wall_s", Float l.wall_s);
+        ("wall_s", Report.spread_json l.wall_s);
       ]
   in
   Report.write ~experiment:"attn" "BENCH_attn.json"
@@ -142,7 +152,6 @@ let run () =
               ("nodes", Int r.nodes);
               ("kernels_off", leg r.off);
               ("kernels_on", leg r.on_);
-              ("wall_speedup", Float (r.off.wall_s /. r.on_.wall_s));
               ("kinds", Report.kinds_json r.kinds);
             ])
           rows );
@@ -155,11 +164,10 @@ let run () =
 let smoke () =
   Report.header "attn smoke: TinyBERT seq=32 majority-DSP flip";
   let g = Zoo.with_random_weights (Zoo.build ~seq:32 "TinyBERT") in
-  let r = measure "TinyBERT-32" g in
-  Printf.printf
-    "   kernels off: vm=%d host=%d wall=%.4f s; on: vm=%d host=%d wall=%.4f s\n"
-    r.off.vm_nodes r.off.host_nodes r.off.wall_s r.on_.vm_nodes r.on_.host_nodes
-    r.on_.wall_s;
+  let r = measure ~n:2 "TinyBERT-32" g in
+  Printf.printf "   kernels off: vm=%d host=%d wall=%s s; on: vm=%d host=%d wall=%s s\n"
+    r.off.vm_nodes r.off.host_nodes (Report.show 4 r.off.wall_s) r.on_.vm_nodes
+    r.on_.host_nodes (Report.show 4 r.on_.wall_s);
   if r.on_.vm_nodes <= r.on_.host_nodes then
     failwith "attn smoke: transformer kernels did not flip TinyBERT majority-DSP";
   if r.on_.vm_nodes <= r.off.vm_nodes then
@@ -175,7 +183,7 @@ let smoke () =
         };
     }
   in
-  let tuned, _ = measure_leg tuned_config g ~inputs:(Report.inputs_of g) in
+  let tuned, _ = measure_leg ~n:2 tuned_config g ~inputs:(Report.inputs_of g) in
   Printf.printf "   tuned (budget 4): vm=%d host=%d latency=%.4f ms\n" tuned.vm_nodes
     tuned.host_nodes tuned.latency_ms;
   if tuned.vm_nodes <= tuned.host_nodes then
@@ -183,5 +191,5 @@ let smoke () =
   if tuned.latency_ms > r.on_.latency_ms then
     failwith "attn smoke: tuned schedule worse than the heuristic";
   Printf.printf "   ok: majority-DSP (%d vm / %d host), wall %.4f -> %.4f s (%.2fx)\n"
-    r.on_.vm_nodes r.on_.host_nodes r.off.wall_s r.on_.wall_s
-    (r.off.wall_s /. r.on_.wall_s)
+    r.on_.vm_nodes r.on_.host_nodes r.off.wall_s.Report.median r.on_.wall_s.Report.median
+    (speedup r)

@@ -17,9 +17,11 @@
 
    The daemons are the actual CLI binary (`gcd2 daemon`) spawned with
    Unix.create_process — forking a multi-domain OCaml process is not
-   safe, and the point is to kill what production runs.  The full run
+   safe, and the point is to kill what production runs.  Each model
+   gets [n] kill rounds and the takeover runs [n] times; the full run
    records recovery time (restart to first successful serve of the
-   killed compile) per round in BENCH_crash.json. *)
+   killed compile) per model and takeover time, each as a spread, in
+   BENCH_crash.json. *)
 
 module Daemon = Gcd2_daemon.Daemon
 module Client = Gcd2_daemon.Client
@@ -144,7 +146,7 @@ let remove_entry dir digest =
 (* ------------------------------------------------------------------ *)
 (* The experiment                                                      *)
 
-let run_rounds ~rounds =
+let run_crash ~n =
   (* watchdog: a wedged request or daemon must fail the experiment, not
      hang CI; it stands down once the experiment is over, so experiments
      run after this one in the same process are not cut short *)
@@ -165,12 +167,18 @@ let run_rounds ~rounds =
   Unix.mkdir work 0o755;
   let cache_dir = Filename.concat work "cache" in
   Unix.mkdir cache_dir 0o755;
-  let sock n = Filename.concat work (Printf.sprintf "d%s.sock" n) in
+  let socks = ref 0 in
+  let spawn () =
+    incr socks;
+    spawn_daemon ~sock:(Filename.concat work (Printf.sprintf "d%d.sock" !socks)) ~cache_dir ()
+  in
   Report.header
-    (Printf.sprintf "crash: SIGKILL chaos over real daemon processes (%d rounds)" rounds);
+    (Printf.sprintf
+       "crash: SIGKILL chaos over real daemon processes (%d rounds per model, %d takeovers)" n
+       n);
 
   (* -------- phase A: fault-free baseline latencies -------- *)
-  let d0 = spawn_daemon ~sock:(sock "0") ~cache_dir () in
+  let d0 = spawn () in
   wait_ready d0;
   let baseline = Hashtbl.create 4 in
   Array.iter
@@ -186,24 +194,18 @@ let run_rounds ~rounds =
 
   (* -------- phase B: SIGKILL mid-compile, restart, recover -------- *)
   let rng = Rng.create 20260808 in
-  let recovered = ref [] in
-  for round = 1 to rounds do
-    let model = models.(round mod Array.length models) in
+  let round = ref 0 in
+  (* one round: the recovery time, restart to first successful serve *)
+  let kill_round model () =
+    incr round;
+    let round = !round in
     let digest = digest_of model in
     remove_entry cache_dir digest;
-    let d = spawn_daemon ~sock:(sock (string_of_int round)) ~cache_dir () in
+    let d = spawn () in
     wait_ready d;
     (* fire the cold request from a thread, then kill the daemon under
        it mid-compile *)
-    let req_result = ref (Error "request thread never ran") in
-    let req_done = ref false in
-    let th =
-      Thread.create
-        (fun () ->
-          req_result := request_one d model;
-          req_done := true)
-        ()
-    in
+    let th = Thread.create (fun () -> ignore (request_one d model)) () in
     Unix.sleepf (0.01 +. (0.001 *. float_of_int (Rng.int rng 120)));
     sigkill d;
     (* no wedge: the killed daemon's client must resolve promptly *)
@@ -213,12 +215,8 @@ let run_rounds ~rounds =
     assert_
       (Printf.sprintf "round %d: client wedged %.1fs after SIGKILL" round unwedge_s)
       (unwedge_s < 10.0);
-    (match !req_result with
-    | Ok r when r.Protocol.outcome = "ok" ->
-      (* the compile won the race against the kill: fine, the store must
-         then hold a decodable entry (checked below by the restart) *)
-      ()
-    | Ok _ | Error _ -> ());
+    (* the compile may win the race against the kill: fine, the store
+       must then hold a decodable entry (checked by the restart) *)
     (* a SIGKILLed leader must never leave a *live* lease behind *)
     (match Lease.state ~dir:cache_dir digest with
     | Lease.Held pid ->
@@ -229,7 +227,7 @@ let run_rounds ~rounds =
     (* restart over whatever the kill left (possibly a torn .tmp, a
        stale lease, a half-primed store) and re-serve the same request *)
     let t_restart = Trace.now () in
-    let d2 = spawn_daemon ~sock:(sock (string_of_int round ^ "r")) ~cache_dir () in
+    let d2 = spawn () in
     wait_ready d2;
     let ms =
       match request_one d2 model with
@@ -248,42 +246,53 @@ let run_rounds ~rounds =
           (Option.value r.Protocol.code ~default:"-")
       | Error e -> fail "round %d: recovery failed: %s" round e
     in
-    recovered := (round, model, ms) :: !recovered;
     (* leave this daemon SIGKILLed too: its debris feeds the final
        janitor-convergence check *)
     sigkill d2;
     Printf.printf "   round %d: killed mid-%s, recovered in %.0f ms, bits identical\n%!"
-      round model ms
-  done;
+      round model ms;
+    ms
+  in
+  let recovery =
+    List.map
+      (fun model ->
+        let ms, _ = Report.sample ~n (kill_round model) in
+        (model, Report.spread ms))
+      (Array.to_list models)
+  in
 
   (* -------- phase C: lease takeover across two live daemons -------- *)
-  let model = models.(0) in
-  let digest = digest_of model in
-  remove_entry cache_dir digest;
-  let da = spawn_daemon ~sock:(sock "a") ~cache_dir () in
-  let db = spawn_daemon ~sock:(sock "b") ~cache_dir () in
-  wait_ready da;
-  wait_ready db;
-  let ra = ref (Error "never ran") and rb = ref (Error "never ran") in
-  let ta = Thread.create (fun () -> ra := request_one da model) () in
-  Unix.sleepf 0.04;
-  let t_b0 = Trace.now () in
-  let tb = Thread.create (fun () -> rb := request_one db model) () in
-  Unix.sleepf 0.04;
-  (* kill A while it (most likely) holds the digest's lease; B must
-     detect the dead pid, break the lease, and still answer *)
-  sigkill da;
-  Thread.join ta;
-  Thread.join tb;
-  let takeover_ms = 1000.0 *. (Trace.now () -. t_b0) in
-  (match !rb with
-  | Ok r when r.Protocol.outcome = "ok" ->
-    assert_ "takeover: different bits" (r.Protocol.lat = Hashtbl.find baseline model)
-  | Ok r -> fail "takeover: outcome=%s" r.Protocol.outcome
-  | Error e -> fail "takeover: %s" e);
-  sigterm db;
-  Printf.printf "   takeover: peer daemon answered %.0f ms after its leader was killed\n%!"
-    takeover_ms;
+  (* one takeover: how long the peer takes to answer *)
+  let takeover () =
+    let model = models.(0) in
+    remove_entry cache_dir (digest_of model);
+    let da = spawn () in
+    let db = spawn () in
+    wait_ready da;
+    wait_ready db;
+    let ra = ref (Error "never ran") and rb = ref (Error "never ran") in
+    let ta = Thread.create (fun () -> ra := request_one da model) () in
+    Unix.sleepf 0.04;
+    let t_b0 = Trace.now () in
+    let tb = Thread.create (fun () -> rb := request_one db model) () in
+    Unix.sleepf 0.04;
+    (* kill A while it (most likely) holds the digest's lease; B must
+       detect the dead pid, break the lease, and still answer *)
+    sigkill da;
+    Thread.join ta;
+    Thread.join tb;
+    let takeover_ms = 1000.0 *. (Trace.now () -. t_b0) in
+    (match !rb with
+    | Ok r when r.Protocol.outcome = "ok" ->
+      assert_ "takeover: different bits" (r.Protocol.lat = Hashtbl.find baseline model)
+    | Ok r -> fail "takeover: outcome=%s" r.Protocol.outcome
+    | Error e -> fail "takeover: %s" e);
+    sigterm db;
+    Printf.printf "   takeover: peer daemon answered %.0f ms after its leader was killed\n%!"
+      takeover_ms;
+    takeover_ms
+  in
+  let takeover_ms = Report.spread (fst (Report.sample ~n takeover)) in
 
   (* -------- phase D: janitor converges the wreckage -------- *)
   (* whatever the kills left, plus seeded debris the sweeps must clear *)
@@ -321,27 +330,22 @@ let run_rounds ~rounds =
   assert_ "janitor sweep reported errors" (Counters.get report "errors" = 0);
 
   (* -------- report -------- *)
-  let sorted = List.sort compare (List.map (fun (_, _, ms) -> ms) !recovered) in
-  let p50 = match sorted with [] -> 0.0 | l -> List.nth l (List.length l / 2) in
-  let max_ms = List.fold_left Float.max 0.0 sorted in
-  Report.note "%d SIGKILL rounds, recovery p50=%.0f ms max=%.0f ms, takeover=%.0f ms"
-    rounds p50 max_ms takeover_ms;
+  List.iter
+    (fun (model, t) ->
+      Report.note "%s recovery ms, median [q1, q3]: %s" model (Report.show 0 t))
+    recovery;
+  Report.note "takeover ms, median [q1, q3]: %s" (Report.show 0 takeover_ms);
   Report.rm_rf cache_dir;
   Report.rm_rf work;
   Atomic.set finished true;
   [
-    ("recovery_ms_p50", Report.Float p50);
-    ("recovery_ms_max", Float max_ms);
-    ("takeover_ms", Float takeover_ms);
+    ( "recovery_ms",
+      Report.Obj (List.map (fun (model, t) -> (model, Report.spread_json t)) recovery) );
+    ("takeover_ms", Report.spread_json takeover_ms);
     ("tmp_after", Int tmp_after);
     ("bytes_after", Int bytes_after);
     ("budget", Int budget);
-    ( "rounds",
-      Report.rows
-        (fun (round, model, ms) ->
-          [ ("round", Int round); ("model", Str model); ("recovery_ms", Float ms) ])
-        (List.rev !recovered) );
   ]
 
-let run () = Report.write ~experiment:"crash" "BENCH_crash.json" (run_rounds ~rounds:6)
-let smoke () = ignore (run_rounds ~rounds:3)
+let run () = Report.write ~experiment:"crash" "BENCH_crash.json" (run_crash ~n:Report.record_n)
+let smoke () = ignore (run_crash ~n:2)

@@ -131,32 +131,29 @@ let resnet_prefix n =
   { Graph.nodes = Array.sub full.Graph.nodes 0 n }
 
 let fig10 () =
+  let n = Report.record_n in
   Report.header
     "Figure 10 - Layout selection: speedup over local-optimal and search time vs #operators";
-  Report.row "%4s | %8s %8s %8s %8s %8s | %10s %10s %10s\n" "#ops" "local" "GCD2(13)"
-    "GCD2(17)" "pbqp" "global" "t13 (s)" "t17 (s)" "t exh (s)";
+  Report.row "%4s | %8s %8s %8s %8s %8s | %s\n" "#ops" "local" "GCD2(13)" "GCD2(17)" "pbqp"
+    "global" "search ms, median [q1, q3]: GCD2(13); GCD2(17); exhaustive";
   List.iter
-    (fun n ->
-      let g = resnet_prefix n in
+    (fun ops ->
+      let g = resnet_prefix ops in
       let cost = Graphcost.build Gcd2_cost.Opcost.gcd2 g in
       let p = cost.Graphcost.problem in
       let eval plans = (Graphcost.report cost plans).Graphcost.cycles in
       let local = eval (Solver.local p).Solver.plans in
-      let s13, t13 = Report.timed (fun () -> Solver.partitioned ~max_size:13 p) in
-      let s17, t17 = Report.timed (fun () -> Solver.partitioned ~max_size:17 p) in
+      let ms t = Report.show 3 (Report.scale 1e3 t) in
+      let s13, t13 = Report.sample ~n (fun () -> Solver.partitioned ~max_size:13 p) in
+      let s17, t17 = Report.sample ~n (fun () -> Solver.partitioned ~max_size:17 p) in
       let pbqp = Gcd2_layout.Pbqp.solve p in
       (* the exhaustive global optimum blows up exponentially; run it
          while feasible, otherwise report the exact frontier-DP optimum
          and extrapolate the enumeration time *)
-      let exhaustive_result =
-        match Report.timed (fun () -> Solver.exhaustive ~max_states:20_000_000 p) with
-        | r, t -> Some (r, t)
-        | exception Solver.Too_large -> None
-      in
-      let global_cycles, t_str =
-        match exhaustive_result with
-        | Some (r, t) -> (eval r.Solver.plans, Printf.sprintf "%10.2f" t)
-        | None ->
+      let global_cycles, t_exh =
+        match Report.sample ~n (fun () -> Solver.exhaustive ~max_states:20_000_000 p) with
+        | r, t -> (eval (List.hd r).Solver.plans, ms t)
+        | exception Solver.Too_large ->
           (* frontier DP gives the same optimum without enumeration *)
           let opt = Solver.optimal p in
           let space =
@@ -164,16 +161,16 @@ let fig10 () =
               (fun a k -> a *. float_of_int k)
               1.0 p.Gcd2_layout.Problem.options
           in
-          (eval opt.Solver.plans, Printf.sprintf "~%.0e" (space /. 2e7))
+          (eval opt.Solver.plans, Printf.sprintf "~%.0e s" (space /. 2e7))
       in
-      Report.row "%4d | %8.2f %8.2f %8.2f %8.2f %8.2f | %10.4f %10.4f %10s\n" n 1.0
-        (local /. eval s13.Solver.plans)
-        (local /. eval s17.Solver.plans)
+      Report.row "%4d | %8.2f %8.2f %8.2f %8.2f %8.2f | %s; %s; %s\n" ops 1.0
+        (local /. eval (List.hd s13).Solver.plans)
+        (local /. eval (List.hd s17).Solver.plans)
         (local /. eval pbqp.Solver.plans)
-        (local /. global_cycles) t13 t17 t_str)
+        (local /. global_cycles) (ms t13) (ms t17) t_exh)
     [ 10; 15; 20; 25 ];
   Report.note
-    "search-time column for the exhaustive solver is measured when feasible, otherwise extrapolated (seconds ~ states/2e7); the paper reports >80 h at 25 operators"
+    "exhaustive search time is measured when feasible, otherwise extrapolated (seconds ~ states/2e7); the paper reports >80 h at 25 operators"
 
 (* ------------------------------------------------------------------ *)
 
@@ -271,8 +268,8 @@ let fig12 () =
     adaptive.Unroll.ug
     (Unroll.shape_class_name (Unroll.classify ~m ~n));
   Report.header "Figure 12b - Unroll strategies across 8 MatMul kernels (speedup over no unroll)";
-  Report.row "%-4s | %8s %8s %8s %11s %8s | search ms (exh vs gcd2)\n" "krn" "none" "Out"
-    "Mid" "Exhaustive" "GCD2";
+  Report.row "%-4s | %8s %8s %8s %11s %8s | search ms, median [q1, q3] (exh vs gcd2)\n"
+    "krn" "none" "Out" "Mid" "Exhaustive" "GCD2";
   List.iteri
     (fun i (m, k, n) ->
       let simd = Simd.I_vmpy in
@@ -296,12 +293,22 @@ let fig12 () =
           addressing = Matmul.Bump;
         }
       in
-      let exh, t_exh = Report.timed (fun () -> Unroll.exhaustive spec) in
-      let adaptive, t_ad = Report.timed (fun () -> Unroll.adaptive simd ~m ~k ~n) in
-      Report.row "O%-3d | %8.2f %8.2f %8.2f %11.2f %8.2f | %8.2f vs %.4f\n" (i + 1) 1.0
+      (* exhaustive search costs kernels through the memoized
+         [Matmul.cycles]: each sample starts from empty memo tables *)
+      let exh, t_exh =
+        Report.sample ~n:Report.record_n ~before:Gcd2_util.Memo.clear_all (fun () ->
+            Unroll.exhaustive spec)
+      in
+      let adaptive, t_ad =
+        Report.sample ~n:Report.record_n (fun () -> Unroll.adaptive simd ~m ~k ~n)
+      in
+      Report.row "O%-3d | %8.2f %8.2f %8.2f %11.2f %8.2f | %s vs %s\n" (i + 1) 1.0
         (speed (Unroll.fixed_out simd ~k ~n ~factor:4))
         (speed (Unroll.fixed_mid simd ~k ~n ~factor:4))
-        (speed exh) (speed adaptive) (t_exh *. 1e3) (t_ad *. 1e3))
+        (speed (List.hd exh))
+        (speed (List.hd adaptive))
+        (Report.show 2 (Report.scale 1e3 t_exh))
+        (Report.show 4 (Report.scale 1e3 t_ad)))
     unroll_kernels;
   Report.note
     "paper: GCD2's shape-adaptive settings match exhaustive search (best 4-4) at a fraction of the search time"

@@ -148,37 +148,30 @@ let test_vm_matmul =
 
 let replicate k block = Array.concat (List.init k (fun _ -> block))
 
-let median xs =
-  let a = Array.of_list xs in
-  Array.sort compare a;
-  a.(Array.length a / 2)
-
+(* Median [q1, q3] ms of one cold pack: a memo hit would time a lookup. *)
 let time_pack pack block =
-  let reps = max 3 (2000 / max 1 (Array.length block)) in
-  let samples =
-    List.init reps (fun _ ->
-        (* untimed: a memo hit would time a lookup, not a pack *)
-        Gcd2_util.Memo.clear_all ();
-        let t0 = Gcd2_util.Trace.now () in
-        ignore (pack Packer.sda block);
-        Gcd2_util.Trace.now () -. t0)
+  let _, t =
+    Report.sample ~n:Report.record_n ~before:Gcd2_util.Memo.clear_all (fun () ->
+        pack Packer.sda block)
   in
-  median samples
+  Report.scale 1e3 t
 
 let pack_scaling () =
-  Report.header "pack-scaling: incremental vs reference SDA packer (median wall time)";
+  Report.header "pack-scaling: incremental vs reference SDA packer (cold pack wall time)";
   let base = Lazy.force kernel_block in
   Report.row "   base block: %d instructions (vmpy inner block)\n\n" (Array.length base);
-  Report.row "   %8s %14s %14s %9s\n" "instrs" "incremental" "reference" "speedup";
+  Report.row "   %8s %26s %26s %9s\n" "instrs" "incremental (ms)" "reference (ms)" "speedup";
   List.iter
     (fun k ->
       let block = replicate k base in
       let inc = time_pack (Packer.pack_indices ~desc) block in
       let reference = time_pack (Packer.pack_indices_reference ~desc) block in
-      Report.row "   %8d %11.3f ms %11.3f ms %8.1fx\n" (Array.length block)
-        (inc *. 1e3) (reference *. 1e3)
-        (reference /. Float.max inc 1e-9))
-    [ 1; 2; 4; 8; 16 ]
+      Report.row "   %8d %26s %26s %8.1fx\n" (Array.length block) (Report.show 3 inc)
+        (Report.show 3 reference)
+        (reference.Report.median /. Float.max inc.Report.median 1e-9))
+    [ 1; 2; 4; 8; 16 ];
+  Report.note "median [q1, q3] of %d packs, memo tables emptied before each"
+    Report.record_n
 
 let benchmark () =
   let tests =

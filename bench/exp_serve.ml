@@ -12,11 +12,13 @@
    mergeable histograms (Gcd2_util.Stats.Hist), split cold/warm by the
    response's cold flag, and merged for the report.
 
-   Writes BENCH_serve.json with one row per worker count, including the
-   throughput ratio against the 1-worker row.  The smoke runs two
-   workers under a fixed fault spec, then workers 1 and 4 fault-free,
-   on a shorter clock.  Any failed request fails the experiment:
-   faulted workers must absorb every injection without dropping one. *)
+   Each worker count runs [n] timed phases, each on a fresh daemon.
+   Writes BENCH_serve.json with one row per worker count: req/s and
+   each percentile as a spread over the phases, counts as medians.  The
+   smoke runs two workers under a fixed fault spec, then workers 1 and
+   4 fault-free, on a shorter clock.  Any failed request fails the
+   experiment: faulted workers must absorb every injection without
+   dropping one. *)
 
 module Daemon = Gcd2_daemon.Daemon
 module Client = Gcd2_daemon.Client
@@ -69,8 +71,6 @@ type acc = {
   cold : Hist.t;
   mutable ok : int;
   mutable failed : int;
-  mutable rejected : int;
-  mutable coalesced : int;
 }
 
 let acc_create () =
@@ -79,8 +79,6 @@ let acc_create () =
     cold = Hist.create ();
     ok = 0;
     failed = 0;
-    rejected = 0;
-    coalesced = 0;
   }
 
 (* One client thread: sessions of [session_len] zipf-sampled requests
@@ -104,14 +102,10 @@ let client_thread addr acc seed ~deadline () =
                (match Client.request conn m with
                | Ok r when served r ->
                  acc.ok <- acc.ok + 1;
-                 if r.Protocol.flight = Protocol.Wait then
-                   acc.coalesced <- acc.coalesced + 1;
                  Hist.add
                    (if r.Protocol.cold then acc.cold else acc.warm)
                    ((Trace.now () -. t0) *. 1000.)
-               | Ok r when r.Protocol.outcome = "rejected" ->
-                 acc.rejected <- acc.rejected + 1;
-                 rejected := true
+               | Ok r when r.Protocol.outcome = "rejected" -> rejected := true
                | res ->
                  acc.failed <- acc.failed + 1;
                  log_failure m res);
@@ -128,19 +122,14 @@ let client_thread addr acc seed ~deadline () =
   in
   sessions ()
 
-type row = {
-  workers : int;
-  elapsed_s : float;
+(* One timed phase on a fresh daemon; [cold] holds the prime's
+   compiles too. *)
+type phase = {
   ok : int;
   failed : int;
-  client_rejected : int;
   rps : float;
-  warm_p50 : float;
-  warm_p95 : float;
-  warm_p99 : float;
-  cold_p50 : float;
-  cold_p95 : float;
-  cold_p99 : float;
+  warm : Hist.t;
+  cold : Hist.t;
   st : Daemon.stats;
 }
 
@@ -162,12 +151,12 @@ let run_one ~workers ~duration_ms =
   let addr = Daemon.address d in
   (* prime: one cold pass over the mix, so the timed phase is warm *)
   let prime = Client.batch addr (Array.to_list models) in
-  let cold_prime = Hist.create () in
+  let cold = Hist.create () in
   let prime_failed = ref (Array.length models - List.length prime) in
   List.iteri
     (fun i r ->
       match r with
-      | Ok r when served r -> Hist.add cold_prime r.Protocol.ms
+      | Ok r when served r -> Hist.add cold r.Protocol.ms
       | r ->
         incr prime_failed;
         log_failure models.(i) r)
@@ -185,33 +174,34 @@ let run_one ~workers ~duration_ms =
   let elapsed_s = Trace.now () -. t0 in
   let st = Daemon.stop d in
   Report.rm_rf cache_dir;
-  let warm = Hist.create () and cold = Hist.copy cold_prime in
-  let ok = ref 0 and failed = ref !prime_failed and rejected = ref 0 in
+  let warm = Hist.create () in
+  let ok = ref 0 and failed = ref !prime_failed in
   Array.iter
-    (fun a ->
+    (fun (a : acc) ->
       Hist.merge_into ~into:warm a.warm;
       Hist.merge_into ~into:cold a.cold;
       ok := !ok + a.ok;
-      failed := !failed + a.failed;
-      rejected := !rejected + a.rejected)
+      failed := !failed + a.failed)
     accs;
   {
-    workers;
-    elapsed_s;
     ok = !ok;
     failed = !failed;
-    client_rejected = !rejected;
     rps = (if elapsed_s > 0. then float_of_int !ok /. elapsed_s else 0.);
-    warm_p50 = Hist.p50 warm;
-    warm_p95 = Hist.p95 warm;
-    warm_p99 = Hist.p99 warm;
-    cold_p50 = Hist.p50 cold;
-    cold_p95 = Hist.p95 cold;
-    cold_p99 = Hist.p99 cold;
+    warm;
+    cold;
     st;
   }
 
-let run_on ~workers_list ~duration_ms =
+(* One worker count: [n] phases. *)
+type row = { workers : int; phases : phase list }
+
+let spread_of r f = Report.spread (List.map f r.phases)
+
+(* A count of a typical phase: the median over the phases. *)
+let per_phase r f = int_of_float (spread_of r (fun p -> float_of_int (f p))).Report.median
+let count r name = per_phase r (fun p -> Counters.get p.st.Daemon.counts name)
+
+let run_on ~n ~workers_list ~duration_ms =
   (* a roomy minor heap (8 MB/domain instead of the 256 KB default)
      keeps artifact-decode allocation from turning into a stop-the-world
      minor-GC storm across the worker domains — on a small machine the
@@ -219,38 +209,47 @@ let run_on ~workers_list ~duration_ms =
   Gc.set { (Gc.get ()) with Gc.minor_heap_size = 1 lsl 20 };
   Report.header
     (Printf.sprintf
-       "serve-load: zipf traffic, %d clients, %.0f ms think, %.0f ms timed \
-        phase per worker count"
-       clients think_ms duration_ms);
-  Printf.printf "   %-8s %9s %8s %6s %6s %6s %9s %9s %9s\n" "workers" "req/s"
-    "scaling" "ok" "fail" "rej" "warm_p50" "warm_p95" "warm_p99";
-  let rows = List.map (fun workers -> run_one ~workers ~duration_ms) workers_list in
-  let base = (List.hd rows).rps in
+       "serve-load: zipf traffic, %d clients, %.0f ms think, %d timed phases of %.0f ms \
+        per worker count"
+       clients think_ms n duration_ms);
+  Printf.printf "   %-8s %24s %6s %6s %6s %9s %9s %9s\n" "workers" "req/s" "ok" "fail" "rej"
+    "warm_p50" "warm_p95" "warm_p99";
+  let rows =
+    List.map
+      (fun workers ->
+        let phases, _ = Report.sample ~n (fun () -> run_one ~workers ~duration_ms) in
+        { workers; phases })
+      workers_list
+  in
+  let median r f = (spread_of r f).Report.median in
   List.iter
     (fun r ->
-      Printf.printf "   %-8d %9.1f %7.2fx %6d %6d %6d %7.2fms %7.2fms %7.2fms\n"
-        r.workers r.rps
-        (if base > 0. then r.rps /. base else 0.)
-        r.ok r.failed
-        (Counters.get r.st.Daemon.counts "rejected")
-        r.warm_p50 r.warm_p95 r.warm_p99)
+      Printf.printf "   %-8d %24s %6d %6d %6d %7.2fms %7.2fms %7.2fms\n" r.workers
+        (Report.show 1 (spread_of r (fun p -> p.rps)))
+        (per_phase r (fun p -> p.ok))
+        (per_phase r (fun p -> p.failed))
+        (count r "rejected")
+        (median r (fun p -> Hist.p50 p.warm))
+        (median r (fun p -> Hist.p95 p.warm))
+        (median r (fun p -> Hist.p99 p.warm)))
     rows;
+  Report.note "req/s median [q1, q3] over %d phases; percentiles and counts their medians" n;
   (match (rows, List.rev rows) with
   | one :: _, top :: _ when top.workers > one.workers ->
-    Report.note "%d workers serve %.2fx the requests/s of %d worker%s"
-      top.workers
-      (if one.rps > 0. then top.rps /. one.rps else 0.)
+    Report.note "%d workers serve %.2fx the requests/s of %d worker%s (medians)" top.workers
+      (Report.ratio (median top (fun p -> p.rps)) (median one (fun p -> p.rps)))
       one.workers
       (if one.workers = 1 then "" else "s")
   | _ -> ());
-  let failed = List.fold_left (fun n r -> n + r.failed) 0 rows in
+  let failed =
+    List.fold_left (fun n r -> List.fold_left (fun n p -> n + p.failed) n r.phases) 0 rows
+  in
   if failed > 0 then failwith (Printf.sprintf "serve-load: %d requests failed" failed);
   rows
 
 let run () =
   let duration_ms = 3000.0 in
-  let rows = run_on ~workers_list:[ 1; 2; 4 ] ~duration_ms in
-  let base = (List.hd rows).rps in
+  let rows = run_on ~n:Report.record_n ~workers_list:[ 1; 2; 4 ] ~duration_ms in
   Report.write ~experiment:"serve-load" "BENCH_serve.json"
     [
       ("clients", Int clients);
@@ -259,23 +258,22 @@ let run () =
       ( "rows",
         Report.rows
           (fun r ->
-            let count n = Report.Int (Counters.get r.st.Daemon.counts n) in
+            let ms f = Report.spread_json (spread_of r f) in
             [
               ("workers", Int r.workers);
-              ("rps", Float r.rps);
-              ("scaling", Float (if base > 0. then r.rps /. base else 0.));
-              ("ok", Int r.ok);
-              ("failed", Int r.failed);
-              ("rejected", count "rejected");
-              ("coalesced", count "coalesced");
-              ("compiles", count "compiles");
-              ("hits", count "hits");
-              ("warm_p50_ms", Float r.warm_p50);
-              ("warm_p95_ms", Float r.warm_p95);
-              ("warm_p99_ms", Float r.warm_p99);
-              ("cold_p50_ms", Float r.cold_p50);
-              ("cold_p95_ms", Float r.cold_p95);
-              ("cold_p99_ms", Float r.cold_p99);
+              ("rps", Report.spread_json (spread_of r (fun p -> p.rps)));
+              ("ok", Int (per_phase r (fun p -> p.ok)));
+              ("failed", Int (per_phase r (fun p -> p.failed)));
+              ("rejected", Int (count r "rejected"));
+              ("coalesced", Int (count r "coalesced"));
+              ("compiles", Int (count r "compiles"));
+              ("hits", Int (count r "hits"));
+              ("warm_p50_ms", ms (fun p -> Hist.p50 p.warm));
+              ("warm_p95_ms", ms (fun p -> Hist.p95 p.warm));
+              ("warm_p99_ms", ms (fun p -> Hist.p99 p.warm));
+              ("cold_p50_ms", ms (fun p -> Hist.p50 p.cold));
+              ("cold_p95_ms", ms (fun p -> Hist.p95 p.cold));
+              ("cold_p99_ms", ms (fun p -> Hist.p99 p.cold));
             ])
           rows );
     ]
@@ -288,5 +286,5 @@ let smoke () =
   let spec = "seed=20260808,cache-read=0.2,artifact-decode=0.2,memo-lookup=0.2" in
   Printf.printf "\n   faults: %s\n" spec;
   Fault.with_spec (Fault.parse_exn spec) (fun () ->
-      ignore (run_on ~workers_list:[ 2 ] ~duration_ms:800.0));
-  ignore (run_on ~workers_list:[ 1; 4 ] ~duration_ms:1200.0)
+      ignore (run_on ~n:2 ~workers_list:[ 2 ] ~duration_ms:800.0));
+  ignore (run_on ~n:2 ~workers_list:[ 1; 4 ] ~duration_ms:1200.0)

@@ -158,11 +158,6 @@ let table4 () =
     "" ""
     (Stats.geomean !speedups_t)
     (Stats.geomean !speedups_s);
-  Report.section "compile-phase wall time (GCD2, seconds)";
-  let traced = List.map (fun (e : Zoo.entry) -> (e.Zoo.name, (compiled F.gcd2 e).Compiler.trace)) Zoo.all in
-  let phases = Report.phase_names (List.map snd traced) in
-  Report.phase_header ~label_width:17 phases;
-  List.iter (fun (name, tr) -> Report.phase_row ~label_width:17 name tr phases) traced;
   Report.note
     "TinyBERT/Conformer: TFLite and SNPE cannot run them on the DSP (CPU fallbacks); shown as '-' per the paper"
 

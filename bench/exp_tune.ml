@@ -23,21 +23,28 @@ type row = {
   tuned_cycles : float;
   candidates : int;
   costed : int;
-  tuned_s : float;  (** wall time of the tuned compile *)
+  tuned_s : Report.spread;  (** wall time of the tuned compile *)
 }
 
 let with_tune tune (config : Compiler.config) =
   { config with Compiler.opcost = { config.Compiler.opcost with Opcost.tune } }
 
-let measure ~budget (e : Zoo.entry) =
+(* Each tuned compile starts from memo tables that hold the same model's
+   heuristic compile and nothing else, whatever ran before it. *)
+let measure ~n ~budget (e : Zoo.entry) =
   let g = e.Zoo.build () in
   let heuristic = Compiler.compile g in
   let tuned, tuned_s =
-    Report.timed (fun () ->
+    Report.sample ~n
+      ~before:(fun () ->
+        Gcd2_util.Memo.clear_all ();
+        ignore (Compiler.compile g))
+      (fun () ->
         Compiler.compile
           ~config:(with_tune (Some { Autotune.budget; verify = false }) Compiler.default)
           g)
   in
+  let tuned = List.hd tuned in
   let counter n = Trace.counter tuned.Compiler.trace n in
   {
     name = e.Zoo.name;
@@ -54,21 +61,21 @@ let improvement_pct r =
   if r.heuristic_cycles = 0.0 then 0.0
   else 100.0 *. (1.0 -. (r.tuned_cycles /. r.heuristic_cycles))
 
-let run_on ~budget entries =
+let run_on ~n ~budget entries =
   Report.header
     (Printf.sprintf "tune: budgeted kernel-shape autotuning vs adaptive heuristic \
                      (budget %d)" budget);
-  Printf.printf "   %-18s %12s %12s %8s %10s %8s %9s\n" "model" "heuristic" "tuned"
+  Printf.printf "   %-18s %12s %12s %8s %10s %8s %21s\n" "model" "heuristic" "tuned"
     "delta" "candidates" "costed" "tune (s)";
-  let rows = List.map (measure ~budget) entries in
+  let rows = List.map (measure ~n ~budget) entries in
   let improved = ref 0 and regressed = ref 0 in
   List.iter
     (fun r ->
       let pct = improvement_pct r in
       if pct > 1.0 then incr improved;
       if r.tuned_cycles > r.heuristic_cycles then incr regressed;
-      Printf.printf "   %-18s %9.2f ms %9.2f ms %+7.2f%% %10d %8d %9.2f\n" r.name
-        r.heuristic_ms r.tuned_ms (-.pct) r.candidates r.costed r.tuned_s)
+      Printf.printf "   %-18s %9.2f ms %9.2f ms %+7.2f%% %10d %8d %21s\n" r.name
+        r.heuristic_ms r.tuned_ms (-.pct) r.candidates r.costed (Report.show 2 r.tuned_s))
     rows;
   Printf.printf "\n   >1%% modeled-cycle improvement on %d/%d models\n" !improved
     (List.length rows);
@@ -84,7 +91,7 @@ let run_on ~budget entries =
 
 let run () =
   let budget = Autotune.default_budget in
-  let rows = run_on ~budget Zoo.all in
+  let rows = run_on ~n:Report.record_n ~budget Zoo.all in
   Report.write ~experiment:"tune" "BENCH_codegen.json"
     [
       ("budget", Int budget);
@@ -100,7 +107,7 @@ let run () =
               ("improvement_pct", Float (improvement_pct r));
               ("candidates", Int r.candidates);
               ("costed", Int r.costed);
-              ("tuned_s", Float r.tuned_s);
+              ("tuned_s", Report.spread_json r.tuned_s);
             ])
           rows );
     ]
@@ -109,7 +116,7 @@ let run () =
    in seconds while still walking the full tune path (enumerate, cost,
    rank) and checking tuned <= heuristic. *)
 let smoke () =
-  ignore @@ run_on ~budget:8
+  ignore @@ run_on ~n:2 ~budget:8
     (List.filter
        (fun (e : Zoo.entry) -> List.mem e.Zoo.name [ "MobileNet-V3"; "TinyBERT" ])
        Zoo.all)

@@ -1,8 +1,10 @@
-(* VM benchmark ("vm"): per-opcode instruction throughput of the
-   translated engine against the reference interpreter, and whole-model
-   inference wall time over the zoo with both engines — asserting along
-   the way that per-node outputs and execution statistics are
-   bit-identical.  Writes BENCH_vm.json.
+(* VM benchmark ("vm"): per-opcode wall time per executed instruction
+   of the translated engine against the reference interpreter, and a
+   whole-model differential over the zoo — asserting that both engines
+   leave identical machine state on every opcode row, and identical
+   per-node outputs and execution statistics on every model.  Writes
+   BENCH_vm.json.  Whole-model inference time is the benchmark's
+   infer-cnn and infer-attn workloads' to measure.
 
    The smoke uses tiny iteration counts and a small synthetic model so
    both engines are exercised in well under a second of simulated
@@ -11,7 +13,6 @@
 module Zoo = Gcd2_models.Zoo
 module Compiler = Gcd2.Compiler
 module Runtime = Gcd2.Runtime
-module Stats = Gcd2_util.Stats
 module Rng = Gcd2_util.Rng
 module T = Gcd2_tensor.Tensor
 module Q = Gcd2_tensor.Quant
@@ -23,10 +24,10 @@ module Graph = Gcd2_graph.Graph
 module Op = Gcd2_graph.Op
 module B = Graph.Builder
 
-(* ---------------- per-opcode throughput ---------------- *)
+(* ---------------- per-opcode rows ---------------- *)
 
 (* One instruction per packet, replayed by a hardware loop: the loop body
-   is translated once and executed [trip] times, so the measured rate is
+   is translated once and executed [trip] times, so the measured time is
    the steady-state per-instruction cost of each engine.  Every Valu op
    at every width, on vectors and on a pair, and the aliased shapes of
    [Vscalev], [Vshuff] and [Vlut] have a row (a [Vshuff] with pd = ps
@@ -78,10 +79,8 @@ let opcodes : (string * Instr.t) list =
 
 type op_row = {
   op : string;
-  fast_ips : float;  (** translated engine, instructions / second *)
-  ref_ips : float;  (** reference interpreter, instructions / second *)
-  fast_macs_s : float;
-  op_speedup : float;
+  fast_ns : Report.spread;  (** translated engine, wall ns per executed instruction *)
+  ref_ns : Report.spread;  (** reference interpreter *)
 }
 
 let throughput_program instr ~trip =
@@ -89,38 +88,54 @@ let throughput_program instr ~trip =
   Program.make ~tables "opcode-throughput"
     [ Program.Loop { trip; body = [ Program.Block [ [ instr ] ] ] } ]
 
-(* Rate under one engine: executed instructions (from the machine's own
-   counter) per second of wall time, over [reps] runs of the program. *)
-let rate engine prog ~reps =
-  let saved = Machine.engine () in
-  Machine.set_engine engine;
+(* Nonzero, varied source bytes, so a lane that computes a wrong value
+   changes the state the engines are compared on. *)
+let machine () =
   let m = Machine.create ~mem_bytes:4096 () in
   Machine.set_sreg m (Reg.R 2) 0x01020304;
-  (* nonzero source bytes: the translated [Vrmpy] skips lanes whose
-     source word is 0, and the row should time the multiply *)
   for l = 0 to 127 do
     Machine.set_lane m (Reg.V 0) ~width:Instr.W8 l (1 + (l mod 7))
   done;
-  (* warm-up run: pays translation (or nothing) outside the clock *)
-  Machine.run m prog;
-  let (), dt =
-    Report.timed (fun () ->
-        for _ = 1 to reps do
-          Machine.run m prog
-        done)
-  in
-  Machine.set_engine saved;
-  let c = Machine.counters m in
-  let frac = float_of_int reps /. float_of_int (reps + 1) in
-  ( float_of_int c.Machine.instrs *. frac /. dt,
-    float_of_int c.Machine.macs *. frac /. dt )
+  m
 
-let measure_opcode ~trip ~reps (op, instr) =
+(* Everything a program can change: scalar and vector registers, memory
+   and the six counters. *)
+let state m =
+  let c = Machine.counters m in
+  ( List.init Reg.scalar_count (fun i -> Machine.get_sreg m (Reg.R i)),
+    List.init Reg.vector_count (fun v ->
+        List.init Reg.vector_bytes (fun l -> Machine.get_lane m (Reg.V v) ~width:Instr.W8 l)),
+    Bytes.sub_string (Machine.window m ~addr:0 ~len:(Machine.memory_size m)) 0
+      (Machine.memory_size m),
+    Machine.[ c.cycles; c.packets; c.instrs; c.macs; c.loaded_bytes; c.stored_bytes ] )
+
+(* One run on each engine from identical machines must leave identical
+   state; that run also pays translation outside the clock.  Then each
+   engine's [reps] runs are sampled [n] times, as wall ns per executed
+   instruction. *)
+let measure_opcode ~n ~trip ~reps (op, instr) =
   let prog = throughput_program instr ~trip in
-  let fast_ips, fast_macs_s = rate Machine.Translated prog ~reps in
-  (* the reference interpreter is much slower: fewer timed repetitions *)
-  let ref_ips, _ = rate Machine.Reference prog ~reps:(max 1 (reps / 8)) in
-  { op; fast_ips; ref_ips; fast_macs_s; op_speedup = fast_ips /. ref_ips }
+  let fast = machine () and ref_ = machine () in
+  Machine.run fast prog;
+  Machine.run_reference ref_ prog;
+  if state fast <> state ref_ then
+    failwith (Printf.sprintf "vm: opcode row %s: engines leave different machine state" op);
+  let instrs = (Machine.counters fast).Machine.instrs in
+  let ns run m ~reps =
+    let _, t =
+      Report.sample ~n (fun () ->
+          for _ = 1 to reps do
+            run m prog
+          done)
+    in
+    Report.scale (1e9 /. float_of_int (instrs * reps)) t
+  in
+  (* the reference interpreter is much slower: fewer runs per sample *)
+  {
+    op;
+    fast_ns = ns Machine.run fast ~reps;
+    ref_ns = ns Machine.run_reference ref_ ~reps:(max 1 (reps / 8));
+  }
 
 (* ---------------- whole-model inference ---------------- *)
 
@@ -132,9 +147,6 @@ type model_row = {
   vm_cycles : int;
   kinds : (string * Runtime.kind_stat) list;
       (** host-vs-VM split per operator kind, sorted by kind *)
-  fast_s : float;
-  ref_s : float;
-  speedup : float;
 }
 
 let check_identical name (vm : T.t array) (vm_ref : T.t array) (s : Runtime.stats)
@@ -155,23 +167,16 @@ let check_identical name (vm : T.t array) (vm_ref : T.t array) (s : Runtime.stat
   if Report.kinds s <> Report.kinds s_ref then
     failwith (name ^ ": per-kind stats differ between engines")
 
-(* Each engine's leg is timed at steady state: an untimed warm-up run
-   pays the one-time per-process and per-model costs (major-heap growth,
-   page faults, and on the fast engine decode+translation) outside the
-   clock, then the timed run measures serving-loop behaviour.  Both
-   engines get exactly the same treatment. *)
-let steady_run c ~inputs =
-  ignore (Runtime.run_with_stats c ~inputs);
-  Report.timed (fun () -> Runtime.run_with_stats c ~inputs)
-
+(* One untimed inference per engine.  Under [Reference], [Runtime]'s
+   scratch machines are fresh ones, so this also checks [Machine.reset]
+   against [Machine.create]. *)
 let measure_model name (g : Graph.t) =
   let c = Compiler.compile g in
   let inputs = Report.inputs_of g in
+  let vm, stats = Runtime.run_with_stats c ~inputs in
   let saved = Machine.engine () in
-  Machine.set_engine Machine.Translated;
-  let (vm, stats), fast_s = steady_run c ~inputs in
   Machine.set_engine Machine.Reference;
-  let (vm_ref, stats_ref), ref_s = steady_run c ~inputs in
+  let vm_ref, stats_ref = Runtime.run_with_stats c ~inputs in
   Machine.set_engine saved;
   check_identical name vm vm_ref stats stats_ref;
   {
@@ -181,14 +186,11 @@ let measure_model name (g : Graph.t) =
     host_nodes = stats.Runtime.host_nodes;
     vm_cycles = stats.Runtime.vm_cycles;
     kinds = Report.kinds stats;
-    fast_s;
-    ref_s;
-    speedup = ref_s /. fast_s;
   }
 
 (* The reference interpreter makes the biggest zoo members (FST at 140
-   GMACs of simulated work...) impractical to run twice; the wall-time
-   table covers the models below a MAC budget and says so. *)
+   GMACs of simulated work...) impractical to run; the differential
+   covers the models below a MAC budget and says so. *)
 let model_budget_gmacs = 2.0
 
 let zoo_models () =
@@ -224,42 +226,41 @@ let smoke_model () =
 (* ---------------- reporting ---------------- *)
 
 let print_opcodes op_rows =
-  Printf.printf "   %-16s %14s %14s %14s %9s\n" "opcode" "fast (i/s)" "ref (i/s)"
-    "fast MAC/s" "speedup";
+  Printf.printf "   %-16s %24s %27s %9s\n" "opcode" "fast (ns/instr)" "ref (ns/instr)"
+    "speedup";
   List.iter
     (fun r ->
-      Printf.printf "   %-16s %14.2e %14.2e %14.2e %8.1fx\n" r.op r.fast_ips r.ref_ips
-        r.fast_macs_s r.op_speedup)
+      Printf.printf "   %-16s %24s %27s %8.1fx\n" r.op (Report.show 1 r.fast_ns)
+        (Report.show 1 r.ref_ns)
+        (r.ref_ns.Report.median /. r.fast_ns.Report.median))
     op_rows
 
-let print_models model_rows geomean =
-  Printf.printf "\n   %-18s %5s %4s %5s %12s %10s %10s %9s\n" "model" "nodes" "vm"
-    "host" "vm-cycles" "fast (s)" "ref (s)" "speedup";
+let print_models model_rows =
+  Printf.printf "\n   %-18s %5s %4s %5s %12s\n" "model" "nodes" "vm" "host" "vm-cycles";
   List.iter
     (fun r ->
-      Printf.printf "   %-18s %5d %4d %5d %12d %10.3f %10.3f %8.1fx\n" r.name r.nodes
-        r.vm_nodes r.host_nodes r.vm_cycles r.fast_s r.ref_s r.speedup)
-    model_rows;
-  Printf.printf "\n   geomean whole-model speedup: %.2fx\n" geomean
+      Printf.printf "   %-18s %5d %4d %5d %12d\n" r.name r.nodes r.vm_nodes r.host_nodes
+        r.vm_cycles)
+    model_rows
 
-let run_with ~trip ~reps ~models ~label =
+let run_with ~n ~trip ~reps ~models ~label =
   Report.header
-    (label ^ ": translated engine vs reference interpreter (outputs bit-identical)");
-  Printf.printf "   native lanes: %s clone\n" (Machine.lanes_clone ());
-  let op_rows = List.map (measure_opcode ~trip ~reps) opcodes in
+    (label ^ ": translated engine vs reference interpreter (identical state and outputs)");
+  Printf.printf "   native lanes: %s clone; wall times median [q1, q3] of %d samples\n"
+    (Machine.lanes_clone ()) n;
+  let op_rows = List.map (measure_opcode ~n ~trip ~reps) opcodes in
   print_opcodes op_rows;
   let model_rows = List.map (fun (name, g) -> measure_model name g) models in
-  let geomean = Stats.geomean (List.map (fun r -> r.speedup) model_rows) in
-  print_models model_rows geomean;
+  print_models model_rows;
   Printf.printf
-    "   (steady-state wall times: per engine, one untimed warm-up run then one timed \
-     run;\n    models capped at %.1f GMACs: the reference engine sets the cost)\n"
+    "   (one inference per engine; models capped at %.1f GMACs: the reference engine\n\
+    \    sets the cost)\n"
     model_budget_gmacs;
-  (op_rows, model_rows, geomean)
+  (op_rows, model_rows)
 
 let run () =
-  let op_rows, model_rows, geomean =
-    run_with ~trip:20_000 ~reps:8 ~models:(zoo_models ()) ~label:"vm"
+  let op_rows, model_rows =
+    run_with ~n:Report.record_n ~trip:20_000 ~reps:8 ~models:(zoo_models ()) ~label:"vm"
   in
   Report.write ~experiment:"vm" "BENCH_vm.json"
     [
@@ -268,10 +269,8 @@ let run () =
           (fun r ->
             [
               ("op", Str r.op);
-              ("fast_instrs_s", Float r.fast_ips);
-              ("ref_instrs_s", Float r.ref_ips);
-              ("fast_macs_s", Float r.fast_macs_s);
-              ("speedup", Float r.op_speedup);
+              ("fast_ns", Report.spread_json r.fast_ns);
+              ("ref_ns", Report.spread_json r.ref_ns);
             ])
           op_rows );
       ( "models",
@@ -283,16 +282,13 @@ let run () =
               ("vm_nodes", Int r.vm_nodes);
               ("host_nodes", Int r.host_nodes);
               ("vm_cycles", Int r.vm_cycles);
-              ("fast_s", Float r.fast_s);
-              ("ref_s", Float r.ref_s);
-              ("speedup", Float r.speedup);
               ("kinds", Report.kinds_json r.kinds);
             ])
           model_rows );
-      ("geomean_speedup", Float geomean);
     ]
 
 (* Smoke: both engines on every opcode and a small whole model. *)
 let smoke () =
   let g = smoke_model () in
-  ignore @@ run_with ~trip:200 ~reps:2 ~models:[ ("smoke-cnn", g) ] ~label:"vm smoke"
+  ignore
+  @@ run_with ~n:2 ~trip:200 ~reps:2 ~models:[ ("smoke-cnn", g) ] ~label:"vm smoke"

@@ -63,10 +63,7 @@ let usage () =
 
 let run name =
   match List.find_opt (fun (n, _, _, _) -> n = name) experiments with
-  | Some (_, _, _, f) ->
-    let t0 = Gcd2_util.Trace.now () in
-    f ();
-    Printf.printf "   [%s finished in %.1f s]\n%!" name (Gcd2_util.Trace.now () -. t0)
+  | Some (_, _, _, f) -> f ()
   | None ->
     Printf.printf "unknown experiment %S\n" name;
     usage ();

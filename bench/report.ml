@@ -1,5 +1,6 @@
-(* Shared by all experiments: a small fixed-width table printer, timing
-   and input helpers, and the one writer of the BENCH_*.json records. *)
+(* Shared by all experiments: a small fixed-width table printer, the one
+   wall-clock sampler, input helpers, and the one writer of the
+   BENCH_*.json records. *)
 
 let line width = print_endline (String.make width '-')
 
@@ -19,37 +20,44 @@ let ratio a b = if b = 0.0 then 0.0 else a /. b
 
 let pp_opt_ms = function Some v -> Printf.sprintf "%8.1f" v | None -> "       -"
 
-(* Per-pass compile timing columns, driven by the traces that
-   [Compiler.compile] records: one column per top-level pass. *)
+(* ---------------- wall-time samples ---------------- *)
 
 module Trace = Gcd2_util.Trace
 
-let phase_names traces =
-  List.fold_left
-    (fun acc tr ->
-      List.fold_left
-        (fun acc (n, _) -> if List.mem n acc then acc else acc @ [ n ])
-        acc (Trace.top_spans tr))
-    [] traces
+(* How many samples a recorded wall time holds.  The smoke passes 2, so
+   CI runs the same code on fewer repetitions. *)
+let record_n = 5
 
-let phase_width name = max 9 (String.length name)
+type spread = { median : float; q1 : float; q3 : float; n : int }
 
-let phase_header ~label_width names =
-  Printf.printf "%-*s" label_width "model";
-  List.iter (fun n -> Printf.printf " %*s" (phase_width n) n) names;
-  Printf.printf " %9s\n" "total"
+(* Median and quartiles (nearest rank) of a sample. *)
+let spread xs =
+  let p q = Gcd2_util.Stats.percentile q xs in
+  { median = p 50.0; q1 = p 25.0; q3 = p 75.0; n = List.length xs }
 
-let phase_row ~label_width label trace names =
-  Printf.printf "%-*s" label_width label;
-  List.iter (fun n -> Printf.printf " %*.4f" (phase_width n) (Trace.span_seconds trace n)) names;
-  Printf.printf " %9.4f\n" (Trace.total_seconds trace)
+(* The one wall-clock sampler: [n] times, run [before] untimed, then
+   [f] under the clock.  [before] recreates the state the first run
+   starts from, such as cleared memo tables for a cold measurement.
+   Returns [f]'s results in run order and the spread of its wall times
+   in seconds. *)
+let sample ~n ?(before = ignore) f =
+  let runs =
+    List.init n (fun _ ->
+        before ();
+        let t0 = Trace.now () in
+        let v = f () in
+        (v, Trace.now () -. t0))
+  in
+  (List.map fst runs, spread (List.map snd runs))
 
-(* ---------------- shared measurement helpers ---------------- *)
+(* A spread in other units: nearest-rank quartiles commute with a
+   positive factor. *)
+let scale k s = { s with median = k *. s.median; q1 = k *. s.q1; q3 = k *. s.q3 }
 
-let timed f =
-  let t0 = Trace.now () in
-  let v = f () in
-  (v, Trace.now () -. t0)
+(* median [q1, q3] *)
+let show digits s = Printf.sprintf "%.*f [%.*f, %.*f]" digits s.median digits s.q1 digits s.q3
+
+(* ---------------- inputs and scratch files ---------------- *)
 
 (* Fixed-seed random tensors for every Input node of [g]. *)
 let inputs_of g =
@@ -154,6 +162,10 @@ let provenance () =
 
 (* A section of rows: one object of [fields r] per element [r]. *)
 let rows fields l = List (List.map (fun r -> Obj (fields r)) l)
+
+(* The one JSON form of a wall time. *)
+let spread_json s =
+  Obj [ ("median", Float s.median); ("q1", Float s.q1); ("q3", Float s.q3); ("n", Int s.n) ]
 
 let write ~experiment path sections =
   let doc = ("experiment", Str experiment) :: ("provenance", provenance ()) :: sections in

@@ -851,9 +851,9 @@ let translation t prog =
 
 type engine = Translated | Reference
 
-(* Global so the benchmark harness (and CI smoke) can reproduce the
-   pre-translation baseline — reference dispatch AND a fresh machine per
-   [scratch] request — without threading a flag through every layer. *)
+(* Global so a whole-model differential (bench vm and its CI smoke) can
+   run a model through reference dispatch AND a fresh machine per
+   [scratch] request, without threading a flag through every layer. *)
 let engine_state = ref Translated
 let set_engine e = engine_state := e
 let engine () = !engine_state

@@ -93,10 +93,11 @@ val lanes_clone : unit -> string
 
 (** {2 Engine selection}
 
-    Global switch so benchmarks and CI smokes can reproduce the
-    pre-translation baseline.  [Reference] also makes {!scratch} return
-    fresh machines, matching the historical allocate-per-node behaviour
-    for honest A/B timing. *)
+    Global switch so a whole model can run through the reference
+    interpreter: [bench vm]'s whole-model differential runs each model
+    once per engine and requires identical outputs and statistics.
+    [Reference] also makes {!scratch} return fresh machines, so that
+    differential also checks {!reset} against {!create}. *)
 
 type engine = Translated | Reference
 
@@ -116,5 +117,6 @@ val reset : ?mem_bytes:int -> t -> unit
 (** [scratch ~mem_bytes ()] — the domain's one scratch machine, {!reset}
     and ready: per-node runners reuse it instead of allocating a fresh
     multi-MiB machine per node.  Under the [Reference] engine this
-    returns a fresh {!create} instead. *)
+    returns a fresh {!create} instead, the state a reset machine must
+    equal. *)
 val scratch : ?mem_bytes:int -> unit -> t
