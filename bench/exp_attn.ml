@@ -4,7 +4,7 @@
    the host interpreter) and on (the default GCD2 configuration:
    row-operator and batched-MatMul kernels costed from generated
    programs and executed on the simulated DSP), then run end-to-end on
-   the translated engine under both assignments.  The table reports the
+   the native engine under both assignments.  The table reports the
    host-vs-VM node flip, the simulated DSP cycles, the cost model's
    end-to-end latency for both configurations, and the measured
    inference wall time.  Writes BENCH_attn.json.
@@ -51,7 +51,7 @@ type row = {
 let measure_leg ~n config g ~inputs =
   let c = Compiler.compile ~config g in
   Gc.full_major ();
-  (* untimed warm-up pays decode+translation outside the clock *)
+  (* untimed warm-up pays kernel generation and decode outside the clock *)
   let _, stats = Runtime.run_with_stats c ~inputs in
   let _, wall_s =
     Report.sample ~n ~before:Gc.full_major (fun () ->

@@ -268,7 +268,7 @@ let fig12 () =
     adaptive.Unroll.ug
     (Unroll.shape_class_name (Unroll.classify ~m ~n));
   Report.header "Figure 12b - Unroll strategies across 8 MatMul kernels (speedup over no unroll)";
-  Report.row "%-4s | %8s %8s %8s %11s %8s | search ms, median [q1, q3] (exh vs gcd2)\n"
+  Report.row "%-4s | %8s %8s %8s %11s %8s | search, median [q1, q3]: exh ms vs gcd2 us\n"
     "krn" "none" "Out" "Mid" "Exhaustive" "GCD2";
   List.iteri
     (fun i (m, k, n) ->
@@ -308,7 +308,7 @@ let fig12 () =
         (speed (List.hd exh))
         (speed (List.hd adaptive))
         (Report.show 2 (Report.scale 1e3 t_exh))
-        (Report.show 4 (Report.scale 1e3 t_ad)))
+        (Report.show 2 (Report.scale 1e6 t_ad)))
     unroll_kernels;
   Report.note
     "paper: GCD2's shape-adaptive settings match exhaustive search (best 4-4) at a fraction of the search time"

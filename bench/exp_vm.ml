@@ -1,5 +1,5 @@
 (* VM benchmark ("vm"): per-opcode wall time per executed instruction
-   of the translated engine against the reference interpreter, and a
+   of the native engine against the reference interpreter, and a
    whole-model differential over the zoo — asserting that both engines
    leave identical machine state on every opcode row, and identical
    per-node outputs and execution statistics on every model.  Writes
@@ -26,13 +26,13 @@ module B = Graph.Builder
 
 (* ---------------- per-opcode rows ---------------- *)
 
-(* One instruction per packet, replayed by a hardware loop: the loop body
-   is translated once and executed [trip] times, so the measured time is
-   the steady-state per-instruction cost of each engine.  Every Valu op
-   at every width, on vectors and on a pair, and the aliased shapes of
-   [Vscalev], [Vshuff] and [Vlut] have a row (a [Vshuff] with pd = ps
-   copies its source first), so the smoke runs every C path of the lane
-   functions in the clone the host picks. *)
+(* One instruction per packet, replayed by a hardware loop: the program
+   is decoded once and its loop body executed [trip] times, so the
+   measured time is the steady-state cost of each engine per instruction
+   and its packet.  Every Valu op at every width, on vectors and on a
+   pair, and the aliased shapes of [Vscalev], [Vshuff] and [Vlut] have a
+   row (a [Vshuff] with pd = ps copies its source first), so the smoke
+   runs every C path of the lane functions in the clone the host picks. *)
 let opcodes : (string * Instr.t) list =
   let r n = Reg.R n and v n = Reg.V n and p n = Reg.P n in
   let at n off = { Instr.base = r n; offset = off } in
@@ -79,7 +79,7 @@ let opcodes : (string * Instr.t) list =
 
 type op_row = {
   op : string;
-  fast_ns : Report.spread;  (** translated engine, wall ns per executed instruction *)
+  fast_ns : Report.spread;  (** native engine, wall ns per executed instruction *)
   ref_ns : Report.spread;  (** reference interpreter *)
 }
 
@@ -103,14 +103,13 @@ let machine () =
 let state m =
   let c = Machine.counters m in
   ( List.init Reg.scalar_count (fun i -> Machine.get_sreg m (Reg.R i)),
-    List.init Reg.vector_count (fun v ->
-        List.init Reg.vector_bytes (fun l -> Machine.get_lane m (Reg.V v) ~width:Instr.W8 l)),
+    Machine.vector_registers m,
     Bytes.sub_string (Machine.window m ~addr:0 ~len:(Machine.memory_size m)) 0
       (Machine.memory_size m),
     Machine.[ c.cycles; c.packets; c.instrs; c.macs; c.loaded_bytes; c.stored_bytes ] )
 
 (* One run on each engine from identical machines must leave identical
-   state; that run also pays translation outside the clock.  Then each
+   state; that run also pays the decode outside the clock.  Then each
    engine's [reps] runs are sampled [n] times, as wall ns per executed
    instruction. *)
 let measure_opcode ~n ~trip ~reps (op, instr) =
@@ -245,7 +244,7 @@ let print_models model_rows =
 
 let run_with ~n ~trip ~reps ~models ~label =
   Report.header
-    (label ^ ": translated engine vs reference interpreter (identical state and outputs)");
+    (label ^ ": native engine vs reference interpreter (identical state and outputs)");
   Printf.printf "   native lanes: %s clone; wall times median [q1, q3] of %d samples\n"
     (Machine.lanes_clone ()) n;
   let op_rows = List.map (measure_opcode ~n ~trip ~reps) opcodes in

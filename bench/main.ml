@@ -42,7 +42,7 @@ let experiments =
     ("pack-scaling", false, "incremental vs reference SDA packer", Exp_micro.pack_scaling);
     ("compile", false, "compile time and artifact cache -> BENCH_compile.json",
      Exp_compile.run);
-    ("vm", false, "translated VM vs reference interpreter -> BENCH_vm.json", Exp_vm.run);
+    ("vm", false, "native VM vs reference interpreter -> BENCH_vm.json", Exp_vm.run);
     ("devices", false, "modeled latency per device -> BENCH_devices.json", Exp_devices.run);
     ("serve-load", false, "daemon under zipf load -> BENCH_serve.json", Exp_serve.run);
     ("attn", false, "transformer kernels off vs on -> BENCH_attn.json", Exp_attn.run);

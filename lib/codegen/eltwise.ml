@@ -148,7 +148,7 @@ let emit_unary ~tables ~table s ~in_base ~out_base =
 
 (* Materialized kernels, keyed by every argument that reaches the
    emitter (see {!Matmul.generate}): each inference's elementwise nodes
-   run the programs the previous one translated. *)
+   run the programs the previous one decoded. *)
 let binary_memo :
     (binary * spec * (int * int array) list * buffers, Program.t) Gcd2_util.Memo.t =
   Gcd2_util.Memo.create "eltwise-binary"

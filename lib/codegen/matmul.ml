@@ -621,7 +621,7 @@ let emit ~tables ?per_channel ~q_base spec buffers =
 (* Materialized kernels, keyed by every argument that reaches the
    emitter.  Calls with equal arguments (nodes of one artifact with
    equal specs, a node's execution in every inference) share one
-   physical program, so the VM's decode cache translates it once per
+   physical program, so the VM's decode cache decodes it once per
    process. *)
 let program_memo :
     ( spec * (int * int array) list * (int array * int) option * int * buffers,

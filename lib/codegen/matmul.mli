@@ -64,7 +64,7 @@ val fits_registers : ?per_channel:bool -> spec -> bool
     [mult]/[shift] of the spec are then ignored.  Raises on invalid unroll
     settings.  Memoized on all of its arguments: calls with equal
     arguments share one physical program, so the simulator's decode
-    cache translates it once. *)
+    cache decodes it once. *)
 val generate :
   ?tables:(int * int array) list ->
   ?per_channel:int array * int ->

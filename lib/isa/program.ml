@@ -23,7 +23,7 @@ type t = {
 
 let make ?(tables = []) name nodes = { name; nodes; tables }
 
-(* Identity for decode caches (the VM's translation cache).  Programs are
+(* Identity for decode caches (the VM's).  Programs are
    marshaled into compile artifacts and compared structurally by tests, so
    identity must NOT be a stamped id field: a counter would make two
    compiles of the same model produce unequal programs and would collide

@@ -19,7 +19,7 @@ type t = {
 
 val make : ?tables:(int * int array) list -> string -> node list -> t
 
-(** Identity for decode caches (e.g. {!Gcd2_vm.Machine}'s translation
+(** Identity for decode caches (e.g. {!Gcd2_vm.Machine}'s decode
     cache).  [same] is physical equality — programs are marshaled into
     compile artifacts and compared structurally by tests, so a stamped
     id field is off the table; physical identity is the only notion that

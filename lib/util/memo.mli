@@ -42,7 +42,7 @@
     Values live for the whole process, deliberately: a serving loop
     compiling many models reuses kernel costings across requests, and
     repeated inferences reuse the programs (and the simulator's
-    translations of them) the first one built.
+    decodes of them) the first one built.
     Benchmarks measuring a {e cold} compile must call {!clear_all}
     first — "first kernel of a shape" and "repeat kernel" now cost very
     different amounts. *)

@@ -2,7 +2,10 @@
 
 module Counters = Stats.Counters
 
-let now () = Unix.gettimeofday ()
+(* CLOCK_MONOTONIC in nanoseconds: it never steps, and every caller takes
+   differences or deadlines relative to now, so its epoch does not
+   matter. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 type sink =
   | Silent

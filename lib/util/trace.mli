@@ -1,7 +1,7 @@
 (** Wall-clock span tracing for the compiler pipeline.
 
     A trace is a tree of named spans.  Each span accumulates monotonic
-    wall-clock seconds ({!now} is [Unix.gettimeofday] — never
+    wall-clock seconds ({!now} reads [CLOCK_MONOTONIC] — never
     [Sys.time], which reports CPU time and misreports I/O-bound or
     multi-threaded phases), an invocation count, and named integer
     counters.  Spans with the same name under the same parent merge, so
@@ -18,7 +18,9 @@
     Closed spans stream to a pluggable {!sink}: silent (default), one
     text line per close, or one JSON object per close (JSON-lines). *)
 
-(** Wall-clock timestamp in seconds. *)
+(** Seconds on the monotonic clock, at nanosecond resolution, from an
+    arbitrary epoch: only differences and deadlines relative to now are
+    meaningful. *)
 val now : unit -> float
 
 type sink =

@@ -15,24 +15,26 @@
     Two engines compute these semantics:
 
     - the {e reference} interpreter ({!exec_reference}/{!run_reference}):
-      one dispatch per executed instruction, per-byte polymorphic register
-      access — simple, obviously faithful, slow;
-    - the {e translated} engine (the default {!run}): every instruction of
-      a program is decoded {e once} into a closure specialized over the
-      concrete [Bytes] windows of its operands (register numbers resolved,
-      lane loops specialized per width with word-wide reads/writes, memory
-      ops bounds-checked once per execution, [Vlut] tables resolved at
-      decode time) and the closure is replayed on every execution — loop
-      bodies are translated once and run [trip] times, and repeated
-      {!run}s of the same program reuse the cached translation.  Every
-      lane loop but [Vmpa]'s is C (lanes.c), in the same read/write
-      order, built for the running CPU's vector unit ({!lanes_clone});
-      [Vmpa]'s stays OCaml (DESIGN.md §3e says why).
+      one dispatch per executed instruction, per-lane register access —
+      simple, obviously faithful, slow;
+    - the {e native} engine (the default {!run}): a program is decoded
+      {e once} per machine into a flat [int array] of records (packets
+      with their precomputed cycles, loops with their trip counts,
+      instructions with register offsets and full-width immediates,
+      [Vlut] tables as 256 bytes), and one C function (lanes.c) runs
+      that array in one loop, every lane loop in the reference's
+      read/write order, built for the running CPU's vector unit
+      ({!lanes_clone}).  Repeated {!run}s of the same program reuse the
+      cached decode.
 
     Both engines produce bit-identical registers, memory and counters (a
-    qcheck differential property in the suite); any instruction shape the
-    translator does not recognize falls back to a closure around the
-    reference interpreter, so the fast path can never change semantics. *)
+    qcheck differential property in the suite).  A program with any
+    instruction shape the C loop does not run (an out-of-range register
+    or one of the wrong kind, a [Vmpyb] selector outside 0..3, [Vpack] at
+    [W8], a [Vscale]/[Vscalev] shift outside 0..62, an unknown or short
+    [Vlut] table) runs whole on the reference, and the ambient trace
+    counts it as [vm-reference-runs], so the fast path can never change
+    semantics. *)
 
 open Gcd2_isa
 module Sat = Gcd2_util.Saturate
@@ -47,11 +49,22 @@ type counters = {
   mutable stored_bytes : int;
 }
 
-type exec_fn = unit -> unit
+(* A program's decode for the C loop (see [decode]), or the verdict that
+   it runs on the reference. *)
+type decoded =
+  | Native of {
+      code : int array;
+      luts : Bytes.t;  (** its [Vlut] tables, 256 bytes each *)
+      loops : Bytes.t;  (** the C loop's trip counters, one word per loop *)
+      faults : Instr.t array;  (** memory instructions by fault index *)
+    }
+  | On_reference
 
 type t = {
   sregs : int array;  (** 32 scalar registers, signed 32-bit values *)
-  vregs : Bytes.t array;  (** 32 vector registers of 128 bytes *)
+  vregs : Bytes.t;
+      (** the 32 vector registers of 128 bytes, [V n] at [128 n]: pair
+          [P k] is the 256 bytes at [256 k], its low half first *)
   mutable mem : Bytes.t;  (** physical backing store, may exceed mem_limit *)
   mutable mem_limit : int;
       (** logical memory size: all bounds checks use this, so a reused
@@ -59,14 +72,14 @@ type t = {
           size even when the backing store is larger *)
   mutable tables : (int * int array) list;
   counters : counters;
-  translations : (int, (Program.t * exec_fn) list) Hashtbl.t;
+  decodes : (int, (Program.t * decoded) list) Hashtbl.t;
       (** decode cache: {!Gcd2_isa.Program.identity_hash} buckets,
           confirmed by {!Gcd2_isa.Program.same} *)
-  mutable cached_translations : int;
+  mutable cached_decodes : int;
 }
 
 (** Can this device's programs execute on the simulator?  The ISA
-    semantics (lane counts, packet shapes, the translated engine's
+    semantics (lane counts, packet shapes, the native engine's
     specialized loops) and the packet timing are hexagon698's; wider
     descriptors are costed analytically, never run. *)
 let executable (d : Desc.t) =
@@ -77,18 +90,25 @@ let executable (d : Desc.t) =
 let create ?(mem_bytes = 1 lsl 22) () =
   {
     sregs = Array.make Reg.scalar_count 0;
-    vregs = Array.init Reg.vector_count (fun _ -> Bytes.make Reg.vector_bytes '\000');
+    vregs = Bytes.make (Reg.vector_count * Reg.vector_bytes) '\000';
     mem = Bytes.make mem_bytes '\000';
     mem_limit = mem_bytes;
     tables = [];
     counters =
       { cycles = 0; packets = 0; instrs = 0; macs = 0; loaded_bytes = 0; stored_bytes = 0 };
-    translations = Hashtbl.create 16;
-    cached_translations = 0;
+    decodes = Hashtbl.create 16;
+    cached_decodes = 0;
   }
 
 let counters t = t.counters
 let memory_size t = t.mem_limit
+
+(* Native order is the simulated DSP's little-endian lane order only on
+   a little-endian host: the register and memory words below and in
+   lanes.c rely on it. *)
+let () =
+  if Sys.big_endian then
+    failwith "Gcd2_vm.Machine: the simulator's word access needs a little-endian host"
 
 (* ------------------------------------------------------------------ *)
 (* Register access                                                     *)
@@ -102,87 +122,75 @@ let set_sreg t r v =
   | Reg.R n -> t.sregs.(n) <- Sat.wrap32 v
   | r -> invalid_arg (Fmt.str "set_sreg: %a is not scalar" Reg.pp r)
 
-(* A vector operand is a list of (physical register, byte offset) windows;
-   pairs span two registers. *)
 let operand_bytes = function
   | Reg.V _ -> Reg.vector_bytes
   | Reg.P _ -> 2 * Reg.vector_bytes
   | Reg.R _ -> invalid_arg "vector operand expected"
 
-let get_byte t r i =
-  match r with
-  | Reg.V n -> Char.code (Bytes.get t.vregs.(n) i)
-  | Reg.P k ->
-    if i < Reg.vector_bytes then Char.code (Bytes.get t.vregs.(2 * k) i)
-    else Char.code (Bytes.get t.vregs.((2 * k) + 1) (i - Reg.vector_bytes))
-  | Reg.R _ -> invalid_arg "get_byte: scalar register"
-
-let set_byte t r i v =
-  let c = Char.chr (v land 0xff) in
-  match r with
-  | Reg.V n -> Bytes.set t.vregs.(n) i c
-  | Reg.P k ->
-    if i < Reg.vector_bytes then Bytes.set t.vregs.(2 * k) i c
-    else Bytes.set t.vregs.((2 * k) + 1) (i - Reg.vector_bytes) c
-  | Reg.R _ -> invalid_arg "set_byte: scalar register"
-
 let lane_bytes = Instr.width_bytes
 
-(* Little-endian signed lane read/write at an arbitrary width. *)
+(* Offset in [vregs] of lane byte [i] (of a lane of [size] bytes) of a
+   vector operand.  A lane outside the operand raises as an index out of
+   the register's own bytes would; an index past the register file makes
+   the [Bytes] access raise. *)
+let vreg_offset ~who r i size =
+  let base =
+    match r with
+    | Reg.V n -> n * Reg.vector_bytes
+    | Reg.P k -> 2 * k * Reg.vector_bytes
+    | Reg.R _ -> invalid_arg (who ^ ": scalar register")
+  in
+  if i < 0 || i > operand_bytes r - size then invalid_arg "index out of bounds";
+  base + i
+
+let get_byte t r i = Char.code (Bytes.get t.vregs (vreg_offset ~who:"get_byte" r i 1))
+
+let set_byte t r i v =
+  Bytes.set t.vregs (vreg_offset ~who:"set_byte" r i 1) (Char.unsafe_chr (v land 0xff))
+
+(* Little-endian signed lane read/write at an arbitrary width, one word
+   access per lane. *)
 let get_lane t r ~width l =
   let b = lane_bytes width in
-  let base = l * b in
-  let rec go i acc = if i = b then acc else go (i + 1) (acc lor (get_byte t r (base + i) lsl (8 * i))) in
-  Sat.sign_extend ~bits:(8 * b) (go 0 0)
+  let o = vreg_offset ~who:"get_byte" r (l * b) b in
+  match width with
+  | Instr.W8 -> Bytes.get_int8 t.vregs o
+  | Instr.W16 -> Bytes.get_int16_le t.vregs o
+  | Instr.W32 -> Int32.to_int (Bytes.get_int32_le t.vregs o)
 
 let set_lane t r ~width l v =
   let b = lane_bytes width in
-  let base = l * b in
-  for i = 0 to b - 1 do
-    set_byte t r (base + i) ((v asr (8 * i)) land 0xff)
-  done
+  let o = vreg_offset ~who:"set_byte" r (l * b) b in
+  match width with
+  | Instr.W8 -> Bytes.set_int8 t.vregs o v
+  | Instr.W16 -> Bytes.set_int16_le t.vregs o v
+  | Instr.W32 -> Bytes.set_int32_le t.vregs o (Int32.of_int v)
 
 let lane_count r width = operand_bytes r / lane_bytes width
 
-(* ------------------------------------------------------------------ *)
-(* Unchecked word access                                               *)
+let vector_registers t = Bytes.copy t.vregs
 
-(* The compiler's unchecked, native-endian [Bytes] primitives: no bounds
-   check, no byte swap, and the [int32] forms never box when converted
-   to or from [int] on the spot.  Every use is in bounds by construction:
-   the translated closures apply them to whole 128-byte register windows
-   at lane offsets below 128, and memory accesses only after one bounds
-   check of the whole transfer.  Native order is the simulated DSP's
-   little-endian order only on a little-endian host, which module
-   initialization checks once. *)
-external get16u : Bytes.t -> int -> int = "%caml_bytes_get16u"
-external set16u : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
-external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
-external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
-
-let () =
-  if Sys.big_endian then
-    failwith "Gcd2_vm.Machine: the simulator's word access needs a little-endian host"
-
-(* Reads sign-extend like [get_lane]; writes store the low 8/16/32 bits
-   like [set_lane], so a [p32] of an unwrapped sum is exactly
-   [Sat.wrap32]. *)
-let[@inline] sx8 v = (v lxor 0x80) - 0x80
-let[@inline] s8 b i = sx8 (Char.code (Bytes.unsafe_get b i))
-let[@inline] p8 b i v = Bytes.unsafe_set b i (Char.unsafe_chr (v land 0xff))
-let[@inline] g16 b o = (get16u b o lxor 0x8000) - 0x8000
-let[@inline] p16 b o v = set16u b o v
-let[@inline] g32 b o = Int32.to_int (get32u b o)
-let[@inline] p32 b o v = set32u b o (Int32.of_int v)
-let[@inline] clamp16 v = if v < -32768 then -32768 else if v > 32767 then 32767 else v
+let set_vector_registers t b =
+  if Bytes.length b <> Bytes.length t.vregs then
+    invalid_arg "set_vector_registers: not a whole register file";
+  Bytes.blit b 0 t.vregs 0 (Bytes.length b)
 
 (* ------------------------------------------------------------------ *)
 (* Memory access                                                       *)
 
+(* The staging helpers' unchecked, native-endian byte and halfword
+   access, after one bounds check of the whole transfer. *)
+external set16u : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
+
+let[@inline] s8 b i = (Char.code (Bytes.unsafe_get b i) lxor 0x80) - 0x80
+let[@inline] p8 b i v = Bytes.unsafe_set b i (Char.unsafe_chr (v land 0xff))
+
 let effective_address t (a : Instr.addr) = get_sreg t a.base + a.offset
 
+(* Written so that it cannot overflow: [addr + size] wraps negative for
+   an [addr] near [max_int]. *)
 let check_bounds t addr size =
-  if addr < 0 || addr + size > t.mem_limit then
+  if addr < 0 || addr > t.mem_limit - size then
     invalid_arg (Fmt.str "memory access out of bounds: [%d, %d)" addr (addr + size))
 
 let mem_read32 t addr =
@@ -222,7 +230,7 @@ let write_i16_array t ~addr data =
   let n = Array.length data and mem = t.mem in
   check_bounds t addr (2 * n);
   for i = 0 to n - 1 do
-    p16 mem (addr + (2 * i)) (Array.unsafe_get data i)
+    set16u mem (addr + (2 * i)) (Array.unsafe_get data i)
   done
 
 (** Stage an int32 array into memory at [addr] (4 bytes per element). *)
@@ -458,96 +466,50 @@ let run_reference t (prog : Program.t) =
   List.iter (exec_node t) prog.Program.nodes
 
 (* ------------------------------------------------------------------ *)
-(* Translated execution engine                                         *)
+(* Native execution engine                                             *)
 
-(* Decode-time specialization of the scalar ALU: the reference's
-   [exec_salu] matches on the op every execution; here the binary
-   function is resolved once per decoded instruction.  The 32-bit wrap
-   stays at the write like [set_sreg] does. *)
-let salu_fn op : int -> int -> int =
-  match op with
-  | Instr.Add -> ( + )
-  | Instr.Sub -> ( - )
-  | Instr.And -> ( land )
-  | Instr.Or -> ( lor )
-  | Instr.Xor -> ( lxor )
-  | Instr.Shl -> fun a b -> a lsl (b land 31)
-  | Instr.Shr -> fun a b -> a asr (b land 31)
-  | Instr.Min -> fun a b -> if a < b then a else b
-  | Instr.Max -> fun a b -> if a > b then a else b
+(* Record opcodes: lanes.c's enum, in its order.  Each record is its
+   opcode and then the words the comment lists; a register is its offset
+   in [vregs] (a pair's is its low half's) or its scalar index. *)
+let op_packet = 0 (* cycles *)
+let op_loop = 1 (* trip, slot, body length; the body; then op_end *)
+let op_end = 2 (* slot, body length *)
+let op_smovi = 3 (* rd, wrapped immediate *)
+let op_salu_r = 4 (* op, rd, rs, ro *)
+let op_salu_i = 5 (* op, rd, rs, immediate *)
+let op_smul_r = 6 (* rd, rs, ro *)
+let op_smul_i = 7 (* rd, rs, immediate *)
+let op_sload = 8 (* fault index, rd, base, offset *)
+let op_sstore = 9 (* fault index, rs, base, offset *)
+let op_vload = 10 (* fault index, vd, base, offset *)
+let op_vstore = 11 (* fault index, vs, base, offset *)
+let op_vmovi = 12 (* vd, operand bytes, value *)
+let op_vdup = 13 (* vd, operand bytes, rs *)
+let op_valu = 14 (* 3 op + width, vd, va, vb, operand bytes *)
+let op_vaddw = 15 (* pd, vs *)
+let op_vmpy = 16 (* pd, vs, rt *)
+let op_vmpyb = 17 (* pd, vs, rt, selector *)
+let op_vmul = 18 (* pd, va, vb *)
+let op_vmpa = 19 (* pd, ps, rt *)
+let op_vrmpy = 20 (* vd, vs, rt *)
+let op_vscale = 21 (* vd, vs, multiplier, shift *)
+let op_vscalev = 22 (* vd, vs, vm, shift *)
+let op_vpack_w32 = 23 (* vd, ps *)
+let op_vpack_w16 = 24 (* vd, ps *)
+let op_vshuff = 25 (* pd, ps, width *)
+let op_vlut = 26 (* vd, vs, table offset in luts *)
 
-(* [Sat.wrap32] as one sign extension of the low 32 bits. *)
-let[@inline] wrap32 v = Int32.to_int (Int32.of_int v)
+let salu_index = function
+  | Instr.Add -> 0
+  | Instr.Sub -> 1
+  | Instr.And -> 2
+  | Instr.Or -> 3
+  | Instr.Xor -> 4
+  | Instr.Shl -> 5
+  | Instr.Shr -> 6
+  | Instr.Min -> 7
+  | Instr.Max -> 8
 
-(* Decode-time operand resolution.  [None] means the operand does not
-   have the shape the specialized closure expects (wrong register kind or
-   an out-of-range index); the instruction then falls back to the
-   reference interpreter, which raises or misbehaves in exactly the
-   documented way — at execution time, not decode time. *)
-let sreg_index = function
-  | Reg.R n when n >= 0 && n < Reg.scalar_count -> Some n
-  | _ -> None
-
-(* First-128-bytes window: whole V register, or the low half of a pair
-   (all byte-lane reads/writes below 128 land there). *)
-let low_window t = function
-  | Reg.V n when n >= 0 && n < Reg.vector_count -> Some t.vregs.(n)
-  | Reg.P k when k >= 0 && (2 * k) + 1 < Reg.vector_count -> Some t.vregs.(2 * k)
-  | _ -> None
-
-let pair_windows t = function
-  | Reg.P k when k >= 0 && (2 * k) + 1 < Reg.vector_count ->
-    Some (t.vregs.(2 * k), t.vregs.((2 * k) + 1))
-  | _ -> None
-
-(* Every 128-byte segment of the operand, in ascending lane order. *)
-let all_segments t = function
-  | Reg.V n when n >= 0 && n < Reg.vector_count -> Some [| t.vregs.(n) |]
-  | Reg.P k when k >= 0 && (2 * k) + 1 < Reg.vector_count ->
-    Some [| t.vregs.(2 * k); t.vregs.((2 * k) + 1) |]
-  | _ -> None
-
-(* The four sign-extended bytes of a scalar operand. *)
-let[@inline] sbyte rv m = sx8 ((rv asr (8 * m)) land 0xff)
-
-(* Every lane loop but [Vmpa]'s runs in C (lanes.c), over the same
-   register windows the other closures use.  Arguments are tagged ints,
-   [Bytes.t] and, for [Vlut], the table's [int array], read in place:
-   nothing allocates, so the calls are [noalloc]. *)
-external vrmpy_lanes : Bytes.t -> Bytes.t -> int -> unit = "gcd2_vm_vrmpy" [@@noalloc]
-external vmpy_lanes : Bytes.t -> Bytes.t -> Bytes.t -> int -> unit = "gcd2_vm_vmpy" [@@noalloc]
-
-external vmpyb_lanes : Bytes.t -> Bytes.t -> Bytes.t -> int -> int -> unit = "gcd2_vm_vmpyb"
-[@@noalloc]
-
-external vmul_lanes : Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> unit = "gcd2_vm_vmul"
-[@@noalloc]
-
-external vaddw_lanes : Bytes.t -> Bytes.t -> Bytes.t -> unit = "gcd2_vm_vaddw" [@@noalloc]
-
-external vpack_w32_lanes : Bytes.t -> Bytes.t -> Bytes.t -> unit = "gcd2_vm_vpack_w32"
-[@@noalloc]
-
-external vpack_w16_lanes : Bytes.t -> Bytes.t -> Bytes.t -> unit = "gcd2_vm_vpack_w16"
-[@@noalloc]
-
-external vscale_lanes : Bytes.t -> Bytes.t -> int -> int -> unit = "gcd2_vm_vscale" [@@noalloc]
-
-external vscalev_lanes : Bytes.t -> Bytes.t -> Bytes.t -> int -> unit = "gcd2_vm_vscalev"
-[@@noalloc]
-
-(* One 128-byte segment of a [Valu]: destination, sources, op, width. *)
-external valu_lanes : Bytes.t -> Bytes.t -> Bytes.t -> int -> int -> unit = "gcd2_vm_valu"
-[@@noalloc]
-
-external vshuff_lanes : Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> int -> unit
-  = "gcd2_vm_vshuff"
-[@@noalloc]
-
-external vlut_lanes : Bytes.t -> Bytes.t -> int array -> unit = "gcd2_vm_vlut" [@@noalloc]
-external lanes_clone : unit -> string = "gcd2_vm_lanes_clone"
-
-(* The C side's op and width numbering. *)
 let valu_index = function
   | Instr.Vadd -> 0
   | Instr.Vsub -> 1
@@ -560,291 +522,139 @@ let valu_index = function
 
 let width_index = function Instr.W8 -> 0 | Instr.W16 -> 1 | Instr.W32 -> 2
 
-(* Translate one instruction into a specialized closure.  Counter updates
-   are baked in per instruction (not per packet) so that even a program
-   aborted mid-packet by a bounds fault leaves counters bit-identical to
-   the reference interpreter.  Lane loops, in C or [Vmpa]'s here,
-   preserve the reference's exact read/write order, which is what makes
-   aliased operands (e.g. a source vector inside the destination pair)
-   behave identically. *)
-let translate_instr t ~tables (instr : Instr.t) : exec_fn =
-  let c = t.counters in
-  let s = t.sregs in
-  let vb = Reg.vector_bytes in
-  let fallback = fun () -> exec_reference t instr in
-  match instr with
-  | Instr.Smovi (rd, imm) -> (
-    match sreg_index rd with
-    | Some d ->
-      let v = wrap32 imm in
-      fun () ->
-        c.instrs <- c.instrs + 1;
-        Array.unsafe_set s d v
-    | None -> fallback)
-  | Instr.Salu (op, rd, rs, o) -> (
-    match (sreg_index rd, sreg_index rs, o) with
-    | Some d, Some r, Instr.Imm i ->
-      let f = salu_fn op in
-      fun () ->
-        c.instrs <- c.instrs + 1;
-        Array.unsafe_set s d (wrap32 (f (Array.unsafe_get s r) i))
-    | Some d, Some r, Instr.Reg ro -> (
-      match sreg_index ro with
-      | Some oi ->
-        let f = salu_fn op in
-        fun () ->
-          c.instrs <- c.instrs + 1;
-          Array.unsafe_set s d (wrap32 (f (Array.unsafe_get s r) (Array.unsafe_get s oi)))
-      | None -> fallback)
-    | _ -> fallback)
-  | Instr.Smul (rd, rs, o) -> (
-    match (sreg_index rd, sreg_index rs, o) with
-    | Some d, Some r, Instr.Imm i ->
-      fun () ->
-        c.instrs <- c.instrs + 1;
-        Array.unsafe_set s d (wrap32 (Array.unsafe_get s r * i))
-    | Some d, Some r, Instr.Reg ro -> (
-      match sreg_index ro with
-      | Some oi ->
-        fun () ->
-          c.instrs <- c.instrs + 1;
-          Array.unsafe_set s d (wrap32 (Array.unsafe_get s r * Array.unsafe_get s oi))
-      | None -> fallback)
-    | _ -> fallback)
-  | Instr.Sload (rd, a) -> (
-    match (sreg_index rd, sreg_index a.Instr.base) with
-    | Some d, Some b ->
-      let off = a.Instr.offset in
-      fun () ->
-        c.instrs <- c.instrs + 1;
-        c.loaded_bytes <- c.loaded_bytes + 4;
-        let addr = Array.unsafe_get s b + off in
-        check_bounds t addr 4;
-        Array.unsafe_set s d (g32 t.mem addr)
-    | _ -> fallback)
-  | Instr.Sstore (a, rs) -> (
-    match (sreg_index a.Instr.base, sreg_index rs) with
-    | Some b, Some r ->
-      let off = a.Instr.offset in
-      fun () ->
-        c.instrs <- c.instrs + 1;
-        c.stored_bytes <- c.stored_bytes + 4;
-        let addr = Array.unsafe_get s b + off in
-        check_bounds t addr 4;
-        p32 t.mem addr (Array.unsafe_get s r)
-    | _ -> fallback)
-  | Instr.Vload (vd, a) -> (
-    match (low_window t vd, sreg_index a.Instr.base) with
-    | Some dst, Some b ->
-      let off = a.Instr.offset in
-      fun () ->
-        c.instrs <- c.instrs + 1;
-        c.loaded_bytes <- c.loaded_bytes + vb;
-        let addr = Array.unsafe_get s b + off in
-        check_bounds t addr vb;
-        Bytes.blit t.mem addr dst 0 vb
-    | _ -> fallback)
-  | Instr.Vstore (a, vs) -> (
-    match (low_window t vs, sreg_index a.Instr.base) with
-    | Some src, Some b ->
-      let off = a.Instr.offset in
-      fun () ->
-        c.instrs <- c.instrs + 1;
-        c.stored_bytes <- c.stored_bytes + vb;
-        let addr = Array.unsafe_get s b + off in
-        check_bounds t addr vb;
-        Bytes.blit src 0 t.mem addr vb
-    | _ -> fallback)
-  | Instr.Vmovi (vd, v) -> (
-    match all_segments t vd with
-    | Some segs ->
-      let ch = Char.chr (v land 0xff) and nseg = Array.length segs in
-      fun () ->
-        c.instrs <- c.instrs + 1;
-        for sg = 0 to nseg - 1 do
-          Bytes.unsafe_fill (Array.unsafe_get segs sg) 0 vb ch
-        done
-    | None -> fallback)
-  | Instr.Valu (op, width, vd, va, vb') -> (
-    let op = valu_index op and w = width_index width in
-    match (all_segments t vd, all_segments t va, all_segments t vb') with
-    | Some [| d |], Some [| a |], Some [| b |] ->
-      fun () ->
-        c.instrs <- c.instrs + 1;
-        valu_lanes d a b op w
-    | Some [| d0; d1 |], Some [| a0; a1 |], Some [| b0; b1 |] ->
-      fun () ->
-        c.instrs <- c.instrs + 1;
-        valu_lanes d0 a0 b0 op w;
-        valu_lanes d1 a1 b1 op w
-    | _ -> fallback)
-  | Instr.Vaddw (pd, vs) -> (
-    match (pair_windows t pd, low_window t vs) with
-    | Some (lo, hi), Some src ->
-      fun () ->
-        c.instrs <- c.instrs + 1;
-        vaddw_lanes lo hi src
-    | _ -> fallback)
-  | Instr.Vmpy (pd, vs, rt) -> (
-    match (pair_windows t pd, low_window t vs, sreg_index rt) with
-    | Some (lo, hi), Some src, Some rti ->
-      fun () ->
-        c.instrs <- c.instrs + 1;
-        c.macs <- c.macs + 128;
-        vmpy_lanes lo hi src (Array.unsafe_get s rti)
-    | _ -> fallback)
-  | Instr.Vmpyb (pd, vs, rt, sel) -> (
-    match (pair_windows t pd, low_window t vs, sreg_index rt) with
-    | Some (lo, hi), Some src, Some rti when sel >= 0 && sel <= 3 ->
-      fun () ->
-        c.instrs <- c.instrs + 1;
-        c.macs <- c.macs + 128;
-        vmpyb_lanes lo hi src (Array.unsafe_get s rti) sel
-    | _ -> fallback)
-  | Instr.Vmul (pd, va, vbr) -> (
-    match (pair_windows t pd, low_window t va, low_window t vbr) with
-    | Some (lo, hi), Some ab, Some bb ->
-      fun () ->
-        c.instrs <- c.instrs + 1;
-        c.macs <- c.macs + 128;
-        vmul_lanes lo hi ab bb
-    | _ -> fallback)
-  | Instr.Vmpa (pd, ps, rt) -> (
-    match (pair_windows t pd, pair_windows t ps, sreg_index rt) with
-    | Some (lo, hi), Some (q0, q1), Some rti ->
-      fun () ->
-        c.instrs <- c.instrs + 1;
-        c.macs <- c.macs + 256;
-        let rv = Array.unsafe_get s rti in
-        let b0 = sbyte rv 0 and b1 = sbyte rv 1 and b2 = sbyte rv 2 and b3 = sbyte rv 3 in
-        for j = 0 to 63 do
-          let o = 2 * j in
-          p16 lo o (clamp16 (g16 lo o + (s8 q0 o * b0) + (s8 q1 o * b1)));
-          p16 hi o (clamp16 (g16 hi o + (s8 q0 (o + 1) * b2) + (s8 q1 (o + 1) * b3)))
-        done
-    | _ -> fallback)
-  | Instr.Vrmpy (vd, vs, rt) -> (
-    match (low_window t vd, low_window t vs, sreg_index rt) with
-    | Some dst, Some src, Some rti ->
-      fun () ->
-        c.instrs <- c.instrs + 1;
-        c.macs <- c.macs + 128;
-        vrmpy_lanes dst src (Array.unsafe_get s rti)
-    | _ -> fallback)
-  | Instr.Vscale (vd, vs, mult, shift) -> (
-    (* C emulates the reference's 63-bit arithmetic for shifts 0..62;
-       OCaml leaves larger shifts unspecified. *)
-    match (low_window t vd, low_window t vs) with
-    | Some dst, Some src when shift >= 0 && shift <= 62 ->
-      fun () ->
-        c.instrs <- c.instrs + 1;
-        vscale_lanes dst src mult shift
-    | _ -> fallback)
-  | Instr.Vscalev (vd, vs, vm, shift) -> (
-    match (low_window t vd, low_window t vs, low_window t vm) with
-    | Some dst, Some src, Some mb when shift >= 0 && shift <= 62 ->
-      fun () ->
-        c.instrs <- c.instrs + 1;
-        vscalev_lanes dst src mb shift
-    | _ -> fallback)
-  | Instr.Vpack (vd, ps, w) -> (
-    match (low_window t vd, pair_windows t ps, w) with
-    | Some dst, Some (plo, phi), Instr.W32 ->
-      fun () ->
-        c.instrs <- c.instrs + 1;
-        vpack_w32_lanes dst plo phi
-    | Some dst, Some (plo, phi), Instr.W16 ->
-      fun () ->
-        c.instrs <- c.instrs + 1;
-        vpack_w16_lanes dst plo phi
-    | _, _, _ -> fallback)
-  | Instr.Vshuff (pd, ps, width) -> (
-    match (pair_windows t pd, pair_windows t ps) with
-    | Some (dlo, dhi), Some (slo, shi) ->
-      let w = width_index width in
-      fun () ->
-        c.instrs <- c.instrs + 1;
-        vshuff_lanes dlo dhi slo shi w
-    | _ -> fallback)
-  | Instr.Vlut (vd, vs, id) -> (
-    match (low_window t vd, low_window t vs, List.assoc_opt id tables) with
-    | Some dst, Some src, Some table when Array.length table >= 256 ->
-      fun () ->
-        c.instrs <- c.instrs + 1;
-        vlut_lanes dst src table
-    | _ -> fallback)
-  | Instr.Vdup (vd, rs) -> (
-    match (all_segments t vd, sreg_index rs) with
-    | Some segs, Some ri ->
-      let nseg = Array.length segs in
-      fun () ->
-        c.instrs <- c.instrs + 1;
-        let ch = Char.unsafe_chr (Array.unsafe_get s ri land 0xff) in
-        for sg = 0 to nseg - 1 do
-          Bytes.unsafe_fill (Array.unsafe_get segs sg) 0 vb ch
-        done
-    | _ -> fallback)
+(* A shape the C loop does not run: the whole program takes the
+   reference. *)
+exception Unsupported
 
-(* Packet/node translation: packet-level counters (packets, cycles) are
-   static, so each packet contributes one prologue closure with the
-   precomputed cycle cost, followed by its member instructions. *)
-let translate_packet t ~tables (p : Packet.t) : exec_fn list =
-  let c = t.counters in
-  let cyc = Packet.cycles ~desc:Desc.hexagon698 p in
-  let prologue () =
-    c.packets <- c.packets + 1;
-    c.cycles <- c.cycles + cyc
+(* Decode a program into the C loop's records.  Decoding never raises
+   for a shape the reference would reject at run time: a trip-0 loop is
+   decoded but never run. *)
+let decode (prog : Program.t) =
+  let faults = ref [] and nfaults = ref 0 and nloops = ref 0 in
+  let luts = Buffer.create 256 and lut_ids = ref [] in
+  let sreg = function Reg.R n when n >= 0 && n < Reg.scalar_count -> n | _ -> raise Unsupported in
+  let vec = function
+    | Reg.V n when n >= 0 && n < Reg.vector_count -> n * Reg.vector_bytes
+    | Reg.P k when k >= 0 && k < Reg.vector_count / 2 -> 2 * k * Reg.vector_bytes
+    | _ -> raise Unsupported
   in
-  prologue :: List.map (translate_instr t ~tables) p
+  let pair = function Reg.P _ as r -> vec r | _ -> raise Unsupported in
+  let mem op i r (a : Instr.addr) =
+    let b = sreg a.Instr.base in
+    faults := i :: !faults;
+    incr nfaults;
+    [| op; !nfaults - 1; r; b; a.Instr.offset |]
+  in
+  let lut id =
+    match List.assoc_opt id !lut_ids with
+    | Some off -> off
+    | None -> (
+      match List.assoc_opt id prog.Program.tables with
+      | Some tbl when Array.length tbl >= 256 ->
+        let off = Buffer.length luts in
+        for i = 0 to 255 do
+          Buffer.add_char luts (Char.unsafe_chr (tbl.(i) land 0xff))
+        done;
+        lut_ids := (id, off) :: !lut_ids;
+        off
+      | _ -> raise Unsupported)
+  in
+  let shift s = if s >= 0 && s <= 62 then s else raise Unsupported in
+  let instr (i : Instr.t) =
+    match i with
+    | Instr.Smovi (rd, imm) -> [| op_smovi; sreg rd; Sat.wrap32 imm |]
+    | Instr.Salu (op, rd, rs, Instr.Reg ro) ->
+      [| op_salu_r; salu_index op; sreg rd; sreg rs; sreg ro |]
+    | Instr.Salu (op, rd, rs, Instr.Imm x) -> [| op_salu_i; salu_index op; sreg rd; sreg rs; x |]
+    | Instr.Smul (rd, rs, Instr.Reg ro) -> [| op_smul_r; sreg rd; sreg rs; sreg ro |]
+    | Instr.Smul (rd, rs, Instr.Imm x) -> [| op_smul_i; sreg rd; sreg rs; x |]
+    | Instr.Sload (rd, a) -> mem op_sload i (sreg rd) a
+    | Instr.Sstore (a, rs) -> mem op_sstore i (sreg rs) a
+    | Instr.Vload (vd, a) -> mem op_vload i (vec vd) a
+    | Instr.Vstore (a, vs) -> mem op_vstore i (vec vs) a
+    (* [vec] first: [operand_bytes] raises on a scalar register *)
+    | Instr.Vmovi (vd, x) ->
+      let d = vec vd in
+      [| op_vmovi; d; operand_bytes vd; x |]
+    | Instr.Vdup (vd, rs) ->
+      let d = vec vd in
+      [| op_vdup; d; operand_bytes vd; sreg rs |]
+    | Instr.Valu (op, w, vd, va, vb) ->
+      let d = vec vd in
+      let a = vec va in
+      let b = vec vb in
+      let n = operand_bytes vd in
+      if operand_bytes va <> n || operand_bytes vb <> n then raise Unsupported;
+      [| op_valu; (3 * valu_index op) + width_index w; d; a; b; n |]
+    | Instr.Vaddw (pd, vs) -> [| op_vaddw; pair pd; vec vs |]
+    | Instr.Vmpy (pd, vs, rt) -> [| op_vmpy; pair pd; vec vs; sreg rt |]
+    | Instr.Vmpyb (pd, vs, rt, sel) ->
+      if sel < 0 || sel > 3 then raise Unsupported;
+      [| op_vmpyb; pair pd; vec vs; sreg rt; sel |]
+    | Instr.Vmul (pd, va, vb) -> [| op_vmul; pair pd; vec va; vec vb |]
+    | Instr.Vmpa (pd, ps, rt) -> [| op_vmpa; pair pd; pair ps; sreg rt |]
+    | Instr.Vrmpy (vd, vs, rt) -> [| op_vrmpy; vec vd; vec vs; sreg rt |]
+    | Instr.Vscale (vd, vs, mult, s) -> [| op_vscale; vec vd; vec vs; mult; shift s |]
+    | Instr.Vscalev (vd, vs, vm, s) -> [| op_vscalev; vec vd; vec vs; vec vm; shift s |]
+    | Instr.Vpack (vd, ps, Instr.W32) -> [| op_vpack_w32; vec vd; pair ps |]
+    | Instr.Vpack (vd, ps, Instr.W16) -> [| op_vpack_w16; vec vd; pair ps |]
+    | Instr.Vpack (_, _, Instr.W8) -> raise Unsupported
+    | Instr.Vshuff (pd, ps, w) -> [| op_vshuff; pair pd; pair ps; width_index w |]
+    | Instr.Vlut (vd, vs, id) -> [| op_vlut; vec vd; vec vs; lut id |]
+  in
+  let packet p = [| op_packet; Packet.cycles ~desc:Desc.hexagon698 p |] :: List.map instr p in
+  let rec node = function
+    | Program.Block packets -> List.concat_map packet packets
+    | Program.Loop { trip; body } ->
+      let body = List.concat_map node body in
+      let len = List.fold_left (fun n r -> n + Array.length r) 0 body in
+      let slot = !nloops in
+      incr nloops;
+      ([| op_loop; trip; slot; len |] :: body) @ [ [| op_end; slot; len |] ]
+  in
+  match List.concat_map node prog.Program.nodes with
+  | records ->
+    Native
+      {
+        code = Array.concat records;
+        luts = Buffer.to_bytes luts;
+        loops = Bytes.create (8 * !nloops);
+        faults = Array.of_list (List.rev !faults);
+      }
+  | exception Unsupported -> On_reference
 
-let rec translate_node t ~tables = function
-  | Program.Block packets ->
-    let fns = Array.of_list (List.concat_map (translate_packet t ~tables) packets) in
-    let n = Array.length fns in
-    fun () ->
-      for i = 0 to n - 1 do
-        (Array.unsafe_get fns i) ()
-      done
-  | Program.Loop { trip; body } ->
-    let fns = Array.of_list (List.map (translate_node t ~tables) body) in
-    let n = Array.length fns in
-    fun () ->
-      for _ = 1 to trip do
-        for i = 0 to n - 1 do
-          (Array.unsafe_get fns i) ()
-        done
-      done
+(* The C loop (lanes.c): code, luts, loops, scalar registers, vector
+   registers, memory, its logical size, counters.  Returns -1, or the
+   fault index of a memory instruction whose bounds check failed, which
+   it did not count. *)
+external exec_code :
+  int array -> Bytes.t -> Bytes.t -> int array -> Bytes.t -> Bytes.t -> int -> counters -> int
+  = "gcd2_vm_exec_byte" "gcd2_vm_exec"
+[@@noalloc]
 
-let translate t (prog : Program.t) : exec_fn =
-  let tables = prog.Program.tables in
-  let fns = Array.of_list (List.map (translate_node t ~tables) prog.Program.nodes) in
-  let n = Array.length fns in
-  fun () ->
-    for i = 0 to n - 1 do
-      (Array.unsafe_get fns i) ()
-    done
+external lanes_clone : unit -> string = "gcd2_vm_lanes_clone"
 
-(* Decode cache: translations are per-machine (closures capture this
-   machine's registers) and keyed by program identity.  The cap only
-   bounds memory on pathological workloads; one compiled model's kernels
-   fit comfortably. *)
-let max_cached_translations = 512
+(* Decode cache: decodes are per-machine (the loop counters are scratch
+   state) and keyed by program identity.  The cap only bounds memory on
+   pathological workloads; one compiled model's kernels fit
+   comfortably. *)
+let max_cached_decodes = 512
 
-let translation t prog =
+let decoded t prog =
   let key = Program.identity_hash prog in
-  let bucket = Option.value ~default:[] (Hashtbl.find_opt t.translations key) in
+  let bucket = Option.value ~default:[] (Hashtbl.find_opt t.decodes key) in
   match List.find_opt (fun (p, _) -> Program.same p prog) bucket with
-  | Some (_, fn) -> fn
+  | Some (_, d) -> d
   | None ->
-    let fn = translate t prog in
-    if t.cached_translations >= max_cached_translations then begin
-      Hashtbl.reset t.translations;
-      t.cached_translations <- 0
+    let d = decode prog in
+    if t.cached_decodes >= max_cached_decodes then begin
+      Hashtbl.reset t.decodes;
+      t.cached_decodes <- 0
     end;
-    let bucket = Option.value ~default:[] (Hashtbl.find_opt t.translations key) in
-    Hashtbl.replace t.translations key ((prog, fn) :: bucket);
-    t.cached_translations <- t.cached_translations + 1;
-    fn
+    let bucket = Option.value ~default:[] (Hashtbl.find_opt t.decodes key) in
+    Hashtbl.replace t.decodes key ((prog, d) :: bucket);
+    t.cached_decodes <- t.cached_decodes + 1;
+    d
 
 (* ------------------------------------------------------------------ *)
 (* Engine selection and program execution                              *)
@@ -864,7 +674,21 @@ let run t (prog : Program.t) =
   t.tables <- prog.Program.tables;
   match !engine_state with
   | Reference -> List.iter (exec_node t) prog.Program.nodes
-  | Translated -> (translation t prog) ()
+  | Translated -> (
+    match decoded t prog with
+    | On_reference ->
+      Gcd2_util.Trace.count "vm-reference-runs" 1;
+      List.iter (exec_node t) prog.Program.nodes
+    | Native d ->
+      let fault =
+        exec_code d.code d.luts d.loops t.sregs t.vregs t.mem t.mem_limit t.counters
+      in
+      (* C stopped before counting the faulting instruction: the
+         reference counts it and raises the bounds fault *)
+      if fault >= 0 then begin
+        exec_reference t d.faults.(fault);
+        assert false
+      end)
 
 (* ------------------------------------------------------------------ *)
 (* Scratch machines                                                    *)
@@ -882,7 +706,7 @@ let reset ?(mem_bytes = 1 lsl 22) t =
   else Bytes.fill t.mem 0 mem_bytes '\000';
   t.mem_limit <- mem_bytes;
   Array.fill t.sregs 0 (Array.length t.sregs) 0;
-  Array.iter (fun v -> Bytes.fill v 0 (Bytes.length v) '\000') t.vregs;
+  Bytes.fill t.vregs 0 (Bytes.length t.vregs) '\000';
   t.tables <- [];
   let c = t.counters in
   c.cycles <- 0;

@@ -8,14 +8,13 @@
     program — a property the test suite checks.
 
     Two engines compute these semantics: the {e reference} interpreter
-    (one dispatch per executed instruction) and the {e translated} engine
-    (each instruction decoded once into a closure over the concrete
-    operand [Bytes] windows, cached per program; every lane loop but
-    [Vmpa]'s is C, in the reference's read/write order, so aliased
-    operands agree too).  They
-    produce bit-identical registers, memory and counters; {!run}
-    dispatches on the global {!engine} selection, default
-    {!Translated}. *)
+    (one dispatch per executed instruction) and the {e native} engine
+    (each program decoded once into a flat array of records, cached per
+    machine, and run by one C loop whose lane loops keep the reference's
+    read/write order, so aliased operands agree too).  They produce
+    bit-identical registers, memory and counters; {!run} dispatches on
+    the global {!engine} selection, default {!Translated}, the native
+    engine. *)
 
 open Gcd2_isa
 
@@ -31,7 +30,7 @@ type counters = {
 type t
 
 (** Can this device's programs execute on the simulator?  The ISA
-    semantics and the translated engine's specialized loops are fixed to
+    semantics and the native engine's specialized loops are fixed to
     the hexagon698 register file (128-byte vectors, 32+32 registers), and
     packets are timed under hexagon698's latencies; wider descriptors are
     costed analytically, never run. *)
@@ -51,6 +50,14 @@ val set_sreg : t -> Reg.t -> int -> unit
 val get_lane : t -> Reg.t -> width:Instr.width -> int -> int
 
 val set_lane : t -> Reg.t -> width:Instr.width -> int -> int -> unit
+
+(** A copy of the whole vector register file, 128 bytes per register:
+    [V n] is bytes [128 n] to [128 n + 127]. *)
+val vector_registers : t -> Bytes.t
+
+(** Overwrite the whole vector register file from bytes laid out as
+    {!vector_registers} returns them. *)
+val set_vector_registers : t -> Bytes.t -> unit
 
 (** Staging helpers (int8 = 1 byte/element, int32 = 4 bytes, little
     endian).  All memory access is bounds-checked. *)
@@ -72,7 +79,7 @@ val window : t -> addr:int -> len:int -> Bytes.t
 val exec : t -> Instr.t -> unit
 
 (** The reference interpreter for one instruction — the semantic ground
-    truth the translated engine is differentially tested against. *)
+    truth the native engine is differentially tested against. *)
 val exec_reference : t -> Instr.t -> unit
 
 (** Run a whole program through the reference interpreter, regardless of
@@ -81,14 +88,19 @@ val run_reference : t -> Program.t -> unit
 
 (** Run a whole program; registers and memory persist across calls.
     Under the default {!Translated} engine the program is decoded once
-    into specialized closures (cached on the machine, keyed by
-    {!Gcd2_isa.Program.same} identity) and replayed on every call. *)
+    (cached on the machine, keyed by {!Gcd2_isa.Program.same} identity)
+    and every call makes one native call that runs it whole.  A program
+    with a shape the native loop does not run (an out-of-range register
+    or one of the wrong kind, a [Vmpyb] selector outside 0..3, [Vpack]
+    at [W8], a [Vscale]/[Vscalev] shift outside 0..62, an unknown or
+    short [Vlut] table) runs whole on the reference instead, and the
+    ambient {!Gcd2_util.Trace} counts each such run as
+    [vm-reference-runs]. *)
 val run : t -> Program.t -> unit
 
-(** Which build of the native lane loops the dynamic loader bound for
-    this CPU: ["avx2"] on an x86-64 CPU with AVX2, else ["default"].
-    The translated engine's wall time depends on it; its results do
-    not. *)
+(** Which build of the native engine the dynamic loader bound for this
+    CPU: ["avx2"] on an x86-64 CPU with AVX2, else ["default"].  The
+    native engine's wall time depends on it; its results do not. *)
 val lanes_clone : unit -> string
 
 (** {2 Engine selection}
@@ -110,7 +122,7 @@ val engine : unit -> engine
     [create ~mem_bytes ()]: zeroed registers, counters, tables and the
     first [mem_bytes] of memory, growing the backing store on demand.
     Bounds checks apply to the logical [mem_bytes] size, so a reused
-    machine faults exactly like a fresh one.  The translation cache is
+    machine faults exactly like a fresh one.  The decode cache is
     kept. *)
 val reset : ?mem_bytes:int -> t -> unit
 

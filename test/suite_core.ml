@@ -206,7 +206,7 @@ let test_bmm_one_kernel_per_node () =
 
 (* Kernels are generated once per process: a second inference of the
    same compiled model runs the programs the first one built (and the
-   simulator translated), so nothing is emitted or packed again, and
+   simulator decoded), so nothing is emitted or packed again, and
    the outputs and cycles do not move.  The memo tables are cleared
    after the compile too: the runtime's kernels differ from the
    costing's only in buffer bases and requantization constants, which

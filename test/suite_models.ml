@@ -155,6 +155,19 @@ let test_pinned_inference ?seq ?(interp = false) name want () =
       outs
   end
 
+(* Every zoo kernel runs in the simulator's native loop: an inference
+   sends no program whole to the reference interpreter. *)
+let test_no_reference_runs () =
+  List.iter
+    (fun (name, seq) ->
+      let trace = Gcd2_util.Trace.create "infer" in
+      ignore (Gcd2_util.Trace.with_ambient trace (fun () -> infer ?seq name 1));
+      Alcotest.(check int)
+        (name ^ ": programs run on the reference")
+        0
+        (Gcd2_util.Trace.counter trace "vm-reference-runs"))
+    [ ("MobileNet-V3", None); ("TinyBERT", Some 64) ]
+
 let tests =
   [
     Alcotest.test_case "all models build + validate" `Quick test_all_build_and_validate;
@@ -174,4 +187,5 @@ let tests =
       (test_pinned_inference ~seq:64 "TinyBERT" "d2193271b78825beb9cc46bfd0846dc6");
     Alcotest.test_case "conformer seq 64 inference is pinned" `Quick
       (test_pinned_inference ~seq:64 "Conformer" "77a361507afc750bcecfde9acf6a921c");
+    Alcotest.test_case "inferences run no program on the reference" `Quick test_no_reference_runs;
   ]

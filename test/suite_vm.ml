@@ -210,6 +210,33 @@ let test_vmpa_semantics () =
     Alcotest.(check int) (Fmt.str "hi %d" j) (Sat.sat16 want_hi) (lane16 hi j)
   done
 
+(* Each lane's sum saturates once: 32767 + 100 - 200 is 32667, where
+   saturating after the first product would give 32567; the high half
+   mirrors it from -32768.  Scalar bytes are 1, -2, -1 and 2. *)
+let test_vmpa_saturates_once () =
+  let packed = 0x01 lor (0xfe lsl 8) lor (0xff lsl 16) lor (0x02 lsl 24) in
+  let prog = Program.make "t" (seq [ Instr.Smovi (r 1, packed); Instr.Vmpa (p 1, p 2, r 1) ]) in
+  let lanes engine =
+    let saved = Machine.engine () in
+    Machine.set_engine engine;
+    let m = Machine.create ~mem_bytes:256 () in
+    for j = 0 to 63 do
+      Machine.set_lane m (v 2) ~width:Instr.W16 j 32767;
+      Machine.set_lane m (v 3) ~width:Instr.W16 j (-32768)
+    done;
+    for i = 0 to 127 do
+      Machine.set_lane m (v 4) ~width:Instr.W8 i 100;
+      Machine.set_lane m (v 5) ~width:Instr.W8 i 100
+    done;
+    Machine.run m prog;
+    Machine.set_engine saved;
+    List.init 64 (fun j ->
+        (Machine.get_lane m (v 2) ~width:Instr.W16 j, Machine.get_lane m (v 3) ~width:Instr.W16 j))
+  in
+  let want = List.init 64 (fun _ -> (32667, -32668)) in
+  Alcotest.(check (list (pair int int))) "native engine" want (lanes Machine.Translated);
+  Alcotest.(check (list (pair int int))) "reference" want (lanes Machine.Reference)
+
 let test_vaddw_vpack_vshuff () =
   (* Widen 16 -> 32, then narrow back, with a shuffle roundtrip. *)
   let m = Machine.create ~mem_bytes:4096 () in
@@ -329,6 +356,39 @@ let test_out_of_bounds () =
       Machine.run m
         (Program.make "t" (seq [ Instr.Smovi (r 0, 1024); Instr.Vload (v 0, addr (r 0) 0) ])))
 
+(* Offsets near the ends of the int range, where [addr + size] wraps:
+   each memory op raises the simulator's bounds fault on both engines,
+   with the same counters, instead of crashing or raising from [Bytes]. *)
+let test_out_of_bounds_overflow () =
+  let ops =
+    [ (fun a -> Instr.Sload (r 1, a)); (fun a -> Instr.Sstore (a, r 1));
+      (fun a -> Instr.Vload (v 0, a)); (fun a -> Instr.Vstore (a, v 0)) ]
+  in
+  List.iter
+    (fun offset ->
+      List.iter
+        (fun op ->
+          let instr = op (addr (r 0) offset) in
+          let prog = Program.make "t" (seq [ instr ]) in
+          let outcome engine =
+            let saved = Machine.engine () in
+            Machine.set_engine engine;
+            let m = Machine.create ~mem_bytes:4096 () in
+            let e = try (Machine.run m prog; "ok") with e -> Printexc.to_string e in
+            Machine.set_engine saved;
+            let c = Machine.counters m in
+            (e, [ c.Machine.cycles; c.packets; c.instrs; c.macs; c.loaded_bytes; c.stored_bytes ])
+          in
+          let ((e, _) as native) = outcome Machine.Translated in
+          let name = Instr.to_string instr in
+          Alcotest.(check bool)
+            (name ^ " raises the bounds fault") true
+            (String.starts_with ~prefix:"Invalid_argument(\"memory access out of bounds" e);
+          Alcotest.(check (pair string (list int)))
+            (name ^ ": engines agree") (outcome Machine.Reference) native)
+        ops)
+    [ max_int - 2; min_int ]
+
 let tests =
   [
     Alcotest.test_case "scalar alu" `Quick test_scalar_ops;
@@ -339,12 +399,15 @@ let tests =
     Alcotest.test_case "vmpy semantics (fig 1a)" `Quick test_vmpy_semantics;
     Alcotest.test_case "vrmpy semantics (fig 1c)" `Quick test_vrmpy_semantics;
     Alcotest.test_case "vmpa semantics (fig 1b)" `Quick test_vmpa_semantics;
+    Alcotest.test_case "vmpa saturates each lane's sum once" `Quick test_vmpa_saturates_once;
     Alcotest.test_case "vaddw widening accumulate" `Quick test_vaddw_vpack_vshuff;
     Alcotest.test_case "vscale requantization" `Quick test_vscale;
     Alcotest.test_case "vlut table lookup" `Quick test_vlut;
     Alcotest.test_case "loop execution" `Quick test_loop_execution;
     Alcotest.test_case "dynamic counters match static" `Quick test_cycles_match_static;
     Alcotest.test_case "bounds checking" `Quick test_out_of_bounds;
+    Alcotest.test_case "bounds checking at overflowing offsets" `Quick
+      test_out_of_bounds_overflow;
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -554,8 +617,10 @@ let mem_bytes = 2048
    in-bounds programs but deliberately including faulting shapes: OOB
    addresses (random ALU results as bases), an unknown Vlut table id, an
    out-of-range Vmpyb selector and W8 Vpack — the two engines must agree
-   on those too (same exception, same counters at the fault). *)
-let gen_instr rng =
+   on those too (same exception, same counters at the fault).  With
+   [~native], only shapes the native loop runs: a program then runs whole
+   in C, bounds faults included. *)
+let gen_instr ?(native = false) rng =
   let sr () = r (Rng.int rng 8) in
   let vv () = v (Rng.int rng 32) in
   let pr () = p (Rng.int rng 16) in
@@ -608,7 +673,7 @@ let gen_instr rng =
     Instr.Vmpy (pd, inside pd vv, sr ())
   | 11 ->
     let pd = pr () in
-    Instr.Vmpyb (pd, inside pd vv, sr (), Rng.int rng 5 (* 4 = invalid *))
+    Instr.Vmpyb (pd, inside pd vv, sr (), Rng.int rng (if native then 4 else 5) (* 4 = invalid *))
   | 12 ->
     let pd = pr () in
     let a = inside pd vv in
@@ -628,31 +693,35 @@ let gen_instr rng =
     Instr.Vscalev (vd, vs, same vd vv, Rng.int rng 24)
   | 17 ->
     let ps = pr () in
-    Instr.Vpack (inside ps vv, ps, w () (* W8 = invalid *))
+    let w = if native then (if Rng.int rng 2 = 0 then Instr.W16 else Instr.W32) else w () in
+    Instr.Vpack (inside ps vv, ps, w (* W8 = invalid *))
   | 18 ->
     let pd = pr () in
     Instr.Vshuff (pd, same pd pr, w ())
   | 19 ->
     let vd = vv () in
-    Instr.Vlut (vd, same vd vv, Rng.int rng 3 (* table 2 = unknown *))
+    Instr.Vlut (vd, same vd vv, Rng.int rng (if native then 2 else 3) (* table 2 = unknown *))
   | _ -> Instr.Vdup (vv (), sr ())
 
-let gen_block rng =
+let gen_block ?native rng =
   let packets =
     List.init
       (1 + Rng.int rng 4)
-      (fun _ -> List.init (1 + Rng.int rng 2) (fun _ -> gen_instr rng))
+      (fun _ -> List.init (1 + Rng.int rng 2) (fun _ -> gen_instr ?native rng))
   in
   Program.Block packets
 
-let gen_program seed =
+let gen_program ?native seed =
   let rng = Rng.create seed in
   let node _ =
     if Rng.int rng 3 = 0 then
       (* trips include 0: the loop body is decoded but never executed *)
       Program.Loop
-        { trip = Rng.int rng 4; body = List.init (1 + Rng.int rng 2) (fun _ -> gen_block rng) }
-    else gen_block rng
+        {
+          trip = Rng.int rng 4;
+          body = List.init (1 + Rng.int rng 2) (fun _ -> gen_block ?native rng);
+        }
+    else gen_block ?native rng
   in
   let tables =
     [ (0, Array.init 256 (fun i -> i)); (1, Array.init 256 (fun i -> (i * 31) land 0xff)) ]
@@ -662,10 +731,7 @@ let gen_program seed =
 (* The full observable state of a machine. *)
 let snapshot m =
   let sregs = Array.init 32 (fun i -> Machine.get_sreg m (r i)) in
-  let vbytes =
-    Array.init 32 (fun n ->
-        Array.init 128 (fun i -> Machine.get_lane m (v n) ~width:Instr.W8 i))
-  in
+  let vbytes = Machine.vector_registers m in
   let mem = Machine.read_i8_array m ~addr:0 ~len:(Machine.memory_size m) in
   let c = Machine.counters m in
   let counters =
@@ -718,8 +784,75 @@ let qcheck_fast_cycles_match_static =
       && packets = Program.packet_count prog
       && instrs = Program.instr_count prog)
 
+module Trace = Gcd2_util.Trace
+
+let rec has_trip0 = function
+  | Program.Block _ -> false
+  | Program.Loop { trip; body } -> trip = 0 || List.exists has_trip0 body
+
+(* Programs of C-runnable shapes only: each runs whole in the native loop
+   (the trace counts no reference run) and leaves exactly the reference's
+   state, bounds faults and trip-0 loops included, which the 300 seeds
+   must both cover. *)
+let test_native_random_programs () =
+  let faults = ref 0 and trip0 = ref 0 in
+  for seed = 1 to 300 do
+    let prog = gen_program ~native:true seed in
+    let trace = Trace.create "native" in
+    let native = Trace.with_ambient trace (fun () -> run_under Machine.Translated seed prog) in
+    if Trace.counter trace "vm-reference-runs" <> 0 then
+      Alcotest.failf "seed %d ran on the reference" seed;
+    let ((outcome, _, _, _, _) as reference) = run_under Machine.Reference seed prog in
+    if native <> reference then
+      Alcotest.failf "seed %d: the native engine differs from the reference (outcome %s)" seed
+        outcome;
+    if outcome <> "ok" then incr faults;
+    if List.exists has_trip0 prog.Program.nodes then incr trip0
+  done;
+  Alcotest.(check bool) (Fmt.str "faults in %d of 300" !faults) true (!faults >= 20 && !faults <= 280);
+  Alcotest.(check bool) (Fmt.str "trip-0 loops in %d of 300" !trip0) true (!trip0 >= 30)
+
+(* Each shape the native loop does not run sends the whole program to
+   the reference, which the trace counts: the instruction before it
+   still runs, and the outcome and state are the reference's. *)
+let test_reference_only_programs () =
+  List.iter
+    (fun instr ->
+      let prog =
+        Program.make ~tables:[ (1, Array.make 100 0) ] "t" (seq [ Instr.Smovi (r 0, 5); instr ])
+      in
+      let final exec =
+        let m = Machine.create ~mem_bytes:256 () in
+        let outcome = try (exec m prog; "ok") with e -> Printexc.to_string e in
+        (outcome, snapshot m)
+      in
+      let trace = Trace.create "fallback" in
+      let saved = Machine.engine () in
+      Machine.set_engine Machine.Translated;
+      let native = Trace.with_ambient trace (fun () -> final Machine.run) in
+      Machine.set_engine saved;
+      let name = Instr.to_string instr in
+      Alcotest.(check int) (name ^ ": one reference run") 1
+        (Trace.counter trace "vm-reference-runs");
+      Alcotest.(check bool) (name ^ ": the reference's outcome and state") true
+        (native = final Machine.run_reference))
+    [
+      Instr.Vpack (v 0, p 1, Instr.W8);
+      Instr.Vmpyb (p 1, v 0, r 1, 4);
+      Instr.Vscale (v 0, v 1, 3, 63);
+      Instr.Vscalev (v 0, v 1, v 2, -1);
+      Instr.Vlut (v 0, v 1, 1);
+      Instr.Vlut (v 0, v 1, 2);
+      Instr.Valu (Instr.Vadd, Instr.W8, p 1, v 0, p 2);
+      Instr.Vmovi (r 3, 1);
+      Instr.Vdup (r 3, r 0);
+      Instr.Vmpa (p 1, v 4, r 0);
+      Instr.Vrmpy (v 32, v 0, r 0);
+      Instr.Salu (Instr.Add, r 32, r 0, Instr.Imm 1);
+    ]
+
 (* The same physical program re-run on one machine reuses its cached
-   translation; counters advance by exactly one program's worth. *)
+   decode; counters advance by exactly one program's worth. *)
 let test_decode_cache_reuse () =
   let m = Machine.create ~mem_bytes () in
   (* a program that runs twice without a bounds fault, so that each run
@@ -803,23 +936,26 @@ let edge16 = [| -32768; 32767; -32767; 32766; -16384; 16384; -1; 0 |]
 let edge32 = [| -0x8000_0000; 0x7fff_ffff; -0x7fff_ff00; 0x7fff_ff00; -1; 0 |]
 
 (* A machine whose registers are drawn from the edges by [seed]: equal
-   seeds give equal copies. *)
+   seeds give equal copies.  The register file is filled in one write. *)
 let edge_machine seed =
   let m = Machine.create ~mem_bytes:256 () in
   let rng = Rng.create seed in
   let pick a = a.(Rng.int rng (Array.length a)) in
+  let regs = Bytes.create (Reg.vector_count * Reg.vector_bytes) in
+  let set32 b o x = Bytes.set_int32_le b o (Int32.of_int x) in
   for n = 0 to 31 do
-    let width, lanes, values =
+    let set, size, values =
       match Rng.int rng 4 with
-      | 0 -> (Instr.W8, 128, fun () -> pick edge8)
-      | 1 -> (Instr.W16, 64, fun () -> pick edge16)
-      | 2 -> (Instr.W32, 32, fun () -> pick edge32)
-      | _ -> (Instr.W8, 128, fun () -> Rng.int rng 256 - 128)
+      | 0 -> (Bytes.set_int8, 1, fun () -> pick edge8)
+      | 1 -> (Bytes.set_int16_le, 2, fun () -> pick edge16)
+      | 2 -> (set32, 4, fun () -> pick edge32)
+      | _ -> (Bytes.set_int8, 1, fun () -> Rng.int rng 256 - 128)
     in
-    for l = 0 to lanes - 1 do
-      Machine.set_lane m (v n) ~width l (values ())
+    for l = 0 to (Reg.vector_bytes / size) - 1 do
+      set regs ((Reg.vector_bytes * n) + (size * l)) (values ())
     done
   done;
+  Machine.set_vector_registers m regs;
   for n = 0 to 3 do
     let b k = (pick edge8 land 0xff) lsl (8 * k) in
     Machine.set_sreg m (r n) (b 0 lor b 1 lor b 2 lor b 3)
@@ -836,11 +972,10 @@ let edge_tables =
    [other] outside it and a scalar operand, and [shapes] lists the
    opcode's instructions over them: every alias shape.  Each instruction
    runs twice (two packets, so accumulators go past their bounds) on two
-   copies of one edge machine, one through the translated engine and one
-   through the reference interpreter.  An opcode with many shapes runs
-   fewer cases. *)
-let edge_property ?(count = 100) opcode shapes =
-  QCheck.Test.make ~name:("lanes: " ^ opcode ^ " = reference at the edges") ~count
+   copies of one edge machine, one through the native engine and one
+   through the reference interpreter. *)
+let edge_property opcode shapes =
+  QCheck.Test.make ~name:("lanes: " ^ opcode ^ " = reference at the edges") ~count:100
     QCheck.(int_range 1 1_000_000)
     (fun seed ->
       let rng = Rng.create seed in
@@ -862,9 +997,9 @@ let edge_property ?(count = 100) opcode shapes =
           in
           let saved = Machine.engine () in
           Machine.set_engine Machine.Translated;
-          let translated = final Machine.run in
+          let native = final Machine.run in
           Machine.set_engine saved;
-          translated = final Machine.run_reference
+          native = final Machine.run_reference
           || QCheck.Test.fail_reportf "%a differs from the reference" Instr.pp instr)
         (shapes ~pd:(p k) ~lo:(v (2 * k)) ~hi:(v ((2 * k) + 1)) ~other ~rt))
 
@@ -885,6 +1020,9 @@ let edge_properties =
         List.concat_map
           (fun sel -> List.map (fun vs -> Instr.Vmpyb (pd, vs, rt, sel)) [ lo; hi; other ])
           [ 0; 1; 2; 3; 4 ]);
+    (* pd = ps, and a source pair holding [other] *)
+    edge_property "vmpa" (fun ~pd ~lo:_ ~hi:_ ~other ~rt ->
+        [ Instr.Vmpa (pd, pd, rt); Instr.Vmpa (pd, pair_holding other, rt) ]);
     edge_property "vmul" (fun ~pd ~lo ~hi ~other ~rt:_ ->
         let srcs = [ lo; hi; other ] in
         List.concat_map (fun a -> List.map (fun b -> Instr.Vmul (pd, a, b)) srcs) srcs);
@@ -896,7 +1034,7 @@ let edge_properties =
           [ Instr.W32; Instr.W16 ]);
     (* multipliers at the 32-bit edges and the 63-bit ones, so products
        wrap as OCaml's do; shifts 63 and -1 take the reference fallback *)
-    edge_property ~count:40 "vscale" (fun ~pd:_ ~lo ~hi:_ ~other ~rt:_ ->
+    edge_property "vscale" (fun ~pd:_ ~lo ~hi:_ ~other ~rt:_ ->
         List.concat_map
           (fun shift ->
             List.concat_map
@@ -914,7 +1052,7 @@ let edge_properties =
           edge_shifts);
     (* every op and width, on vectors and on pairs, with d = a, d = b and
        a = b *)
-    edge_property ~count:20 "valu" (fun ~pd ~lo ~hi ~other ~rt:_ ->
+    edge_property "valu" (fun ~pd ~lo ~hi ~other ~rt:_ ->
         let q = pair_holding other in
         let shapes =
           [ (lo, lo, other); (lo, other, lo); (lo, other, other); (lo, hi, other); (pd, pd, q);
@@ -943,6 +1081,10 @@ let tests =
   @ [
       QCheck_alcotest.to_alcotest qcheck_translated_equals_reference;
       QCheck_alcotest.to_alcotest qcheck_fast_cycles_match_static;
+      Alcotest.test_case "native engine = reference on C-runnable programs" `Quick
+        test_native_random_programs;
+      Alcotest.test_case "a reference-only shape runs the program on the reference" `Quick
+        test_reference_only_programs;
       Alcotest.test_case "decode cache reuse" `Quick test_decode_cache_reuse;
       Alcotest.test_case "scratch machine reuse" `Quick test_scratch_reuse;
       Alcotest.test_case "single-row vrmpy matmul: Interp, macs, cycles" `Quick
